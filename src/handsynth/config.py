@@ -411,16 +411,25 @@ def canonical_json(doc: dict) -> str:
 
 
 def config_digest(parsed: ParsedConfig) -> str:
-    """SHA-256 of the canonical config without ``output_path``.
+    """SHA-256 of the canonical config without ``output_path``, with each
+    extra gesture script named by the SHA-256 of its file bytes.
 
     The digest identifies the generation recipe, not where the output is
-    written, so the same recipe generated into two directories gives two
-    byte-identical manifests.
+    written or how a script file is named: the same recipe generated into
+    two directories gives two byte-identical manifests, and an edited
+    script changes the digest.
     """
     doc = config_to_dict(parsed)
     del doc["output_path"]
+    if "gesture_script_paths" in doc:
+        doc["gesture_script_paths"] = [_file_sha256(path) for path in doc["gesture_script_paths"]]
     payload = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def _file_sha256(path: str) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def apply_overrides(

@@ -6,6 +6,15 @@ compared with dynamic time warping: a 1-NN leave-one-out pass checks that
 the generated classes are geometrically separable, and the variance
 ablation checks that Low / Median / High range conditions order intra-class
 dispersion the way the range widths say they should.
+
+One DTW kernel serves every caller.  It sweeps the cost tables of a batch
+of pairs anti-diagonal by anti-diagonal, vectorised across the pairs, with
+batches bounded by DTW_CHUNK_CELLS.  ``pairwise_dtw`` runs it once over
+the N(N-1)/2 unordered pairs, and the leave-one-out pass and the
+dispersion both read that matrix; ``classify_1nn`` is one query against a
+batch and ``dtw_distance`` the one-pair case.  Every cell is
+cost + min(three neighbours), so batching and padding cannot change a
+bit: the results equal the textbook recurrence exactly.
 """
 
 from __future__ import annotations
@@ -96,43 +105,129 @@ def extract_trajectory(
 # dynamic time warping
 # ---------------------------------------------------------------------------
 
+# Cost-table cells per batch of pairs.  The kernel's arrays scale with it
+# (cost table plus one coordinate difference at a time, ~1 MB each), so
+# all-pairs DTW over any dataset stays within a few MB of scratch memory.
+DTW_CHUNK_CELLS = 1 << 17
+
+
+def _points(t: Trajectory | np.ndarray) -> np.ndarray:
+    pts = t.points if isinstance(t, Trajectory) else np.asarray(t, dtype=np.float64)
+    if len(pts) == 0:
+        raise ValueError("trajectories must be non-empty")
+    return pts[:, None] if pts.ndim == 1 else pts
+
+
+def _dtw_chunk(left: Sequence[np.ndarray], right: Sequence[np.ndarray]) -> np.ndarray:
+    """DTW of the pairs (left[p], right[p]) in one anti-diagonal sweep.
+
+    Points are padded to the longest member on each side and padded cells
+    get infinite cost; a cell inside a pair's own table only reads cells
+    inside it, so each result at (n_p - 1, m_p - 1) is that pair's exact
+    recurrence.
+    """
+    count = len(left)
+    n = np.array([len(p) for p in left])
+    m = np.array([len(p) for p in right])
+    la, lb = int(n.max()), int(m.max())
+    dims = left[0].shape[1]
+    pa = np.zeros((count, la, dims))
+    pb = np.zeros((count, lb, dims))
+    for p in range(count):
+        pa[p, : n[p]] = left[p]
+        pb[p, : m[p]] = right[p]
+
+    # cost table built one coordinate at a time: no (P, La, Lb, d) temporary
+    sq = np.zeros((count, la, lb))
+    for c in range(dims):
+        diff = pa[:, :, None, c] - pb[:, None, :, c]
+        diff *= diff
+        sq += diff
+    del diff
+    padded = (np.arange(la)[None, :, None] >= n[:, None, None]) | (
+        np.arange(lb)[None, None, :] >= m[:, None, None]
+    )
+    sq[padded] = np.inf
+    cost = np.sqrt(sq, out=sq).reshape(count, la * lb)
+
+    # D along anti-diagonal k, indexed by row i + 1 (column 0 is the i = -1
+    # border); three rotating buffers, so a slot is only ever read after
+    # the diagonal it belongs to wrote it, or while it still holds inf
+    bufs = [np.full((count, la + 1), np.inf) for _ in range(3)]
+    ends = n + m - 2  # diagonal holding each pair's last cell
+    out = np.empty(count)
+    step = max(lb - 1, 1)
+    for k in range(la + lb - 1):
+        prev2, prev, cur = bufs[(k - 2) % 3], bufs[(k - 1) % 3], bufs[k % 3]
+        lo = max(0, k - lb + 1)
+        hi = min(la - 1, k)
+        start = k + lo * (lb - 1)
+        c = cost[:, start : start + (hi - lo) * step + 1 : step]  # cells (i, k - i)
+        if k == 0:
+            cur[:, 1] = c[:, 0]
+        else:
+            best = np.minimum(prev[:, lo : hi + 1], prev[:, lo + 1 : hi + 2])  # up, left
+            np.minimum(best, prev2[:, lo : hi + 1], out=best)  # diagonal
+            cur[:, lo + 1 : hi + 2] = c + best
+        done = np.flatnonzero(ends == k)
+        if len(done):
+            out[done] = cur[done, n[done]]
+    return out
+
+
+def _dtw_pairs(left: Sequence[np.ndarray], right: Sequence[np.ndarray]) -> np.ndarray:
+    """DTW of every pair (left[p], right[p]), batched by DTW_CHUNK_CELLS.
+
+    DTW is exactly symmetric, so each pair is oriented longer side first
+    and pairs are batched in order of their lengths, which keeps padding
+    small.
+    """
+    count = len(left)
+    longer, shorter = [], []
+    for a, b in zip(left, right):
+        if len(a) < len(b):
+            a, b = b, a
+        longer.append(a)
+        shorter.append(b)
+    out = np.empty(count)
+    batch: list[int] = []
+    la = lb = 0
+    for p in sorted(range(count), key=lambda p: (len(longer[p]), len(shorter[p]))):
+        grown_a, grown_b = max(la, len(longer[p])), max(lb, len(shorter[p]))
+        if batch and (len(batch) + 1) * grown_a * grown_b > DTW_CHUNK_CELLS:
+            out[batch] = _dtw_chunk([longer[q] for q in batch], [shorter[q] for q in batch])
+            batch, grown_a, grown_b = [], len(longer[p]), len(shorter[p])
+        batch.append(p)
+        la, lb = grown_a, grown_b
+    if batch:
+        out[batch] = _dtw_chunk([longer[q] for q in batch], [shorter[q] for q in batch])
+    return out
+
 
 def dtw_distance(a: Trajectory | np.ndarray, b: Trajectory | np.ndarray) -> float:
     """Classic DTW with Euclidean point cost, full window, symmetric
     match/insert/delete steps and aligned boundaries.
 
-    Evaluated over anti-diagonals so the O(n*m) table fills with numpy
-    vector ops; distances are exactly the textbook recurrence's.
+    The one-pair case of the batched anti-diagonal kernel; distances are
+    exactly the textbook recurrence's.
     """
-    pa = a.points if isinstance(a, Trajectory) else np.asarray(a, dtype=np.float64)
-    pb = b.points if isinstance(b, Trajectory) else np.asarray(b, dtype=np.float64)
-    if len(pa) == 0 or len(pb) == 0:
-        raise ValueError("trajectories must be non-empty")
-    if pa.ndim == 1:
-        pa = pa[:, None]
-    if pb.ndim == 1:
-        pb = pb[:, None]
-    n, m = len(pa), len(pb)
-    cost = np.sqrt(((pa[:, None, :] - pb[None, :, :]) ** 2).sum(axis=2))
+    return float(_dtw_pairs([_points(a)], [_points(b)])[0])
 
-    inf = np.inf
-    prev2 = np.full(n, inf)  # diagonal k-2, indexed by i
-    prev = np.full(n, inf)  # diagonal k-1
-    for k in range(n + m - 1):
-        i_lo = max(0, k - m + 1)
-        i_hi = min(n - 1, k)
-        idx = np.arange(i_lo, i_hi + 1)
-        c = cost[idx, k - idx]
-        up = np.where(idx >= 1, prev[np.maximum(idx - 1, 0)], inf)
-        left = np.where(k - idx >= 1, prev[idx], inf)
-        diag = np.where((idx >= 1) & (k - idx >= 1), prev2[np.maximum(idx - 1, 0)], inf)
-        best = np.minimum(np.minimum(up, left), diag)
-        if k == 0:
-            best = np.array([0.0])
-        cur = np.full(n, inf)
-        cur[idx] = c + best
-        prev2, prev = prev, cur
-    return float(prev[n - 1])
+
+def pairwise_dtw(trajectories: Sequence[Trajectory | np.ndarray]) -> np.ndarray:
+    """(N, N) matrix of DTW distances, each unordered pair computed once.
+
+    The N(N-1)/2 upper-triangle pairs run through the batched kernel; the
+    matrix is exactly symmetric with a zero diagonal.
+    """
+    pts = [_points(t) for t in trajectories]
+    count = len(pts)
+    rows, cols = np.triu_indices(count, k=1)
+    upper = _dtw_pairs([pts[i] for i in rows], [pts[j] for j in cols])
+    dist = np.zeros((count, count))
+    dist[rows, cols] = upper
+    dist[cols, rows] = upper
+    return dist
 
 
 class TrajectoryRecord(NamedTuple):
@@ -141,32 +236,44 @@ class TrajectoryRecord(NamedTuple):
     variant_index: int = 0
 
 
+def _tie_order(dataset: Sequence[TrajectoryRecord]) -> np.ndarray:
+    """Dataset indices sorted by (label, variant index): the first minimum
+    in this order wins a distance tie."""
+    return np.array(
+        sorted(range(len(dataset)), key=lambda k: (dataset[k].label, dataset[k].variant_index)),
+        dtype=np.int64,
+    )
+
+
 def classify_1nn(dataset: Sequence[TrajectoryRecord], query: Trajectory) -> str:
     """Label of the nearest dataset trajectory; ties resolve to the lowest
     (gesture label, variant index)."""
     if not dataset:
         raise ValueError("empty dataset")
-    ordered = sorted(dataset, key=lambda r: (r.label, r.variant_index))
-    best_label = ordered[0].label
-    best_dist = np.inf
-    for record in ordered:
-        d = dtw_distance(record.trajectory, query)
-        if d < best_dist:
-            best_dist = d
-            best_label = record.label
-    return best_label
+    order = _tie_order(dataset)
+    q = _points(query)
+    dist = _dtw_pairs([q] * len(order), [_points(dataset[k].trajectory) for k in order])
+    return dataset[order[int(np.argmin(dist))]].label
 
 
 def leave_one_out_accuracy(dataset: Sequence[TrajectoryRecord]) -> dict:
-    """1-NN leave-one-out over the whole set; returns accuracy + confusion."""
+    """1-NN leave-one-out over the whole set; returns accuracy + confusion.
+
+    All-pairs DTW is computed once; each query's nearest neighbour is the
+    first minimum of its row in tie order, with the query itself left out.
+    """
     if len(dataset) < 2:
         raise ValueError("need at least 2 records")
+    order = _tie_order(dataset)
+    dist = pairwise_dtw([r.trajectory for r in dataset])[:, order]
+    dist[order, np.arange(len(order))] = np.inf  # a query is not its own neighbour
+    nearest = order[np.argmin(dist, axis=1)]
+
     labels = sorted({r.label for r in dataset})
     confusion = {a: {b: 0 for b in labels} for a in labels}
     correct = 0
-    for i, record in enumerate(dataset):
-        rest = [r for j, r in enumerate(dataset) if j != i]
-        predicted = classify_1nn(rest, record.trajectory)
+    for record, k in zip(dataset, nearest):
+        predicted = dataset[k].label
         confusion[record.label][predicted] += 1
         if predicted == record.label:
             correct += 1
@@ -178,17 +285,15 @@ def leave_one_out_accuracy(dataset: Sequence[TrajectoryRecord]) -> dict:
 
 
 def mean_pairwise_dispersion(trajectories: Sequence[Trajectory]) -> float:
-    """Mean DTW distance over all unordered pairs."""
+    """Mean DTW distance over all unordered pairs, summed in i < j order."""
     n = len(trajectories)
     if n < 2:
         raise ValueError("need at least 2 trajectories")
+    dist = pairwise_dtw(trajectories)
     total = 0.0
-    count = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            total += dtw_distance(trajectories[i], trajectories[j])
-            count += 1
-    return total / count
+    for i, j in zip(*np.triu_indices(n, k=1)):
+        total += float(dist[i, j])
+    return total / (n * (n - 1) // 2)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ directory, so a dataset does not depend on where it was written.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from dataclasses import dataclass, field
@@ -189,12 +190,21 @@ def frame_path(frame_dir: str, index: int, kind: str) -> str:
 
 
 def write_manifest(manifest: DatasetManifest, path: str) -> None:
+    """Write the manifest atomically: a temporary file in the same
+    directory, then a rename, so a manifest on disk is always complete."""
     manifest.validate()
     payload = json.dumps(manifest.to_dict(), sort_keys=True, indent=2) + "\n"
+    tmp = f"{path}.tmp-{os.getpid()}"
     try:
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+            raise
     except OSError as exc:
         raise OSError(f"writing manifest {path}: {exc}") from exc
 

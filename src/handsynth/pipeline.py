@@ -38,7 +38,7 @@ from .output import (
     write_frame,
     write_manifest,
 )
-from .render import DepthBuffer, Frame, make_flipbook, sensor_frame, trace_depth
+from .render import DepthBuffer, FlipbookNoise, Frame, make_flipbook, sensor_frame, trace_depth
 from .scene import (
     CameraKind,
     CameraSpec,
@@ -81,6 +81,51 @@ class RenderedRecording:
     rig_is_left: bool
 
 
+@dataclass(frozen=True)
+class _RecordingSetup:
+    """What every frame of one recording shares."""
+
+    rig: ArmRig
+    timeline: Timeline
+    sensor: SensorParams
+    noise: FlipbookNoise
+    base: DepthBuffer
+    is_left: bool
+
+
+def _setup_recording(
+    script: GestureScript, cam: CameraSpec, variant: VariantParams, default_left_hand: bool
+) -> _RecordingSetup:
+    is_left = script.use_left_hand if script.use_left_hand is not None else default_left_hand
+    rig = default_rig(is_left=is_left)
+    timeline = plan_timeline(script, rest_position(rig), gesture_anchor(rig), cam.fps, variant)
+    sensor = cam.sensor.with_variant(variant.chromaticity_coeff, variant.depth_min, variant.depth_max)
+    return _RecordingSetup(
+        rig=rig,
+        timeline=timeline,
+        sensor=sensor,
+        noise=make_flipbook(sensor, variant.seed),
+        base=_static_buffer(cam, is_left),
+        is_left=is_left,
+    )
+
+
+def _render_frame(
+    setup: _RecordingSetup,
+    cam: CameraSpec,
+    frame_index: int,
+    counters: WarningCounters,
+    noise_enabled: bool,
+) -> Frame:
+    """One frame of a recording; depends on the frame index only."""
+    wrist_target, aim_dir, pose = evaluate_frame(setup.timeline, frame_index, counters)
+    if target_clamped(setup.rig, wrist_target):
+        counters.ik_clamps += 1
+    posed = pose_hand(setup.rig, wrist_target, aim_dir, pose)
+    buf = trace_depth(dynamic_scene(posed), cam, base=setup.base)
+    return sensor_frame(buf, cam, setup.sensor, setup.noise, frame_index, noise_enabled=noise_enabled)
+
+
 def render_recording(
     script: GestureScript,
     cam: CameraSpec,
@@ -89,34 +134,19 @@ def render_recording(
     noise_enabled: bool = True,
 ) -> RenderedRecording:
     """All frames of one recording, deterministic in (script, cam, variant)."""
-    is_left = script.use_left_hand if script.use_left_hand is not None else default_left_hand
-    rig = default_rig(is_left=is_left)
-    rest = rest_position(rig)
-    anchor = gesture_anchor(rig)
-    timeline = plan_timeline(script, rest, anchor, cam.fps, variant)
-
-    sensor = cam.sensor.with_variant(variant.chromaticity_coeff, variant.depth_min, variant.depth_max)
-    noise = make_flipbook(sensor, variant.seed)
-    base = _static_buffer(cam, is_left)
+    setup = _setup_recording(script, cam, variant, default_left_hand)
     counters = WarningCounters()
-
-    frames: list[Frame] = []
-    for frame_index in range(timeline.total_frames):
-        wrist_target, aim_dir, pose = evaluate_frame(timeline, frame_index, counters)
-        if target_clamped(rig, wrist_target):
-            counters.ik_clamps += 1
-        posed = pose_hand(rig, wrist_target, aim_dir, pose)
-        buf = trace_depth(dynamic_scene(posed), cam, base=base)
-        frames.append(
-            sensor_frame(buf, cam, sensor, noise, frame_index, noise_enabled=noise_enabled)
-        )
+    frames = [
+        _render_frame(setup, cam, frame_index, counters, noise_enabled)
+        for frame_index in range(setup.timeline.total_frames)
+    ]
     return RenderedRecording(
         frames=frames,
-        timeline=timeline,
+        timeline=setup.timeline,
         variant=variant,
-        sensor=sensor,
+        sensor=setup.sensor,
         warnings=counters,
-        rig_is_left=is_left,
+        rig_is_left=setup.is_left,
     )
 
 
@@ -279,14 +309,11 @@ def preview_frame(
         raise ValueError(f"unknown camera {camera_id!r}")
     seed = derive_seed(parsed.settings.master_seed, gesture_name, 0, cam.camera_id)
     variant = sample_variant(parsed.variation, parsed.variation.condition_overrides, seed, 0)
-    rendered = render_recording(
-        registry[gesture_name], cam, variant, default_left_hand=parsed.settings.default_left_hand
-    )
-    if not (0 <= frame_index < len(rendered.frames)):
-        raise ValueError(
-            f"frame {frame_index} outside 0..{len(rendered.frames) - 1} for {gesture_name!r}"
-        )
-    frame = rendered.frames[frame_index]
+    setup = _setup_recording(registry[gesture_name], cam, variant, parsed.settings.default_left_hand)
+    total = setup.timeline.total_frames
+    if not (0 <= frame_index < total):
+        raise ValueError(f"frame {frame_index} outside 0..{total - 1} for {gesture_name!r}")
+    frame = _render_frame(setup, cam, frame_index, WarningCounters(), noise_enabled=True)
     write_frame(frame, out_path)
     return frame
 

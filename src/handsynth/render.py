@@ -194,22 +194,33 @@ def _intersect_plane(origin, dirs, point, normal):
 
 
 def _capsule_screen_bounds(cam: CameraSpec, a, b, radius, w, h):
-    """Conservative pixel rectangle covering one capsule, or None if the
-    capsule can sit anywhere on screen (too close / behind-plane cases)."""
+    """Pixel rectangle covering one capsule, or None if the capsule can sit
+    anywhere on screen (an end sphere reaches the camera plane).
+
+    A capsule is the convex hull of its two end spheres and x/z, y/z are
+    linear-fractional, so the union of the spheres' exact projected
+    extents bounds it.  A sphere at camera (x, y) and depth z > r spans
+    x/z in (x*z -+ r*sqrt(x^2 + z^2 - r^2)) / (z^2 - r^2): the two planes
+    through the eye that touch it, and likewise in y.
+    """
     import math
 
     tan_half = math.tan(math.radians(cam.fov_deg) / 2.0)
     tan_v = tan_half * h / w
     pts = cam.world_to_camera(np.vstack([a, b]))
+    r2 = radius * radius
     u_lo, u_hi, v_lo, v_hi = np.inf, -np.inf, np.inf, -np.inf
-    for p in pts:
-        depth_front = -p[2] - radius
-        if depth_front <= 1e-6:
+    for x, y, z_cam in pts.tolist():
+        z = -z_cam
+        if z - radius <= 1e-6:
             return None  # sphere reaches the camera plane: no safe bound
-        x_lo = (p[0] - radius) / depth_front
-        x_hi = (p[0] + radius) / depth_front
-        y_lo = (p[1] - radius) / depth_front
-        y_hi = (p[1] + radius) / depth_front
+        denom = z * z - r2
+        sx = radius * math.sqrt(x * x + z * z - r2)
+        sy = radius * math.sqrt(y * y + z * z - r2)
+        x_lo = (x * z - sx) / denom
+        x_hi = (x * z + sx) / denom
+        y_lo = (y * z - sy) / denom
+        y_hi = (y * z + sy) / denom
         u_lo = min(u_lo, (x_lo / tan_half + 1.0) / 2.0 * w)
         u_hi = max(u_hi, (x_hi / tan_half + 1.0) / 2.0 * w)
         v_lo = min(v_lo, (1.0 - (y_hi / tan_v + 1.0) / 2.0) * h)

@@ -129,6 +129,51 @@ def test_config_digest_ignores_output_path_not_seed(tmp_path):
     assert config_digest(apply_overrides(parsed, seed=parsed.settings.master_seed + 1)) != digest
 
 
+def _script_config(tmp_path, script_path):
+    return parse_config_full(
+        json.dumps(
+            {
+                "output_path": str(tmp_path / "out"),
+                "gestures": ["wave"],
+                "gesture_script_paths": [script_path],
+            }
+        )
+    )
+
+
+def _write_wave(path, base_speed):
+    path.write_text(
+        json.dumps({"name": "wave", "control_points": [[0, 0, 0], [8, 4, 0], [16, 0, 0]], "base_speed": base_speed})
+    )
+
+
+def test_config_digest_follows_script_bytes_not_path(tmp_path, monkeypatch):
+    (tmp_path / "x").mkdir()
+    script = tmp_path / "x" / "s.json"
+    _write_wave(script, 20.0)
+    monkeypatch.chdir(tmp_path)
+    relative = config_digest(_script_config(tmp_path, "x/s.json"))
+    assert config_digest(_script_config(tmp_path, str(script))) == relative
+
+    _write_wave(script, 40.0)
+    assert config_digest(_script_config(tmp_path, "x/s.json")) != relative
+
+
+def test_config_digest_without_scripts_unchanged(tmp_path):
+    """Configs without gesture scripts keep the digest of the canonical
+    document without output_path."""
+    import hashlib
+
+    from handsynth.config import config_to_dict
+
+    with open(_small_config(tmp_path)) as fh:
+        parsed = parse_config_full(fh.read())
+    doc = config_to_dict(parsed)
+    del doc["output_path"]
+    payload = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    assert config_digest(parsed) == hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
 def test_generate_condition_override(tmp_path, capsys):
     path = _small_config(tmp_path, gestures=("swipe_right",), variants=3)
     assert (
@@ -173,6 +218,30 @@ def test_preview_writes_one_frame(tmp_path, capsys):
     )
     pixels = read_frame(out_image)
     assert pixels.shape == (48, 64)
+
+
+@pytest.mark.parametrize("kind", ["depth", "infrared"])
+def test_preview_frame_equals_frame_of_full_recording(tmp_path, kind):
+    from handsynth.pipeline import preview_frame, render_recording, script_registry
+    from handsynth.variation import derive_seed, sample_variant
+
+    doc = json.loads(open(_small_config(tmp_path)).read())
+    doc["cameras"] = [{"camera_id": "cam0", "kind": kind, "preset": "infotainment"}]
+    parsed = parse_config_full(json.dumps(doc))
+    cam = parsed.cameras[0]
+    seed = derive_seed(parsed.settings.master_seed, "swipe_right", 0, cam.camera_id)
+    variant = sample_variant(parsed.variation, parsed.variation.condition_overrides, seed, 0)
+    frames = render_recording(script_registry(parsed)["swipe_right"], cam, variant).frames
+    for k in (0, len(frames) // 2, len(frames) - 1):
+        frame = preview_frame(parsed, "swipe_right", k, cam.camera_id, str(tmp_path / f"{k}.img"))
+        assert np.array_equal(frame.pixels, frames[k].pixels)
+        assert (frame.kind, frame.frame_index, frame.camera_id) == (
+            frames[k].kind,
+            frames[k].frame_index,
+            frames[k].camera_id,
+        )
+    with pytest.raises(ValueError, match="outside"):
+        preview_frame(parsed, "swipe_right", len(frames), cam.camera_id, str(tmp_path / "x.img"))
 
 
 def test_preview_unknown_gesture_exit_2(tmp_path):

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from handsynth.evalkit import (
     extract_trajectory,
     leave_one_out_accuracy,
     mean_pairwise_dispersion,
+    pairwise_dtw,
 )
 from handsynth.geom import vec
 from handsynth.render import encode_depth16, trace_depth
@@ -155,6 +157,62 @@ def test_dtw_matches_bruteforce_oracle(rng):
 def test_dtw_rejects_empty():
     with pytest.raises(ValueError):
         dtw_distance(_traj(np.zeros((0, 3))), _traj([[1, 2, 3]]))
+
+
+def _dtw_textbook(a, b):
+    """D[i][j] = cost(i, j) + min(D[i-1][j], D[i][j-1], D[i-1][j-1]), row by
+    row in plain Python floats."""
+    prev = [0.0] + [np.inf] * len(b)
+    for p in a:
+        cur = [np.inf] * (len(b) + 1)
+        for j, q in enumerate(b, start=1):
+            cost = math.sqrt(sum((float(x) - float(y)) * (float(x) - float(y)) for x, y in zip(p, q)))
+            cur[j] = cost + min(prev[j], cur[j - 1], prev[j - 1])
+        prev = cur
+    return prev[len(b)]
+
+
+def test_pairwise_dtw_equals_textbook_and_per_pair(rng, monkeypatch):
+    import handsynth.evalkit as evalkit
+
+    lengths = [1, 1, 40] + [int(n) for n in rng.integers(1, 41, size=15)]
+    trajectories = [_traj(rng.uniform(-10, 10, size=(n, 3))) for n in lengths]
+    whole = pairwise_dtw(trajectories)
+    monkeypatch.setattr(evalkit, "DTW_CHUNK_CELLS", 700)  # several chunks, some of one pair
+    chunked = pairwise_dtw(trajectories)
+    assert np.array_equal(chunked, whole)
+    assert np.array_equal(whole, whole.T)
+    assert np.all(np.diag(whole) == 0.0)
+    for i, j in itertools.combinations(range(len(trajectories)), 2):
+        a, b = trajectories[i].points, trajectories[j].points
+        assert whole[i, j] == _dtw_textbook(a, b)
+        assert whole[i, j] == dtw_distance(trajectories[i], trajectories[j])
+
+
+def test_leave_one_out_tie_goes_to_lowest_label_then_variant():
+    records = [
+        TrajectoryRecord(_traj([[1, 0, 0]]), "zeta", 0),
+        TrajectoryRecord(_traj([[0, 1, 0]]), "beta", 3),
+        TrajectoryRecord(_traj([[0, -1, 0]]), "beta", 1),
+        TrajectoryRecord(_traj([[0, 0, 0]]), "mid", 0),
+        TrajectoryRecord(_traj([[0, 0, 30]]), "mid", 1),
+    ]
+    # mid/0 sits at distance 1 from zeta/0, beta/3 and beta/1: beta wins;
+    # beta/3 and beta/1 are each other's neighbours at distance 2, but
+    # mid/0 is nearer at 1
+    report = leave_one_out_accuracy(records)
+    confusion = report["confusion"]
+    assert confusion["mid"]["beta"] == 1
+    assert confusion["beta"]["mid"] == 2
+    assert confusion["zeta"]["mid"] == 1
+
+
+def test_mean_pairwise_dispersion_sums_in_upper_triangle_order(rng):
+    trajectories = [_traj(rng.uniform(-5, 5, size=(int(rng.integers(1, 12)), 3))) for _ in range(7)]
+    total = 0.0
+    for i, j in itertools.combinations(range(len(trajectories)), 2):
+        total += dtw_distance(trajectories[i], trajectories[j])
+    assert mean_pairwise_dispersion(trajectories) == total / 21
 
 
 # --- classification ----------------------------------------------------------

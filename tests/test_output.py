@@ -88,6 +88,39 @@ def test_manifest_round_trip(tmp_path):
     assert list(parsed) == sorted(parsed)
 
 
+def test_failed_manifest_write_leaves_no_manifest(tmp_path, monkeypatch):
+    """A write that fails halfway (a full disk) leaves neither a truncated
+    manifest.json nor a temporary file."""
+    import builtins
+    import errno
+
+    import handsynth.output as output
+
+    class FullDisk:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[: len(data) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    def full_disk_open(file, mode="r", *args, **kwargs):
+        fh = builtins.open(file, mode, *args, **kwargs)
+        return FullDisk(fh) if "w" in mode else fh
+
+    monkeypatch.setattr(output, "open", full_disk_open, raising=False)
+    manifest = DatasetManifest(config_digest="ab" * 32, entries=(_entry(),))
+    with pytest.raises(OSError, match="No space left"):
+        write_manifest(manifest, str(tmp_path / "manifest.json"))
+    assert os.listdir(tmp_path) == []
+
+
 def test_manifest_duplicate_refused(tmp_path):
     entries = (_entry(variant=1), _entry(variant=1))
     manifest = DatasetManifest(config_digest="00" * 32, entries=entries)

@@ -121,6 +121,46 @@ def test_capsule_depth_against_sphere_trace_oracle(rng):
         assert abs(t * z_scale[v, u] - buf.depth[v, u]) < 0.01
 
 
+def _random_capsules(rng, count):
+    """Capsules left, right, above and below the optical axis, and across it."""
+    capsules = []
+    for k in range(count):
+        a = np.array([rng.uniform(-35, 35), rng.uniform(-25, 25), rng.uniform(-130, -35)])
+        if k % 3 == 0:
+            b = np.array([-a[0], -a[1], rng.uniform(-130, -35)])  # crosses the axis
+        else:
+            b = a + rng.uniform(-15, 15, size=3)
+            b[2] = min(b[2], -30.0)
+        capsules.append((a, b, float(rng.uniform(1.0, 9.0))))
+    return capsules
+
+
+@pytest.mark.parametrize("rotation", [(0.0, 0.0, 0.0), (12.0, -20.0, 5.0)])
+def test_screen_bounds_trace_equals_full_frame_trace(rng, monkeypatch, rotation):
+    import handsynth.render as render
+
+    cam = CameraSpec(
+        camera_id="t",
+        kind=CameraKind.DEPTH,
+        position=(0.0, 0.0, 0.0),
+        rotation=rotation,
+        fov_deg=70.0,
+        resolution=(96, 72),
+    )
+    for _ in range(8):
+        scene = scene_from_primitives(
+            capsules=_random_capsules(rng, 9),
+            planes=[(vec(0, 0, -160.0), vec(0, 0, 1.0))],
+        )
+        bounded = trace_depth(scene, cam)
+        with monkeypatch.context() as patch:
+            patch.setattr(render, "_capsule_screen_bounds", lambda *args: None)
+            full = trace_depth(scene, cam)
+        assert np.array_equal(bounded.tag, full.tag)
+        assert np.array_equal(bounded.depth, full.depth)
+        assert np.array_equal(bounded.normal, full.normal)
+
+
 # --- chromaticity / 16-bit encoding -----------------------------------------
 
 
