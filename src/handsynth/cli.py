@@ -4,7 +4,8 @@ Subcommands: ``validate`` (print the fully defaulted effective config as
 canonical JSON), ``generate`` (run the full generation loop), ``preview``
 (render a single frame to an image file) and ``eval`` (dataset quality
 reports).  Exit codes: 0 success, 2 configuration error, 3 I/O error,
-4 internal invariant violation.
+4 internal invariant violation, 5 data error (a frame or manifest of a
+dataset that cannot be read as written; the message names the file).
 
 Progress goes to stderr; machine-readable summaries go to stdout with
 ``--json``.
@@ -26,6 +27,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_INTERNAL = 4
+EXIT_DATA = 5
 
 
 def _read_config(path: str | None):
@@ -108,7 +110,7 @@ def cmd_preview(args) -> int:
 
 def cmd_eval(args) -> int:
     from .evalkit import leave_one_out_accuracy, run_variance_ablation
-    from .output import read_manifest
+    from .output import DataError, read_manifest
     from .pipeline import trajectories_from_manifest
 
     report: dict = {}
@@ -118,7 +120,7 @@ def cmd_eval(args) -> int:
         manifest = read_manifest(args.manifest)
         records = trajectories_from_manifest(manifest, os.path.dirname(args.manifest) or ".")
         if not records:
-            raise ValueError("manifest has no depth recordings to evaluate")
+            raise DataError(f"{args.manifest}: no depth recordings to evaluate")
         report["leave_one_out"] = leave_one_out_accuracy(records)
     if args.mode in ("ablation", "all"):
         report["variance_ablation"] = run_variance_ablation(n_variants=args.variants or 20)
@@ -178,6 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     from .config import ConfigError
+    from .output import DataError
 
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -189,6 +192,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except DataError as exc:
+        print(f"data error: {exc}", file=sys.stderr)
+        return EXIT_DATA
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

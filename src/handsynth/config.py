@@ -12,6 +12,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from typing import TYPE_CHECKING
 
 from .scene import (
     CameraKind,
@@ -22,6 +23,9 @@ from .scene import (
     preset_camera,
 )
 from .skeleton import default_rig
+
+if TYPE_CHECKING:
+    from .gesture import GestureScript
 
 
 class ConfigError(ValueError):
@@ -317,6 +321,20 @@ def _parse_camera(data: dict, index: int, settings: GeneralSettings) -> CameraSp
         raise ConfigError(str(exc), where) from None
 
 
+def script_registry(script_paths: tuple[str, ...]) -> dict[str, GestureScript]:
+    """Gesture scripts by name: the built-ins, then each file's scripts in
+    order (a later script replaces an earlier one of the same name)."""
+    from .gesture import builtin_scripts, load_scripts  # lazy: gesture imports config
+
+    registry = builtin_scripts()
+    for path in script_paths:
+        try:
+            registry.update(load_scripts(path))
+        except (OSError, ValueError) as exc:
+            raise ConfigError(str(exc), "gesture_script_paths") from None
+    return registry
+
+
 def parse_config_full(text: str) -> ParsedConfig:
     """Parse + validate a JSON config document into effective settings."""
     try:
@@ -353,28 +371,11 @@ def parse_config_full(text: str) -> ParsedConfig:
         raise ConfigError(f"camera ids must be unique, got {ids}", "cameras")
 
     script_paths = tuple(str(p) for p in data.get("gesture_script_paths", ()))
-
-    # gesture registry: built-ins plus any scripts shipped alongside the config
-    from .gesture import builtin_scripts, load_scripts
-
-    known = set(builtin_scripts())
-    for path in script_paths:
-        try:
-            known |= set(load_scripts(path))
-        except (OSError, ValueError) as exc:
-            raise ConfigError(str(exc), "gesture_script_paths") from None
-
-    settings.validate(known)
+    settings.validate(set(script_registry(script_paths)))
     variation.validate()
     return ParsedConfig(
         settings=settings, variation=variation, cameras=cameras, extra_script_paths=script_paths
     )
-
-
-def parse_config(text: str) -> tuple[GeneralSettings, VariationConfig, list[CameraSpec]]:
-    """Spec surface: (settings, variation, cameras) from a JSON document."""
-    parsed = parse_config_full(text)
-    return parsed.settings, parsed.variation, list(parsed.cameras)
 
 
 # ---------------------------------------------------------------------------
@@ -472,12 +473,7 @@ def apply_overrides(
                 raise ConfigError(f"{name}: expected low/median/high, got {value!r}", "condition") from None
         variation = replace(variation, condition_overrides=merged)
 
-    from .gesture import builtin_scripts, load_scripts
-
-    known_gestures = set(builtin_scripts())
-    for path in parsed.extra_script_paths:
-        known_gestures |= set(load_scripts(path))
-    settings.validate(known_gestures)
+    settings.validate(set(script_registry(parsed.extra_script_paths)))
     variation.validate()
     return ParsedConfig(
         settings=settings,

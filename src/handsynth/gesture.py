@@ -4,19 +4,19 @@ A gesture is a Catmull-Rom spline (or a single held point for static
 gestures) traversed at constant speed via an arc-length lookup table.
 Planning expands a script into a frame-accurate timeline of phases:
 pre-gesture transit from the rest position, the labeled gesture (or hold),
-optional chain transitions, and the post-gesture return.
+and the post-gesture return.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
-from .geom import Vec3, vec
+from .geom import Vec3
 from .skeleton import HAND_POSE_PRESETS, HandPose
 from .variation import VariantParams
 
@@ -33,7 +33,6 @@ class ArmPart(Enum):
 class PhaseKind(Enum):
     PRE_GESTURE = "pre_gesture"
     GESTURE = "gesture"
-    TRANSITION = "transition"
     HOLD = "hold"
     POST_GESTURE = "post_gesture"
 
@@ -343,7 +342,6 @@ class Phase:
     table: ArcTable | None
     closed: bool
     hold_pos: np.ndarray | None
-    script_name: str
     arm_part: ArmPart
     pose: HandPose
     pose_track: tuple[tuple[float, float, float], ...]
@@ -360,12 +358,7 @@ class Timeline:
     phases: tuple[Phase, ...]
     total_frames: int
     fps: float
-    # (gesture name, first frame, last frame) per labeled gesture/hold phase
-    labels: tuple[tuple[str, int, int], ...]
-
-    @property
-    def label_span(self) -> tuple[int, int]:
-        return (self.labels[0][1], self.labels[-1][2])
+    label_span: tuple[int, int]  # inclusive frame indices of the gesture/hold phase
 
     def phase_at(self, frame: int) -> Phase:
         if frame < 0 or frame >= self.total_frames:
@@ -406,7 +399,6 @@ def _straight_phase(
         table=table,
         closed=False,
         hold_pos=np.asarray(start, dtype=np.float64) if n == 0 else None,
-        script_name=script.name,
         arm_part=ArmPart.ARM,
         pose=pose,
         pose_track=(),
@@ -455,7 +447,6 @@ def _gesture_phase(
             table=None,
             closed=False,
             hold_pos=pts[0],
-            script_name=script.name,
             arm_part=script.arm_part,
             pose=pose,
             pose_track=script.pose_track,
@@ -474,7 +465,6 @@ def _gesture_phase(
         table=table,
         closed=script.closed,
         hold_pos=None,
-        script_name=script.name,
         arm_part=script.arm_part,
         pose=pose,
         pose_track=script.pose_track,
@@ -521,79 +511,8 @@ def plan_timeline(
         snap_end=True,
     )
     phases = (pre, gesture, post)
-    labels = ((script.name, gesture.start_frame, max(gesture.start_frame, gesture.end_frame - 1)),)
-    return Timeline(phases=phases, total_frames=post.end_frame, fps=fps, labels=labels)
-
-
-def plan_chain(
-    scripts: list[GestureScript],
-    rest_pos: Vec3,
-    anchor: Vec3,
-    fps: float,
-    variant: VariantParams | None = None,
-) -> Timeline:
-    """Chain timeline: one pre-gesture, all gestures with straight
-    transitions between consecutive end/start points, one post-gesture.
-
-    A single-script chain is allowed and matches single mode's gesture
-    phase exactly."""
-    if not scripts:
-        raise ValueError("chain mode needs at least one gesture")
-    if fps < 1:
-        raise ValueError("fps must be >= 1")
-
-    gestures = [_gesture_phase(s, anchor, fps, variant, 0) for s in scripts]
-    endpoints = [_phase_endpoints(g) for g in gestures]
-
-    phases: list[Phase] = []
-    pre = _straight_phase(
-        PhaseKind.PRE_GESTURE,
-        rest_pos,
-        endpoints[0][0],
-        scripts[0].pre_speed,
-        0,
-        fps,
-        scripts[0],
-        gestures[0].pose,
-    )
-    phases.append(pre)
-    cursor = pre.end_frame
-    labels: list[tuple[str, int, int]] = []
-    for i, gesture in enumerate(gestures):
-        gesture = replace(gesture, start_frame=cursor, end_frame=cursor + gesture.n_frames)
-        phases.append(gesture)
-        labels.append((scripts[i].name, gesture.start_frame, max(gesture.start_frame, gesture.end_frame - 1)))
-        cursor = gesture.end_frame
-        if i + 1 < len(gestures):
-            transition_speed = 0.5 * (scripts[i].base_speed + scripts[i + 1].base_speed)
-            transition = _straight_phase(
-                PhaseKind.TRANSITION,
-                endpoints[i][1],
-                endpoints[i + 1][0],
-                transition_speed,
-                cursor,
-                fps,
-                scripts[i + 1],
-                gestures[i + 1].pose,
-            )
-            transition = replace(transition, kind=PhaseKind.TRANSITION)
-            phases.append(transition)
-            cursor = transition.end_frame
-    post = _straight_phase(
-        PhaseKind.POST_GESTURE,
-        endpoints[-1][1],
-        rest_pos,
-        scripts[-1].post_speed,
-        cursor,
-        fps,
-        scripts[-1],
-        gestures[-1].pose,
-        snap_end=True,
-    )
-    phases.append(post)
-    return Timeline(
-        phases=tuple(phases), total_frames=post.end_frame, fps=fps, labels=tuple(labels)
-    )
+    label_span = (gesture.start_frame, max(gesture.start_frame, gesture.end_frame - 1))
+    return Timeline(phases=phases, total_frames=post.end_frame, fps=fps, label_span=label_span)
 
 
 def _track_offsets(track, progress: float) -> tuple[float, float]:

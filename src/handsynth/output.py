@@ -30,6 +30,11 @@ MANIFEST_NAME = "manifest.json"
 _KIND_EXT = {"depth16": "pgm", "rgb8": "ppm", "ir8": "ppm"}
 
 
+class DataError(ValueError):
+    """A dataset file (frame or manifest) that cannot be read as written;
+    the message names the file."""
+
+
 def frame_extension(kind: str) -> str:
     return _KIND_EXT[kind]
 
@@ -55,13 +60,20 @@ def write_frame(frame: Frame, path: str) -> None:
         raise OSError(f"writing frame {path}: {exc}") from exc
 
 
-def read_frame(path: str, kind: str | None = None) -> np.ndarray:
+def read_frame(path: str) -> np.ndarray:
     """Pixel array from a PGM/PPM written by write_frame."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError as exc:
         raise OSError(f"reading frame {path}: {exc}") from exc
+    try:
+        return _parse_netpbm(data)
+    except ValueError as exc:
+        raise DataError(f"{path}: unreadable frame: {exc}") from None
+
+
+def _parse_netpbm(data: bytes) -> np.ndarray:
     tokens = []
     pos = 0
     while len(tokens) < 4:
@@ -84,7 +96,7 @@ def read_frame(path: str, kind: str | None = None) -> np.ndarray:
     if magic == b"P6" and maxval == 255:
         pixels = np.frombuffer(body, dtype=np.uint8, count=w * h * 3).reshape(h, w, 3)
         return pixels.copy()
-    raise ValueError(f"{path}: unsupported netpbm header {magic!r} maxval {maxval}")
+    raise ValueError(f"unsupported netpbm header {magic!r} maxval {maxval}")
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +227,8 @@ def read_manifest(path: str) -> DatasetManifest:
             data = json.load(fh)
     except OSError as exc:
         raise OSError(f"reading manifest {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: invalid manifest JSON: {exc}") from None
+    except ValueError as exc:
+        raise DataError(f"{path}: invalid manifest JSON: {exc}") from None
     try:
         manifest = DatasetManifest(
             config_digest=data["config_digest"],
@@ -224,9 +236,9 @@ def read_manifest(path: str) -> DatasetManifest:
             cameras=tuple(camera_from_dict(c) for c in data.get("cameras", [])),
             tool_version=data["tool_version"],
         )
+        manifest.validate()
     except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: malformed manifest: {exc}") from None
-    manifest.validate()
+        raise DataError(f"{path}: malformed manifest: {exc}") from None
     return manifest
 
 

@@ -10,15 +10,14 @@ frame; only the gesturing arm is retraced per frame.
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import os
 import shutil
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
-from .config import ParsedConfig, config_digest
+from .config import ParsedConfig, config_digest, script_registry
 from .evalkit import Trajectory, extract_trajectory
 from .gesture import (
     GestureScript,
@@ -26,10 +25,10 @@ from .gesture import (
     WarningCounters,
     builtin_scripts,
     evaluate_frame,
-    load_scripts,
     plan_timeline,
 )
 from .output import (
+    DataError,
     DatasetManifest,
     MANIFEST_NAME,
     RecordingEntry,
@@ -53,13 +52,6 @@ from .skeleton import ArmRig, default_rig, pose_hand, target_clamped
 from .variation import VariantParams, derive_seed, sample_variant
 
 _STATIC_BUFFER_CACHE: dict = {}
-
-
-def script_registry(parsed: ParsedConfig) -> dict[str, GestureScript]:
-    registry = builtin_scripts()
-    for path in parsed.extra_script_paths:
-        registry.update(load_scripts(path))
-    return registry
 
 
 def _static_buffer(cam: CameraSpec, is_left: bool) -> DepthBuffer:
@@ -156,7 +148,7 @@ def _record_one(
     gesture_name: str,
     variant_index: int,
     cam: CameraSpec,
-    write_to: str | None,
+    out_dir: str,
 ) -> RecordingEntry:
     seed = derive_seed(parsed.settings.master_seed, gesture_name, variant_index, cam.camera_id)
     variant = sample_variant(
@@ -169,9 +161,8 @@ def _record_one(
         default_left_hand=parsed.settings.default_left_hand,
     )
     rel_dir = recording_dir(cam.camera_id, gesture_name, variant_index)
-    if write_to is not None:
-        for frame in rendered.frames:
-            write_frame(frame, os.path.join(write_to, frame_path(rel_dir, frame.frame_index, frame.kind)))
+    for frame in rendered.frames:
+        write_frame(frame, os.path.join(out_dir, frame_path(rel_dir, frame.frame_index, frame.kind)))
     return RecordingEntry(
         gesture_label=gesture_name,
         variant_index=variant_index,
@@ -194,7 +185,7 @@ _WORKER: dict = {}
 
 def _worker_init(parsed: ParsedConfig, out_dir: str) -> None:
     _WORKER["parsed"] = parsed
-    _WORKER["registry"] = script_registry(parsed)
+    _WORKER["registry"] = script_registry(parsed.extra_script_paths)
     _WORKER["out"] = out_dir
 
 
@@ -258,22 +249,21 @@ def generate_dataset(
     ]
 
     results: dict[tuple[int, str, int], RecordingEntry] = {}
-    if jobs <= 1:
-        _worker_init(parsed, out_dir)
-        for i, job in enumerate(jobs_list):
-            _, entry_dict = _worker_run(job)
+    with contextlib.ExitStack() as stack:
+        if jobs <= 1:
+            _worker_init(parsed, out_dir)
+            done = map(_worker_run, jobs_list)
+        else:
+            pool = stack.enter_context(
+                multiprocessing.get_context("fork").Pool(
+                    jobs, initializer=_worker_init, initargs=(parsed, out_dir)
+                )
+            )
+            done = pool.imap_unordered(_worker_run, jobs_list, chunksize=1)
+        for i, (job, entry_dict) in enumerate(done, 1):
             results[job] = RecordingEntry.from_dict(entry_dict)
             if progress:
-                progress(i + 1, len(jobs_list))
-    else:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(jobs, initializer=_worker_init, initargs=(parsed, out_dir)) as pool:
-            for i, (job, entry_dict) in enumerate(
-                pool.imap_unordered(_worker_run, jobs_list, chunksize=1)
-            ):
-                results[job] = RecordingEntry.from_dict(entry_dict)
-                if progress:
-                    progress(i + 1, len(jobs_list))
+                progress(i, len(jobs_list))
 
     entries = tuple(results[job] for job in jobs_list)
     manifest = DatasetManifest(
@@ -301,7 +291,7 @@ def preview_frame(
     parsed: ParsedConfig, gesture_name: str, frame_index: int, camera_id: str, out_path: str
 ) -> Frame:
     """Render exactly one frame of variant 0 and write it as PGM/PPM."""
-    registry = script_registry(parsed)
+    registry = script_registry(parsed.extra_script_paths)
     if gesture_name not in registry:
         raise ValueError(f"unknown gesture {gesture_name!r}")
     cam = next((c for c in parsed.cameras if c.camera_id == camera_id), None)
@@ -327,22 +317,21 @@ def render_trajectory_set(
     resolution: tuple[int, int] = (320, 240),
     fps: float = 30.0,
     noise_enabled: bool = True,
-    camera: CameraSpec | None = None,
 ) -> list[Trajectory]:
-    """Render n variants of one gesture in memory and extract trajectories."""
+    """Render n variants of one built-in gesture in memory and extract
+    trajectories, seen by the infotainment depth camera."""
     registry = builtin_scripts()
     if gesture_name not in registry:
         raise ValueError(f"unknown gesture {gesture_name!r}")
     script = registry[gesture_name]
-    if camera is None:
-        camera = preset_camera(
-            "infotainment",
-            camera_id="eval-depth",
-            kind=CameraKind.DEPTH,
-            anchor=gesture_anchor(default_rig()),
-            resolution=resolution,
-            fps=fps,
-        )
+    camera = preset_camera(
+        "infotainment",
+        camera_id="eval-depth",
+        kind=CameraKind.DEPTH,
+        anchor=gesture_anchor(default_rig()),
+        resolution=resolution,
+        fps=fps,
+    )
     trajectories = []
     for v in range(n_variants):
         seed = derive_seed(master_seed, gesture_name, v, camera.camera_id)
@@ -374,7 +363,10 @@ def trajectories_from_manifest(manifest: DatasetManifest, root_dir: str) -> list
             read_frame(os.path.join(root_dir, frame_path(entry.frame_dir, i, "depth16")))
             for i in range(entry.frame_count)
         ]
-        trajectory = extract_trajectory(frames, cam, sensor, entry.label_span)
+        try:
+            trajectory = extract_trajectory(frames, cam, sensor, entry.label_span)
+        except ValueError as exc:
+            raise DataError(f"recording {os.path.join(root_dir, entry.frame_dir)}: {exc}") from None
         records.append(
             TrajectoryRecord(
                 trajectory=trajectory, label=entry.gesture_label, variant_index=entry.variant_index

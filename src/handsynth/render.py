@@ -234,6 +234,28 @@ def _capsule_screen_bounds(cam: CameraSpec, a, b, radius, w, h):
     return (u0, u1, v0, v1)
 
 
+def _hit_points(origin, dirs, t):
+    """World points at ray parameters t; misses (inf) map to the origin."""
+    return origin + np.where(np.isfinite(t), t, 0.0)[..., None] * dirs
+
+
+def _keep_nearer(buf: DepthBuffer, t_best, z_scale, sl, t, tag, normal_at) -> None:
+    """Composite one primitive's ray parameters ``t`` into the pixels ``sl``
+    of ``buf`` and ``t_best`` wherever they are nearer than ``t_best``.
+
+    ``normal_at()`` returns the primitive's surface normals over ``sl``;
+    it is called only when at least one pixel is kept.
+    """
+    closer = t < t_best[sl]
+    if not np.any(closer):
+        return
+    n = normal_at()
+    t_best[sl] = np.where(closer, t, t_best[sl])
+    buf.depth[sl] = np.where(closer, t * z_scale[sl], buf.depth[sl])
+    buf.tag[sl] = np.where(closer, tag, buf.tag[sl])
+    buf.normal[sl] = np.where(closer[..., None], n, buf.normal[sl])
+
+
 def trace_depth(scene: Scene, cam: CameraSpec, base: DepthBuffer | None = None) -> DepthBuffer:
     """Nearest-hit depth buffer for the scene.
 
@@ -256,51 +278,38 @@ def trace_depth(scene: Scene, cam: CameraSpec, base: DepthBuffer | None = None) 
         )
         t_best = np.full((h, w), np.inf)
 
+    full = np.s_[0:h, 0:w]
     for i in range(len(scene.capsule_r)):
         a, b, r = scene.capsule_a[i], scene.capsule_b[i], float(scene.capsule_r[i])
         bounds = _capsule_screen_bounds(cam, a, b, r, w, h)
         if bounds == (0, 0, 0, 0):
             continue
         if bounds is None:
-            sl = np.s_[0:h, 0:w]
+            sl = full
         else:
             u0, u1, v0, v1 = bounds
             sl = np.s_[v0:v1, u0:u1]
         t = _intersect_capsule(origin, dirs[sl], a, b, r)
-        closer = t < t_best[sl]
-        if not np.any(closer):
-            continue
-        pts = origin + np.where(np.isfinite(t), t, 0.0)[..., None] * dirs[sl]
-        n = _capsule_normal(pts, a, b, r)
-        t_best[sl] = np.where(closer, t, t_best[sl])
-        buf.depth[sl] = np.where(closer, t * z_scale[sl], buf.depth[sl])
-        buf.tag[sl] = np.where(closer, scene.capsule_tag[i], buf.tag[sl])
-        buf.normal[sl] = np.where(closer[..., None], n, buf.normal[sl])
+        _keep_nearer(
+            buf, t_best, z_scale, sl, t, scene.capsule_tag[i],
+            lambda: _capsule_normal(_hit_points(origin, dirs[sl], t), a, b, r),
+        )
 
     for i in range(len(scene.box_tag)):
-        t = _intersect_box(origin, dirs, scene.box_min[i], scene.box_max[i])
-        closer = t < t_best
-        if not np.any(closer):
-            continue
-        pts = origin + np.where(np.isfinite(t), t, 0.0)[..., None] * dirs
-        n = _box_normal(pts, scene.box_min[i], scene.box_max[i])
-        t_best = np.where(closer, t, t_best)
-        buf.depth = np.where(closer, t * z_scale, buf.depth)
-        buf.tag = np.where(closer, scene.box_tag[i], buf.tag)
-        buf.normal = np.where(closer[..., None], n, buf.normal)
+        bmin, bmax = scene.box_min[i], scene.box_max[i]
+        t = _intersect_box(origin, dirs, bmin, bmax)
+        _keep_nearer(
+            buf, t_best, z_scale, full, t, scene.box_tag[i],
+            lambda: _box_normal(_hit_points(origin, dirs, t), bmin, bmax),
+        )
 
     for i in range(len(scene.plane_tag)):
         normal = scene.plane_normal[i]
         t = _intersect_plane(origin, dirs, scene.plane_point[i], normal)
-        closer = t < t_best
-        if not np.any(closer):
-            continue
-        facing = dirs @ normal
-        n = np.where(facing[..., None] > 0, -normal, normal)
-        t_best = np.where(closer, t, t_best)
-        buf.depth = np.where(closer, t * z_scale, buf.depth)
-        buf.tag = np.where(closer, scene.plane_tag[i], buf.tag)
-        buf.normal = np.where(closer[..., None], n, buf.normal)
+        _keep_nearer(
+            buf, t_best, z_scale, full, t, scene.plane_tag[i],
+            lambda: np.where((dirs @ normal)[..., None] > 0, -normal, normal),
+        )
 
     return buf
 

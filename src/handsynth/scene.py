@@ -205,16 +205,6 @@ def preset_camera(
 # ---------------------------------------------------------------------------
 
 
-def camera_ray(cam: CameraSpec, px: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """World-space (origin, unit direction) of the ray through pixel (u, v)."""
-    u, v = px
-    w, h = cam.resolution
-    if not (0 <= u < w and 0 <= v < h):
-        raise ValueError(f"pixel {px} outside {w}x{h}")
-    origins, dirs = camera_rays(cam)
-    return origins, dirs[v, u]
-
-
 def camera_rays(cam: CameraSpec) -> tuple[np.ndarray, np.ndarray]:
     """Rays for every pixel center: origin (3,), unit directions (h, w, 3)."""
     w, h = cam.resolution
@@ -237,20 +227,6 @@ def ray_depth_scale(cam: CameraSpec) -> np.ndarray:
     xs = ((np.arange(w) + 0.5) / w * 2.0 - 1.0) * tan_half
     ys = -((np.arange(h) + 0.5) / h * 2.0 - 1.0) * tan_half * (h / w)
     return 1.0 / np.sqrt(xs[None, :] ** 2 + ys[:, None] ** 2 + 1.0)
-
-
-def project_point(cam: CameraSpec, point: Vec3) -> tuple[float, float]:
-    """Pixel coordinates of a world point (no visibility test)."""
-    p = cam.world_to_camera(np.asarray(point, dtype=np.float64))
-    if p[2] >= -1e-9:
-        raise ValueError("point is behind the camera")
-    w, h = cam.resolution
-    tan_half = math.tan(math.radians(cam.fov_deg) / 2.0)
-    x_ndc = -p[0] / p[2] / tan_half
-    y_ndc = -p[1] / p[2] / (tan_half * h / w)
-    u = (x_ndc + 1.0) / 2.0 * w - 0.5
-    v = (1.0 - (y_ndc + 1.0) / 2.0) * h - 0.5
-    return (float(u), float(v))
 
 
 def backproject_pixels(cam: CameraSpec, us: np.ndarray, vs: np.ndarray, depths: np.ndarray) -> np.ndarray:
@@ -282,10 +258,6 @@ class Scene:
     plane_point: np.ndarray  # (Np, 3)
     plane_normal: np.ndarray  # (Np, 3)
     plane_tag: np.ndarray  # (Np,)
-
-    @property
-    def n_primitives(self) -> int:
-        return len(self.capsule_r) + len(self.box_tag) + len(self.plane_tag)
 
 
 def _static_body_capsules(active_rig: ArmRig) -> list[tuple[np.ndarray, np.ndarray, float]]:
@@ -321,23 +293,21 @@ def _environment_planes() -> list[tuple[np.ndarray, np.ndarray]]:
     ]
 
 
-def build_scene(rig: ArmRig, posed: PosedSkeleton, include_environment: bool = True) -> Scene:
-    """Static proxies plus the per-frame posed arm, in deterministic order."""
-    caps = _static_body_capsules(rig) + list(posed.capsules)
-    ca = np.array([c[0] for c in caps])
-    cb = np.array([c[1] for c in caps])
-    cr = np.array([c[2] for c in caps])
-    ct = np.full(len(caps), TAG_BODY, dtype=np.uint8)
-    if include_environment:
-        boxes = _environment_boxes()
-        planes = _environment_planes()
-    else:
-        boxes, planes = [], []
+def scene_from_primitives(
+    capsules: list[tuple[np.ndarray, np.ndarray, float]] | None = None,
+    boxes: list[tuple[np.ndarray, np.ndarray]] | None = None,
+    planes: list[tuple[np.ndarray, np.ndarray]] | None = None,
+) -> Scene:
+    """Assemble a scene: capsules tagged Body, boxes and planes tagged
+    Environment."""
+    capsules = capsules or []
+    boxes = boxes or []
+    planes = planes or []
     return Scene(
-        capsule_a=ca,
-        capsule_b=cb,
-        capsule_r=cr,
-        capsule_tag=ct,
+        capsule_a=np.array([c[0] for c in capsules]).reshape(-1, 3),
+        capsule_b=np.array([c[1] for c in capsules]).reshape(-1, 3),
+        capsule_r=np.array([c[2] for c in capsules]).reshape(-1),
+        capsule_tag=np.full(len(capsules), TAG_BODY, dtype=np.uint8),
         box_min=np.array([b[0] for b in boxes]).reshape(-1, 3),
         box_max=np.array([b[1] for b in boxes]).reshape(-1, 3),
         box_tag=np.full(len(boxes), TAG_ENVIRONMENT, dtype=np.uint8),
@@ -347,50 +317,24 @@ def build_scene(rig: ArmRig, posed: PosedSkeleton, include_environment: bool = T
     )
 
 
-def scene_from_primitives(
-    capsules: list[tuple[np.ndarray, np.ndarray, float]] | None = None,
-    boxes: list[tuple[np.ndarray, np.ndarray]] | None = None,
-    planes: list[tuple[np.ndarray, np.ndarray]] | None = None,
-    capsule_tags: list[int] | None = None,
-    box_tags: list[int] | None = None,
-    plane_tags: list[int] | None = None,
-) -> Scene:
-    """Assemble an arbitrary scene; handy for sensor-model test scenes."""
-    capsules = capsules or []
-    boxes = boxes or []
-    planes = planes or []
-    c_tags = capsule_tags if capsule_tags is not None else [TAG_BODY] * len(capsules)
-    b_tags = box_tags if box_tags is not None else [TAG_ENVIRONMENT] * len(boxes)
-    p_tags = plane_tags if plane_tags is not None else [TAG_ENVIRONMENT] * len(planes)
-    return Scene(
-        capsule_a=np.array([c[0] for c in capsules]).reshape(-1, 3),
-        capsule_b=np.array([c[1] for c in capsules]).reshape(-1, 3),
-        capsule_r=np.array([c[2] for c in capsules]).reshape(-1),
-        capsule_tag=np.array(c_tags, dtype=np.uint8).reshape(-1),
-        box_min=np.array([b[0] for b in boxes]).reshape(-1, 3),
-        box_max=np.array([b[1] for b in boxes]).reshape(-1, 3),
-        box_tag=np.array(b_tags, dtype=np.uint8).reshape(-1),
-        plane_point=np.array([p[0] for p in planes]).reshape(-1, 3),
-        plane_normal=np.array([p[1] for p in planes]).reshape(-1, 3),
-        plane_tag=np.array(p_tags, dtype=np.uint8).reshape(-1),
+def build_scene(rig: ArmRig, posed: PosedSkeleton) -> Scene:
+    """Static proxies plus the per-frame posed arm, in deterministic order."""
+    return scene_from_primitives(
+        capsules=_static_body_capsules(rig) + list(posed.capsules),
+        boxes=_environment_boxes(),
+        planes=_environment_planes(),
     )
 
 
-def static_scene(rig: ArmRig, include_environment: bool = True) -> Scene:
+def static_scene(rig: ArmRig) -> Scene:
     """Everything except the gesturing arm; cached by the renderer."""
-    caps = _static_body_capsules(rig)
-    boxes = _environment_boxes() if include_environment else []
-    planes = _environment_planes() if include_environment else []
     return scene_from_primitives(
-        capsules=caps,
-        boxes=boxes,
-        planes=planes,
-        capsule_tags=[TAG_BODY] * len(caps),
+        capsules=_static_body_capsules(rig),
+        boxes=_environment_boxes(),
+        planes=_environment_planes(),
     )
 
 
 def dynamic_scene(posed: PosedSkeleton) -> Scene:
     """Just the posed arm capsules for one frame."""
-    return scene_from_primitives(
-        capsules=list(posed.capsules), capsule_tags=[TAG_BODY] * len(posed.capsules)
-    )
+    return scene_from_primitives(capsules=list(posed.capsules))

@@ -278,8 +278,3 @@ def pose_hand(rig: ArmRig, wrist_pos: Vec3, aim_dir: Vec3, pose: HandPose) -> Po
         capsules=tuple(capsules),
     )
 
-
-def hand_keypoints(sk: PosedSkeleton) -> np.ndarray:
-    """(7, 3) keypoints: wrist, palm center, then fingertips in FINGER_NAMES order."""
-    palm_center = 0.5 * (sk.wrist + sk.palm_end)
-    return np.vstack([sk.wrist, palm_center, sk.fingertips])

@@ -1,10 +1,11 @@
+import hashlib
 import json
 import os
 
 import numpy as np
 import pytest
 
-from handsynth.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
+from handsynth.cli import EXIT_CONFIG, EXIT_DATA, EXIT_IO, EXIT_OK, main
 from handsynth.config import apply_overrides, config_digest, parse_config_full
 from handsynth.output import read_frame, read_manifest
 
@@ -121,6 +122,41 @@ def test_generate_into_two_directories_is_byte_identical(tmp_path):
     assert tree_a == tree_b
 
 
+# SHA-256 of the tree _golden_config generates: every relative path and file
+# body, in sorted path order.  It changes only when the generated bytes do.
+GOLDEN_TREE_SHA256 = "32727f563d497eaf02e4b2a07969faec3aba9d8a4b4bf6c14628af2789d3e587"
+
+
+def _golden_config(tmp_path):
+    cfg = {
+        "output_path": str(tmp_path / "out"),
+        "recordings_per_gesture": 1,
+        "resolution": [64, 48],
+        "fps": 15,
+        "master_seed": 7,
+        "gestures": ["rotate_two_finger", "peace_sign"],
+        "cameras": [
+            {"camera_id": "depth0", "kind": "depth", "preset": "infotainment"},
+            {"camera_id": "rgb0", "kind": "rgb", "preset": "top"},
+            {"camera_id": "ir0", "kind": "infrared", "preset": "wheel"},
+        ],
+    }
+    path = tmp_path / "golden.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_generated_tree_matches_golden_digest(tmp_path, jobs):
+    path = _golden_config(tmp_path)
+    assert main(["generate", "--config", path, "--jobs", jobs]) == EXIT_OK
+    digest = hashlib.sha256()
+    for rel, body in sorted(_tree_bytes(tmp_path / "out").items()):
+        digest.update(rel.encode() + b"\0" + len(body).to_bytes(8, "little"))
+        digest.update(body)
+    assert digest.hexdigest() == GOLDEN_TREE_SHA256
+
+
 def test_config_digest_ignores_output_path_not_seed(tmp_path):
     with open(_small_config(tmp_path)) as fh:
         parsed = parse_config_full(fh.read())
@@ -222,7 +258,8 @@ def test_preview_writes_one_frame(tmp_path, capsys):
 
 @pytest.mark.parametrize("kind", ["depth", "infrared"])
 def test_preview_frame_equals_frame_of_full_recording(tmp_path, kind):
-    from handsynth.pipeline import preview_frame, render_recording, script_registry
+    from handsynth.config import script_registry
+    from handsynth.pipeline import preview_frame, render_recording
     from handsynth.variation import derive_seed, sample_variant
 
     doc = json.loads(open(_small_config(tmp_path)).read())
@@ -231,7 +268,7 @@ def test_preview_frame_equals_frame_of_full_recording(tmp_path, kind):
     cam = parsed.cameras[0]
     seed = derive_seed(parsed.settings.master_seed, "swipe_right", 0, cam.camera_id)
     variant = sample_variant(parsed.variation, parsed.variation.condition_overrides, seed, 0)
-    frames = render_recording(script_registry(parsed)["swipe_right"], cam, variant).frames
+    frames = render_recording(script_registry(parsed.extra_script_paths)["swipe_right"], cam, variant).frames
     for k in (0, len(frames) // 2, len(frames) - 1):
         frame = preview_frame(parsed, "swipe_right", k, cam.camera_id, str(tmp_path / f"{k}.img"))
         assert np.array_equal(frame.pixels, frames[k].pixels)
@@ -273,6 +310,38 @@ def test_eval_loo_runs_on_generated_dataset(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert "leave_one_out" in report
     assert 0.0 <= report["leave_one_out"]["accuracy"] <= 1.0
+
+
+def _truncate(path, keep):
+    body = path.read_bytes()
+    path.write_bytes(body[: int(len(body) * keep)])
+
+
+def _blank_first_frame(out, d):
+    (out / d / "frame_00000.pgm").write_bytes(b"P5\n64 48\n65535\n" + bytes(64 * 48 * 2))
+
+
+@pytest.mark.parametrize(
+    "spoil, named",
+    [
+        (lambda out, d: _truncate(out / d / "frame_00003.pgm", 0.5), "{d}/frame_00003.pgm"),
+        (lambda out, d: _truncate(out / d / "frame_00003.pgm", 0.0), "{d}/frame_00003.pgm"),
+        (_blank_first_frame, "{d}"),
+        (lambda out, d: _truncate(out / "manifest.json", 0.5), "manifest.json"),
+    ],
+    ids=["half_frame", "empty_frame", "no_valid_depth", "cut_manifest"],
+)
+def test_eval_unreadable_dataset_is_data_error(tmp_path, capsys, spoil, named):
+    cfg_path = _small_config(tmp_path, gestures=("swipe_right", "point_two_finger"), variants=2)
+    assert main(["generate", "--config", cfg_path]) == EXIT_OK
+    out = tmp_path / "out"
+    frame_dir = read_manifest(str(out / "manifest.json")).entries[1].frame_dir
+    spoil(out, frame_dir)
+    capsys.readouterr()
+    assert main(["eval", "--manifest", str(out / "manifest.json")]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ")
+    assert str(out / named.format(d=frame_dir)) in err
 
 
 def test_missing_config_file_exit_io(tmp_path):

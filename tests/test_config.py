@@ -10,14 +10,14 @@ from handsynth.config import (
     apply_overrides,
     canonical_json,
     config_to_dict,
-    parse_config,
     parse_config_full,
     scale_range,
 )
 
 
 def test_minimal_document_defaults():
-    settings, variation, cameras = parse_config('{"gestures": ["swipe_right"]}')
+    parsed = parse_config_full('{"gestures": ["swipe_right"]}')
+    settings, variation, cameras = parsed.settings, parsed.variation, parsed.cameras
     assert settings.gesture_names == ("swipe_right",)
     assert settings.master_seed == 0
     assert settings.resolution == (320, 240)
@@ -28,7 +28,8 @@ def test_minimal_document_defaults():
 
 
 def test_recipe_plan_600_recordings():
-    settings, _, cameras = parse_config('{"recordings_per_gesture": 100}')
+    parsed = parse_config_full('{"recordings_per_gesture": 100}')
+    settings, cameras = parsed.settings, parsed.cameras
     assert len(settings.gesture_names) == 6
     assert settings.recordings_per_gesture * len(settings.gesture_names) == 600
     assert len(cameras) == 1
@@ -37,7 +38,7 @@ def test_recipe_plan_600_recordings():
 def test_depth_span_validation_error():
     doc = {"variation": {"depth_min": [100, 160], "depth_max": [150, 200]}}
     with pytest.raises(ConfigError) as exc:
-        parse_config(json.dumps(doc))
+        parse_config_full(json.dumps(doc))
     assert "depth_min" in str(exc.value)
 
 
@@ -49,19 +50,19 @@ def test_unknown_keys_rejected_everywhere():
         ({"cameras": [{"kind": "depth", "sensor": {"chroma": 1.0}}]}, "chroma"),
     ]:
         with pytest.raises(ConfigError) as exc:
-            parse_config(json.dumps(doc))
+            parse_config_full(json.dumps(doc))
         assert needle in str(exc.value)
 
 
 def test_unknown_gesture_name():
     with pytest.raises(ConfigError) as exc:
-        parse_config('{"gestures": ["wave_hello"]}')
+        parse_config_full('{"gestures": ["wave_hello"]}')
     assert "wave_hello" in str(exc.value)
 
 
 def test_syntax_error_reports_position():
     with pytest.raises(ConfigError) as exc:
-        parse_config('{"gestures": [}')
+        parse_config_full('{"gestures": [}')
     msg = str(exc.value)
     assert "line" in msg and "column" in msg
 
@@ -76,7 +77,7 @@ def test_invariant_violations_name_fields():
     ]
     for doc, field in cases:
         with pytest.raises(ConfigError) as exc:
-            parse_config(doc)
+            parse_config_full(doc)
         assert field in str(exc.value)
 
 

@@ -14,7 +14,6 @@ from handsynth.gesture import (
     evaluate_frame,
     load_scripts,
     param_at_arclength,
-    plan_chain,
     plan_timeline,
     position_at_arclength,
     script_from_dict,
@@ -193,41 +192,6 @@ def test_timeline_tiling():
         assert cursor == tl.total_frames
         first, last = tl.label_span
         assert 0 <= first <= last < tl.total_frames
-
-
-def test_chain_zero_length_transition():
-    a = GestureScript(name="a", control_points=((0.0, 0.0, 0.0), (10.0, 0.0, 0.0)))
-    b = GestureScript(name="b", control_points=((10.0, 0.0, 0.0), (20.0, 0.0, 0.0)))
-    tl = plan_chain([a, b], REST, ANCHOR, 30.0, None)
-    transitions = [p for p in tl.phases if p.kind == PhaseKind.TRANSITION]
-    assert len(transitions) == 1 and transitions[0].n_frames == 0
-
-
-def test_chain_transition_duration_from_mean_speed():
-    # 10 cm gap, base speeds 30 and 50 -> mean 40 cm/s -> ceil(10/40*30) = 8
-    a = GestureScript(name="a", control_points=((0.0, 0.0, 0.0), (10.0, 0.0, 0.0)), base_speed=30.0)
-    b = GestureScript(name="b", control_points=((20.0, 0.0, 0.0), (30.0, 0.0, 0.0)), base_speed=50.0)
-    tl = plan_chain([a, b], REST, ANCHOR, 30.0, None)
-    transition = [p for p in tl.phases if p.kind == PhaseKind.TRANSITION][0]
-    assert transition.speed == 40.0
-    assert transition.n_frames == 8
-    assert tl.total_frames == sum(p.n_frames for p in tl.phases)
-    assert len(tl.labels) == 2
-
-
-def test_chain_of_one_matches_single_mode():
-    script = builtin_scripts()["swipe_right"]
-    variant = _variant(speed=11.0, position=(1.0, 2.0, -1.0))
-    single = plan_timeline(script, REST, ANCHOR, 30.0, variant)
-    chain = plan_chain([script], REST, ANCHOR, 30.0, variant)
-    s_first, s_last = single.label_span
-    c_first, c_last = chain.label_span
-    assert (s_last - s_first) == (c_last - c_first)
-    for offset in range(s_last - s_first + 1):
-        w_s, a_s, _ = evaluate_frame(single, s_first + offset)
-        w_c, a_c, _ = evaluate_frame(chain, c_first + offset)
-        assert np.array_equal(w_s, w_c)
-        assert np.array_equal(a_s, a_c)
 
 
 # --- frame evaluation --------------------------------------------------------

@@ -44,10 +44,9 @@ def _cam(resolution=(161, 121), fov=60.0):
     )
 
 
-def _sphere_scene(center, radius, tag=TAG_BODY):
+def _sphere_scene(center, radius):
     return scene_from_primitives(
         capsules=[(np.asarray(center, float), np.asarray(center, float), radius)],
-        capsule_tags=[tag],
     )
 
 

@@ -9,7 +9,6 @@ from handsynth.skeleton import (
     HAND_POSE_PRESETS,
     HandPose,
     default_rig,
-    hand_keypoints,
     pose_hand,
     solve_two_bone_ik,
     target_clamped,
@@ -124,11 +123,10 @@ def test_mirror_symmetry():
     aim = normalize(vec(0.7, 0.1, -0.7))
     sk_r = pose_hand(right, target, aim, pose)
     sk_l = pose_hand(left, mirror_x(target), normalize(mirror_x(aim)), pose)
-    kp_r = hand_keypoints(sk_r)
-    kp_l = hand_keypoints(sk_l)
-    kp_r_mirrored = kp_r.copy()
-    kp_r_mirrored[:, 0] = -kp_r_mirrored[:, 0]
-    assert np.abs(kp_l - kp_r_mirrored).max() < 1e-9
+    assert np.linalg.norm(sk_l.wrist - mirror_x(sk_r.wrist)) < 1e-9
+    tips_r_mirrored = sk_r.fingertips.copy()
+    tips_r_mirrored[:, 0] = -tips_r_mirrored[:, 0]
+    assert np.abs(sk_l.fingertips - tips_r_mirrored).max() < 1e-9
 
 
 def test_open_palm_straight_chain(rig):
@@ -188,14 +186,14 @@ def test_abduction_locality(rig):
 
 def test_keypoints_shape_and_extent(rig):
     sk = pose_hand(rig, rig.shoulder_pos + vec(0, 0, -40.0), vec(1, 0, 0), HandPose())
-    kp = hand_keypoints(sk)
-    assert kp.shape == (7, 3)
+    tips = sk.fingertips
+    assert sk.wrist.shape == (3,) and tips.shape == (5, 3)
     # straight open palm along +x: fingertips lead the wrist in x, and the
     # cross-axis spread stays within the knuckle breadth
-    assert np.all(kp[2:, 0] > kp[0, 0])
+    assert np.all(tips[:, 0] > sk.wrist[0])
     # non-thumb fingertips stay within the knuckle breadth; the thumb
     # swings out to the side by design
-    spread = kp[3:, 1:].max(axis=0) - kp[3:, 1:].min(axis=0)
+    spread = tips[1:, 1:].max(axis=0) - tips[1:, 1:].min(axis=0)
     assert np.all(spread < 8.0)
 
 
