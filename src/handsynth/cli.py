@@ -73,8 +73,11 @@ def cmd_validate(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    from .config import ConfigError
     from .pipeline import generate_dataset
 
+    if args.jobs < 1:
+        raise ConfigError(f"must be >= 1, got {args.jobs}", "--jobs")
     parsed = _read_config(args.config)
     parsed = _apply_cli_overrides(parsed, args)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from typing import TYPE_CHECKING
 
@@ -173,10 +173,17 @@ class GeneralSettings:
 
 @dataclass(frozen=True)
 class ParsedConfig:
+    """The whole generation recipe.  Script files are read once, at parse
+    time: ``scripts`` holds the built-ins plus every loaded script and
+    ``script_digests`` the SHA-256 of each file's bytes; nothing opens a
+    script file afterwards.  ``extra_script_paths`` is kept for printing."""
+
     settings: GeneralSettings
     variation: VariationConfig
     cameras: tuple[CameraSpec, ...]
+    scripts: dict[str, GestureScript]
     extra_script_paths: tuple[str, ...] = ()
+    script_digests: tuple[str, ...] = ()
 
 
 _TOP_KEYS = {
@@ -194,34 +201,9 @@ _TOP_KEYS = {
 
 _VARIATION_KEYS = set(PARAM_NAMES) | {"conditions"}
 
-_CAMERA_KEYS = {
-    "camera_id",
-    "kind",
-    "preset",
-    "position",
-    "rotation",
-    "fov_deg",
-    "resolution",
-    "fps",
-    "sensor",
-}
+_CAMERA_KEYS = {f.name for f in fields(CameraSpec)} | {"preset"}
 
-_SENSOR_KEYS = {
-    "chromaticity_coeff",
-    "depth_min",
-    "depth_max",
-    "noise_dist_weight",
-    "noise_edge_weight",
-    "edge_scale",
-    "dropout_threshold",
-    "depth_jitter",
-    "flipbook_tile_px",
-    "flipbook_tile_count",
-    "flipbook_frames_per_tile",
-    "fresnel_exponent",
-    "blur_radius",
-    "ambient",
-}
+_SENSOR_KEYS = {f.name for f in fields(SensorParams)}
 
 
 def _reject_unknown(data: dict, allowed: set[str], where: str) -> None:
@@ -243,26 +225,28 @@ def _as_range(value, where: str) -> ParamRange:
         raise ConfigError(str(exc), where) from None
 
 
+def _parse_conditions(values: dict, where: str) -> dict[str, RangeCondition]:
+    """Range conditions by parameter name, from ``{name: "low"|"median"|"high"}``."""
+    if not isinstance(values, dict):
+        raise ConfigError("expected an object of parameter: condition", where)
+    conditions: dict[str, RangeCondition] = {}
+    for name, value in values.items():
+        if name not in PARAM_NAMES:
+            raise ConfigError(f"unknown parameter {name!r}; known: {list(PARAM_NAMES)}", where)
+        try:
+            conditions[name] = RangeCondition(value)
+        except ValueError:
+            raise ConfigError(f"{name}: expected one of low/median/high, got {value!r}", where) from None
+    return conditions
+
+
 def _parse_variation(data: dict) -> VariationConfig:
     _reject_unknown(data, _VARIATION_KEYS, "variation")
     kwargs = {}
     for name in PARAM_NAMES:
         if name in data:
             kwargs[name] = _as_range(data[name], f"variation.{name}")
-    conditions: dict[str, RangeCondition] = {}
-    for name, value in data.get("conditions", {}).items():
-        if name not in PARAM_NAMES:
-            raise ConfigError(
-                f"unknown parameter {name!r}; known: {list(PARAM_NAMES)}",
-                "variation.conditions",
-            )
-        try:
-            conditions[name] = RangeCondition(value)
-        except ValueError:
-            raise ConfigError(
-                f"{name}: expected one of low/median/high, got {value!r}",
-                "variation.conditions",
-            ) from None
+    conditions = _parse_conditions(data.get("conditions", {}), "variation.conditions")
     return VariationConfig(condition_overrides=conditions, **kwargs)
 
 
@@ -321,18 +305,23 @@ def _parse_camera(data: dict, index: int, settings: GeneralSettings) -> CameraSp
         raise ConfigError(str(exc), where) from None
 
 
-def script_registry(script_paths: tuple[str, ...]) -> dict[str, GestureScript]:
-    """Gesture scripts by name: the built-ins, then each file's scripts in
-    order (a later script replaces an earlier one of the same name)."""
-    from .gesture import builtin_scripts, load_scripts  # lazy: gesture imports config
+def _load_scripts(script_paths: tuple[str, ...]) -> tuple[dict[str, GestureScript], tuple[str, ...]]:
+    """(gesture scripts by name, SHA-256 of each file), from one read of
+    each file.  The registry holds the built-ins, then each file's scripts
+    in order (a later script replaces an earlier one of the same name)."""
+    from .gesture import builtin_scripts, parse_scripts  # lazy: gesture imports config
 
     registry = builtin_scripts()
+    digests = []
     for path in script_paths:
         try:
-            registry.update(load_scripts(path))
+            with open(path, "rb") as fh:
+                raw = fh.read()
+            registry.update(parse_scripts(raw.decode("utf-8"), path))
         except (OSError, ValueError) as exc:
             raise ConfigError(str(exc), "gesture_script_paths") from None
-    return registry
+        digests.append(hashlib.sha256(raw).hexdigest())
+    return registry, tuple(digests)
 
 
 def parse_config_full(text: str) -> ParsedConfig:
@@ -371,10 +360,16 @@ def parse_config_full(text: str) -> ParsedConfig:
         raise ConfigError(f"camera ids must be unique, got {ids}", "cameras")
 
     script_paths = tuple(str(p) for p in data.get("gesture_script_paths", ()))
-    settings.validate(set(script_registry(script_paths)))
+    scripts, script_digests = _load_scripts(script_paths)
+    settings.validate(set(scripts))
     variation.validate()
     return ParsedConfig(
-        settings=settings, variation=variation, cameras=cameras, extra_script_paths=script_paths
+        settings=settings,
+        variation=variation,
+        cameras=cameras,
+        scripts=scripts,
+        extra_script_paths=script_paths,
+        script_digests=script_digests,
     )
 
 
@@ -413,24 +408,20 @@ def canonical_json(doc: dict) -> str:
 
 def config_digest(parsed: ParsedConfig) -> str:
     """SHA-256 of the canonical config without ``output_path``, with each
-    extra gesture script named by the SHA-256 of its file bytes.
+    extra gesture script named by the SHA-256 of the bytes read at parse
+    time.
 
     The digest identifies the generation recipe, not where the output is
     written or how a script file is named: the same recipe generated into
-    two directories gives two byte-identical manifests, and an edited
-    script changes the digest.
+    two directories gives two byte-identical manifests, and a script
+    edited before parsing changes the digest.
     """
     doc = config_to_dict(parsed)
     del doc["output_path"]
-    if "gesture_script_paths" in doc:
-        doc["gesture_script_paths"] = [_file_sha256(path) for path in doc["gesture_script_paths"]]
+    if parsed.script_digests:
+        doc["gesture_script_paths"] = list(parsed.script_digests)
     payload = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def _file_sha256(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def apply_overrides(
@@ -463,21 +454,9 @@ def apply_overrides(
 
     variation = parsed.variation
     if conditions:
-        merged = dict(variation.condition_overrides)
-        for name, value in conditions.items():
-            if name not in PARAM_NAMES:
-                raise ConfigError(f"unknown parameter {name!r}", "condition")
-            try:
-                merged[name] = RangeCondition(value)
-            except ValueError:
-                raise ConfigError(f"{name}: expected low/median/high, got {value!r}", "condition") from None
+        merged = {**variation.condition_overrides, **_parse_conditions(conditions, "condition")}
         variation = replace(variation, condition_overrides=merged)
 
-    settings.validate(set(script_registry(parsed.extra_script_paths)))
+    settings.validate(set(parsed.scripts))
     variation.validate()
-    return ParsedConfig(
-        settings=settings,
-        variation=variation,
-        cameras=cams,
-        extra_script_paths=parsed.extra_script_paths,
-    )
+    return replace(parsed, settings=settings, variation=variation, cameras=cams)

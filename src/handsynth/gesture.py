@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 
 import numpy as np
@@ -282,22 +282,7 @@ def builtin_scripts() -> dict[str, GestureScript]:
 
 def script_from_dict(data: dict, name: str | None = None) -> GestureScript:
     """Build a GestureScript from JSON-shaped data (same field names)."""
-    known = {
-        "name",
-        "control_points",
-        "closed",
-        "static_hold_s",
-        "base_speed",
-        "pre_speed",
-        "post_speed",
-        "hand_pose",
-        "pose_track",
-        "arm_part",
-        "use_left_hand",
-        "turns",
-        "default_aim",
-    }
-    unknown = set(data) - known
+    unknown = set(data) - {f.name for f in fields(GestureScript)}
     if unknown:
         raise ValueError(f"unknown gesture script keys: {sorted(unknown)}")
     kwargs = dict(data)
@@ -314,12 +299,12 @@ def script_from_dict(data: dict, name: str | None = None) -> GestureScript:
     return GestureScript(**kwargs)
 
 
-def load_scripts(path: str) -> dict[str, GestureScript]:
-    """Load one script (object) or several (name -> object) from a JSON file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+def parse_scripts(text: str, source: str) -> dict[str, GestureScript]:
+    """One script (object) or several (name -> object) from the text of a
+    JSON file; ``source`` names the file in errors."""
+    data = json.loads(text)
     if not isinstance(data, dict):
-        raise ValueError(f"{path}: expected a JSON object")
+        raise ValueError(f"{source}: expected a JSON object")
     if "control_points" in data:
         script = script_from_dict(data)
         return {script.name: script}

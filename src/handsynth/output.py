@@ -29,6 +29,13 @@ MANIFEST_NAME = "manifest.json"
 
 _KIND_EXT = {"depth16": "pgm", "rgb8": "ppm", "ir8": "ppm"}
 
+# netpbm layout of each frame kind: magic, maxval, sample type, samples per pixel
+_NETPBM = {
+    "depth16": ("P5", 65535, ">u2", 1),
+    "rgb8": ("P6", 255, "u1", 3),
+    "ir8": ("P6", 255, "u1", 3),
+}
+
 
 class DataError(ValueError):
     """A dataset file (frame or manifest) that cannot be read as written;
@@ -39,23 +46,29 @@ def frame_extension(kind: str) -> str:
     return _KIND_EXT[kind]
 
 
+def _netpbm_header(kind: str, w: int, h: int) -> bytes:
+    magic, maxval, _, _ = _NETPBM[kind]
+    return f"{magic}\n{w} {h}\n{maxval}\n".encode("ascii")
+
+
+def frame_file_bytes(kind: str, resolution: tuple[int, int]) -> int:
+    """Size of the file write_frame writes for one frame of this kind."""
+    w, h = resolution
+    _, _, sample, channels = _NETPBM[kind]
+    return len(_netpbm_header(kind, w, h)) + w * h * channels * np.dtype(sample).itemsize
+
+
 def write_frame(frame: Frame, path: str) -> None:
     """Binary PGM (16-bit, big-endian sample order) or PPM, bit-exact
     round-trip with read_frame."""
-    pixels = frame.pixels
+    if frame.kind not in _NETPBM:
+        raise ValueError(f"unknown frame kind {frame.kind!r}")
+    h, w = frame.pixels.shape[:2]
     try:
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         with open(path, "wb") as fh:
-            if frame.kind == "depth16":
-                h, w = pixels.shape
-                fh.write(f"P5\n{w} {h}\n65535\n".encode("ascii"))
-                fh.write(pixels.astype(">u2").tobytes())
-            elif frame.kind in ("rgb8", "ir8"):
-                h, w, _ = pixels.shape
-                fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-                fh.write(pixels.astype(np.uint8).tobytes())
-            else:
-                raise ValueError(f"unknown frame kind {frame.kind!r}")
+            fh.write(_netpbm_header(frame.kind, w, h))
+            fh.write(frame.pixels.astype(_NETPBM[frame.kind][2]).tobytes())
     except OSError as exc:
         raise OSError(f"writing frame {path}: {exc}") from exc
 

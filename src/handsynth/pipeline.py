@@ -3,21 +3,25 @@
 Each recording is fully determined by (config, master seed, gesture,
 variant index, camera id): the derived seed fixes the sampled variation
 parameters and the sensor noise, so reruns and worker parallelism cannot
-change a single byte of output.  The static part of the scene (body,
-cabin) is traced once per camera and reused as the base buffer for every
-frame; only the gesturing arm is retraced per frame.
+change a single byte of output.  Each job carries the parsed recipe,
+gesture scripts included, so no job reads the config or a script file.
+The static part of the scene (body, cabin) is traced once per camera and
+reused as the base buffer for every frame; only the gesturing arm is
+retraced per frame.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import multiprocessing
 import os
 import shutil
 import time
 from dataclasses import dataclass
 
-from .config import ParsedConfig, config_digest, script_registry
+from . import gesture
+from .config import ParsedConfig, config_digest
 from .evalkit import Trajectory, extract_trajectory
 from .gesture import (
     GestureScript,
@@ -32,12 +36,13 @@ from .output import (
     DatasetManifest,
     MANIFEST_NAME,
     RecordingEntry,
+    frame_file_bytes,
     frame_path,
     recording_dir,
     write_frame,
     write_manifest,
 )
-from .render import DepthBuffer, FlipbookNoise, Frame, make_flipbook, sensor_frame, trace_depth
+from .render import FRAME_KIND, DepthBuffer, FlipbookNoise, Frame, make_flipbook, sensor_frame, trace_depth
 from .scene import (
     CameraKind,
     CameraSpec,
@@ -67,10 +72,8 @@ def _static_buffer(cam: CameraSpec, is_left: bool) -> DepthBuffer:
 class RenderedRecording:
     frames: list[Frame]
     timeline: Timeline
-    variant: VariantParams
     sensor: SensorParams
     warnings: WarningCounters
-    rig_is_left: bool
 
 
 @dataclass(frozen=True)
@@ -82,14 +85,26 @@ class _RecordingSetup:
     sensor: SensorParams
     noise: FlipbookNoise
     base: DepthBuffer
-    is_left: bool
+
+
+Job = tuple[CameraSpec, str, int]  # one recording: (camera, gesture name, variant index)
+
+
+def _variant(parsed: ParsedConfig, cam: CameraSpec, gesture_name: str, variant_index: int) -> VariantParams:
+    """One recording's sampled parameters, seeded by (master seed, gesture, variant, camera)."""
+    seed = derive_seed(parsed.settings.master_seed, gesture_name, variant_index, cam.camera_id)
+    return sample_variant(parsed.variation, parsed.variation.condition_overrides, seed, variant_index)
+
+
+def _rig(script: GestureScript, default_left_hand: bool) -> ArmRig:
+    is_left = script.use_left_hand if script.use_left_hand is not None else default_left_hand
+    return default_rig(is_left=is_left)
 
 
 def _setup_recording(
     script: GestureScript, cam: CameraSpec, variant: VariantParams, default_left_hand: bool
 ) -> _RecordingSetup:
-    is_left = script.use_left_hand if script.use_left_hand is not None else default_left_hand
-    rig = default_rig(is_left=is_left)
+    rig = _rig(script, default_left_hand)
     timeline = plan_timeline(script, rest_position(rig), gesture_anchor(rig), cam.fps, variant)
     sensor = cam.sensor.with_variant(variant.chromaticity_coeff, variant.depth_min, variant.depth_max)
     return _RecordingSetup(
@@ -97,8 +112,7 @@ def _setup_recording(
         timeline=timeline,
         sensor=sensor,
         noise=make_flipbook(sensor, variant.seed),
-        base=_static_buffer(cam, is_left),
-        is_left=is_left,
+        base=_static_buffer(cam, rig.is_left),
     )
 
 
@@ -135,27 +149,18 @@ def render_recording(
     return RenderedRecording(
         frames=frames,
         timeline=setup.timeline,
-        variant=variant,
         sensor=setup.sensor,
         warnings=counters,
-        rig_is_left=setup.is_left,
     )
 
 
-def _record_one(
-    parsed: ParsedConfig,
-    registry: dict[str, GestureScript],
-    gesture_name: str,
-    variant_index: int,
-    cam: CameraSpec,
-    out_dir: str,
-) -> RecordingEntry:
-    seed = derive_seed(parsed.settings.master_seed, gesture_name, variant_index, cam.camera_id)
-    variant = sample_variant(
-        parsed.variation, parsed.variation.condition_overrides, seed, variant_index
-    )
+def _record_one(parsed: ParsedConfig, out_dir: str, job: Job) -> RecordingEntry:
+    """Render one recording, write its frames under ``out_dir`` and return
+    its manifest entry."""
+    cam, gesture_name, variant_index = job
+    variant = _variant(parsed, *job)
     rendered = render_recording(
-        registry[gesture_name],
+        parsed.scripts[gesture_name],
         cam,
         variant,
         default_left_hand=parsed.settings.default_left_hand,
@@ -174,29 +179,36 @@ def _record_one(
         resolution=cam.resolution,
         label_span=rendered.timeline.label_span,
         variant_params=variant,
-        seed=seed,
+        seed=variant.seed,
         warnings=rendered.warnings.as_dict(),
     )
 
 
-# worker-side state for multiprocessing (populated by _worker_init)
-_WORKER: dict = {}
+def _frame_count(parsed: ParsedConfig, job: Job) -> int:
+    """Frames of the recording _record_one renders for ``job``.  Planned by
+    ``gesture.plan_timeline``: gesturebench times this module's global of
+    that name as each recording's own planning step."""
+    cam, gesture_name, _ = job
+    script = parsed.scripts[gesture_name]
+    rig = _rig(script, parsed.settings.default_left_hand)
+    variant = _variant(parsed, *job)
+    return gesture.plan_timeline(script, rest_position(rig), gesture_anchor(rig), cam.fps, variant).total_frames
 
 
-def _worker_init(parsed: ParsedConfig, out_dir: str) -> None:
-    _WORKER["parsed"] = parsed
-    _WORKER["registry"] = script_registry(parsed.extra_script_paths)
-    _WORKER["out"] = out_dir
-
-
-def _worker_run(job: tuple[int, str, int]) -> tuple[tuple[int, str, int], dict]:
-    cam_index, gesture_name, variant_index = job
-    parsed: ParsedConfig = _WORKER["parsed"]
-    cam = parsed.cameras[cam_index]
-    entry = _record_one(
-        parsed, _WORKER["registry"], gesture_name, variant_index, cam, _WORKER["out"]
+def _check_disk_space(parsed: ParsedConfig, jobs: list[Job], out_dir: str) -> None:
+    """Raise OSError when the frame files cannot fit in ``out_dir``'s free
+    space.  Counting only each file's header and pixels gives a lower bound
+    on what the dataset takes, so the check never stops a run that fits."""
+    needed = sum(
+        _frame_count(parsed, job) * frame_file_bytes(FRAME_KIND[job[0].kind], job[0].resolution)
+        for job in jobs
     )
-    return job, entry.to_dict()
+    free = shutil.disk_usage(out_dir).free
+    if free < needed:
+        raise OSError(
+            f"{out_dir}: not enough free disk space: the frames need at least "
+            f"{needed / 1e6:.1f} MB, {free / 1e6:.1f} MB are free"
+        )
 
 
 def detect_partial_output(out_dir: str, parsed: ParsedConfig) -> bool:
@@ -228,7 +240,9 @@ def generate_dataset(
 ) -> tuple[DatasetManifest, dict]:
     """Run the full cameras x gestures x variants loop and write the dataset.
 
-    Returns (manifest, summary).  Output bytes are independent of ``jobs``.
+    Returns (manifest, summary).  Output bytes are independent of ``jobs``;
+    at most one worker process runs per recording.  Raises OSError before
+    the first frame is written when the frames cannot fit on the disk.
     """
     t0 = time.monotonic()
     out_dir = parsed.settings.output_path
@@ -241,33 +255,30 @@ def generate_dataset(
         clear_output(out_dir, parsed)
     os.makedirs(out_dir, exist_ok=True)
 
-    jobs_list: list[tuple[int, str, int]] = [
-        (ci, g, v)
-        for ci in range(len(parsed.cameras))
+    jobs_list: list[Job] = [
+        (cam, g, v)
+        for cam in parsed.cameras
         for g in parsed.settings.gesture_names
         for v in range(parsed.settings.recordings_per_gesture)
     ]
+    _check_disk_space(parsed, jobs_list, out_dir)
 
-    results: dict[tuple[int, str, int], RecordingEntry] = {}
+    record = functools.partial(_record_one, parsed, out_dir)
+    workers = min(jobs, len(jobs_list))
+    entries: list[RecordingEntry] = []
     with contextlib.ExitStack() as stack:
-        if jobs <= 1:
-            _worker_init(parsed, out_dir)
-            done = map(_worker_run, jobs_list)
+        if workers <= 1:
+            done = map(record, jobs_list)
         else:
-            pool = stack.enter_context(
-                multiprocessing.get_context("fork").Pool(
-                    jobs, initializer=_worker_init, initargs=(parsed, out_dir)
-                )
-            )
-            done = pool.imap_unordered(_worker_run, jobs_list, chunksize=1)
-        for i, (job, entry_dict) in enumerate(done, 1):
-            results[job] = RecordingEntry.from_dict(entry_dict)
+            pool = stack.enter_context(multiprocessing.get_context("fork").Pool(workers))
+            done = pool.imap(record, jobs_list, chunksize=1)
+        for entry in done:
+            entries.append(entry)
             if progress:
-                progress(i, len(jobs_list))
+                progress(len(entries), len(jobs_list))
 
-    entries = tuple(results[job] for job in jobs_list)
     manifest = DatasetManifest(
-        config_digest=config_digest(parsed), entries=entries, cameras=parsed.cameras
+        config_digest=config_digest(parsed), entries=tuple(entries), cameras=parsed.cameras
     )
     write_manifest(manifest, os.path.join(out_dir, MANIFEST_NAME))
 
@@ -291,15 +302,13 @@ def preview_frame(
     parsed: ParsedConfig, gesture_name: str, frame_index: int, camera_id: str, out_path: str
 ) -> Frame:
     """Render exactly one frame of variant 0 and write it as PGM/PPM."""
-    registry = script_registry(parsed.extra_script_paths)
-    if gesture_name not in registry:
+    if gesture_name not in parsed.scripts:
         raise ValueError(f"unknown gesture {gesture_name!r}")
     cam = next((c for c in parsed.cameras if c.camera_id == camera_id), None)
     if cam is None:
         raise ValueError(f"unknown camera {camera_id!r}")
-    seed = derive_seed(parsed.settings.master_seed, gesture_name, 0, cam.camera_id)
-    variant = sample_variant(parsed.variation, parsed.variation.condition_overrides, seed, 0)
-    setup = _setup_recording(registry[gesture_name], cam, variant, parsed.settings.default_left_hand)
+    variant = _variant(parsed, cam, gesture_name, 0)
+    setup = _setup_recording(parsed.scripts[gesture_name], cam, variant, parsed.settings.default_left_hand)
     total = setup.timeline.total_frames
     if not (0 <= frame_index < total):
         raise ValueError(f"frame {frame_index} outside 0..{total - 1} for {gesture_name!r}")

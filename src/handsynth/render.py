@@ -93,6 +93,10 @@ class Frame:
     camera_id: str
 
 
+# the frame kind each camera kind's sensor produces
+FRAME_KIND = {CameraKind.DEPTH: "depth16", CameraKind.INFRARED: "ir8", CameraKind.RGB: "rgb8"}
+
+
 # ---------------------------------------------------------------------------
 # intersection helpers (all vectorized over a pixel sub-grid)
 # ---------------------------------------------------------------------------
@@ -486,7 +490,7 @@ def shade_infrared(
         img[vs, us] = img[sv, su]
 
     return Frame(
-        kind="ir8",
+        kind=FRAME_KIND[CameraKind.INFRARED],
         pixels=np.clip(np.rint(img), 0, 255).astype(np.uint8),
         frame_index=frame_index,
         camera_id=camera_id,
@@ -505,7 +509,7 @@ def shade_rgb(buf: DepthBuffer, sp: SensorParams, frame_index: int = 0, camera_i
     img[body] = (BODY_ALBEDO * intensity[..., None])[body]
     img[env] = (ENV_ALBEDO * intensity[..., None])[env]
     return Frame(
-        kind="rgb8",
+        kind=FRAME_KIND[CameraKind.RGB],
         pixels=np.clip(np.rint(img * 255.0), 0, 255).astype(np.uint8),
         frame_index=frame_index,
         camera_id=camera_id,
@@ -525,7 +529,7 @@ def sensor_frame(
         if noise_enabled:
             buf = apply_depth_noise(buf, noise, sp, frame_index)
         return Frame(
-            kind="depth16",
+            kind=FRAME_KIND[CameraKind.DEPTH],
             pixels=encode_depth16(buf, sp),
             frame_index=frame_index,
             camera_id=cam.camera_id,

@@ -12,7 +12,7 @@ Environment (the tag drives the infrared shading).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -118,25 +118,6 @@ class CameraSpec:
         return np.asarray(points, dtype=np.float64) @ r.T + np.asarray(self.position)
 
 
-def sensor_to_dict(sp: SensorParams) -> dict:
-    return {
-        "chromaticity_coeff": sp.chromaticity_coeff,
-        "depth_min": sp.depth_min,
-        "depth_max": sp.depth_max,
-        "noise_dist_weight": sp.noise_dist_weight,
-        "noise_edge_weight": sp.noise_edge_weight,
-        "edge_scale": sp.edge_scale,
-        "dropout_threshold": sp.dropout_threshold,
-        "depth_jitter": sp.depth_jitter,
-        "flipbook_tile_px": sp.flipbook_tile_px,
-        "flipbook_tile_count": sp.flipbook_tile_count,
-        "flipbook_frames_per_tile": sp.flipbook_frames_per_tile,
-        "fresnel_exponent": sp.fresnel_exponent,
-        "blur_radius": sp.blur_radius,
-        "ambient": sp.ambient,
-    }
-
-
 def camera_to_dict(cam: CameraSpec) -> dict:
     return {
         "camera_id": cam.camera_id,
@@ -146,7 +127,7 @@ def camera_to_dict(cam: CameraSpec) -> dict:
         "fov_deg": cam.fov_deg,
         "resolution": list(cam.resolution),
         "fps": cam.fps,
-        "sensor": sensor_to_dict(cam.sensor),
+        "sensor": asdict(cam.sensor),
     }
 
 
@@ -327,7 +308,8 @@ def build_scene(rig: ArmRig, posed: PosedSkeleton) -> Scene:
 
 
 def static_scene(rig: ArmRig) -> Scene:
-    """Everything except the gesturing arm; cached by the renderer."""
+    """Everything except the gesturing arm; the pipeline traces it once per
+    camera and caches the buffer (``pipeline._static_buffer``)."""
     return scene_from_primitives(
         capsules=_static_body_capsules(rig),
         boxes=_environment_boxes(),

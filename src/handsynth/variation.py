@@ -73,7 +73,7 @@ class VariantParams:
 
     @classmethod
     def neutral(cls, variant_index: int = 0, seed: int = 0) -> "VariantParams":
-        """All-zero offsets with default camera values; used by previews."""
+        """All-zero offsets with default camera values: a fixed variant for tests."""
         return cls(
             variant_index=variant_index,
             seed=seed,

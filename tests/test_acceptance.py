@@ -105,6 +105,7 @@ def test_criterion_1_range_scaling_exactness():
     _report(1, ok and time.monotonic() - t0 < 1.0, f"low={low.as_list()} high={high.as_list()}")
 
 
+@pytest.mark.full_run
 def test_criterion_2_dataset_recipe(full_run):
     manifest = full_run["manifest"]
     entries = manifest.entries
@@ -125,6 +126,7 @@ def test_criterion_2_dataset_recipe(full_run):
     )
 
 
+@pytest.mark.full_run
 def test_criterion_3_ratio_slicing(full_run):
     entries = list(full_run["manifest"].entries)
     counts = {}
@@ -140,6 +142,7 @@ def test_criterion_3_ratio_slicing(full_run):
     _report(3, ok, f"slice counts {counts} (expected 8/16/33/66)")
 
 
+@pytest.mark.full_run
 def test_criterion_4_full_run_determinism(full_run):
     out_b = os.path.join(full_run["workdir"], "run_b")
     parsed = parse_config_full('{"output_path": "%s"}' % out_b)

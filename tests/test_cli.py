@@ -1,10 +1,15 @@
 import hashlib
 import json
 import os
+import signal
+import subprocess
+import sys
+import types
 
 import numpy as np
 import pytest
 
+from handsynth import pipeline
 from handsynth.cli import EXIT_CONFIG, EXIT_DATA, EXIT_IO, EXIT_OK, main
 from handsynth.config import apply_overrides, config_digest, parse_config_full
 from handsynth.output import read_frame, read_manifest
@@ -195,6 +200,108 @@ def test_config_digest_follows_script_bytes_not_path(tmp_path, monkeypatch):
     assert config_digest(_script_config(tmp_path, "x/s.json")) != relative
 
 
+# Parses a config, changes its gesture script file, then generates: the
+# run must use the scripts read at parse time.  It runs in its own process
+# group, so a pool that never finishes can be killed with its workers.
+_DISTURBED_RUN = """
+import os, sys
+from handsynth.config import apply_overrides, config_digest, parse_config_full
+from handsynth.pipeline import generate_dataset
+
+config, out, script, disturbance, jobs = sys.argv[1:]
+with open(config) as fh:
+    parsed = apply_overrides(parse_config_full(fh.read()), out=out)
+digest = config_digest(parsed)
+if disturbance == "delete":
+    os.remove(script)
+else:
+    with open(script, "w") as fh:
+        fh.write('{"name": "wave", "control_points": [[0, 0, 0], [8, 4, 0], [16, 0, 0]], "base_speed": 40.0}')
+generate_dataset(parsed, jobs=int(jobs))
+assert config_digest(parsed) == digest, "config digest changed with the script file"
+"""
+
+
+@pytest.mark.parametrize(
+    "disturbance, jobs", [("delete", "1"), ("delete", "2"), ("rewrite", "1"), ("rewrite", "2")]
+)
+def test_script_changed_after_parse_leaves_run_undisturbed(tmp_path, disturbance, jobs):
+    script = tmp_path / "wave.json"
+    _write_wave(script, 20.0)
+    path = _small_config(tmp_path, gestures=("wave", "peace_sign"), variants=1)
+    doc = json.loads(open(path).read())
+    doc["gesture_script_paths"] = [str(script)]
+    (tmp_path / "config.json").write_text(json.dumps(doc))
+    assert main(["generate", "--config", path, "--out", str(tmp_path / "undisturbed")]) == EXIT_OK
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _DISTURBED_RUN, path, str(tmp_path / "out"), str(script), disturbance, jobs],
+        env=env,
+        stderr=subprocess.PIPE,
+        text=True,
+        start_new_session=True,
+    )
+    try:
+        _, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail(f"generate with jobs={jobs} did not finish in 60 s after the script was changed")
+    assert proc.returncode == 0, err
+    assert _tree_bytes(tmp_path / "out") == _tree_bytes(tmp_path / "undisturbed")
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_generate_jobs_below_one_exit_2(tmp_path, capsys, jobs):
+    path = _small_config(tmp_path)
+    assert main(["generate", "--config", path, "--jobs", jobs]) == EXIT_CONFIG
+    assert "--jobs" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_pool_has_at_most_one_worker_per_recording(tmp_path, monkeypatch):
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(
+        pipeline.multiprocessing, "get_context", lambda method: types.SimpleNamespace(Pool=InProcessPool)
+    )
+    path = _small_config(tmp_path, gestures=("peace_sign",), variants=2)
+    assert main(["generate", "--config", path, "--jobs", "8"]) == EXIT_OK
+    assert sizes == [2]
+
+
+def test_generate_checks_free_space_before_the_first_frame(tmp_path, monkeypatch, capsys):
+    path = _small_config(tmp_path)
+    assert main(["generate", "--config", path, "--out", str(tmp_path / "ref")]) == EXIT_OK
+    frame_bytes = sum(len(body) for rel, body in _tree_bytes(tmp_path / "ref").items() if rel != "manifest.json")
+    out = tmp_path / "out"
+
+    monkeypatch.setattr(pipeline.shutil, "disk_usage", lambda p: types.SimpleNamespace(free=frame_bytes - 1))
+    capsys.readouterr()
+    assert main(["generate", "--config", path]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert str(out) in err and "MB" in err
+    assert not (out / "depth0").exists() and not (out / "manifest.json").exists()
+
+    # the frame files alone are what the check counts, so they just fit
+    monkeypatch.setattr(pipeline.shutil, "disk_usage", lambda p: types.SimpleNamespace(free=frame_bytes))
+    assert main(["generate", "--config", path]) == EXIT_OK
+
+
 def test_config_digest_without_scripts_unchanged(tmp_path):
     """Configs without gesture scripts keep the digest of the canonical
     document without output_path."""
@@ -258,7 +365,6 @@ def test_preview_writes_one_frame(tmp_path, capsys):
 
 @pytest.mark.parametrize("kind", ["depth", "infrared"])
 def test_preview_frame_equals_frame_of_full_recording(tmp_path, kind):
-    from handsynth.config import script_registry
     from handsynth.pipeline import preview_frame, render_recording
     from handsynth.variation import derive_seed, sample_variant
 
@@ -268,7 +374,7 @@ def test_preview_frame_equals_frame_of_full_recording(tmp_path, kind):
     cam = parsed.cameras[0]
     seed = derive_seed(parsed.settings.master_seed, "swipe_right", 0, cam.camera_id)
     variant = sample_variant(parsed.variation, parsed.variation.condition_overrides, seed, 0)
-    frames = render_recording(script_registry(parsed.extra_script_paths)["swipe_right"], cam, variant).frames
+    frames = render_recording(parsed.scripts["swipe_right"], cam, variant).frames
     for k in (0, len(frames) // 2, len(frames) - 1):
         frame = preview_frame(parsed, "swipe_right", k, cam.camera_id, str(tmp_path / f"{k}.img"))
         assert np.array_equal(frame.pixels, frames[k].pixels)

@@ -74,6 +74,8 @@ def test_invariant_violations_name_fields():
         ('{"master_seed": -1}', "master_seed"),
         ('{"gestures": []}', "gestures"),
         ('{"resolution": [0, 240]}', "resolution"),
+        ('{"variation": {"conditions": ["low"]}}', "variation.conditions"),
+        ('{"variation": {"conditions": {"speed_offset": "extreme"}}}', "variation.conditions"),
     ]
     for doc, field in cases:
         with pytest.raises(ConfigError) as exc:

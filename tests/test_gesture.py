@@ -12,8 +12,8 @@ from handsynth.gesture import (
     build_spline,
     builtin_scripts,
     evaluate_frame,
-    load_scripts,
     param_at_arclength,
+    parse_scripts,
     plan_timeline,
     position_at_arclength,
     script_from_dict,
@@ -318,7 +318,7 @@ def test_script_json_round_trip(tmp_path):
         '{"name": "wave", "control_points": [[0,0,0],[8,4,0],[16,0,0]], '
         '"base_speed": 22.5, "arm_part": "hand"}'
     )
-    scripts = load_scripts(str(path))
+    scripts = parse_scripts(path.read_text(), str(path))
     assert scripts["wave"].arm_part == ArmPart.HAND
     assert scripts["wave"].base_speed == 22.5
     with pytest.raises(ValueError, match="unknown gesture script keys"):
