@@ -206,7 +206,14 @@ _CAMERA_KEYS = {f.name for f in fields(CameraSpec)} | {"preset"}
 _SENSOR_KEYS = {f.name for f in fields(SensorParams)}
 
 
+def _expect_object(data, where: str) -> dict:
+    if not isinstance(data, dict):
+        raise ConfigError(f"expected an object, got {data!r}", where)
+    return data
+
+
 def _reject_unknown(data: dict, allowed: set[str], where: str) -> None:
+    _expect_object(data, where)
     unknown = set(data) - allowed
     if unknown:
         raise ConfigError(f"unknown keys {sorted(unknown)}", where)
@@ -265,11 +272,11 @@ def _parse_camera(data: dict, index: int, settings: GeneralSettings) -> CameraSp
     if kind not in CameraKind.ALL:
         raise ConfigError(f"unknown camera kind {kind!r}", f"{where}.kind")
     camera_id = data.get("camera_id", f"{kind}{index}")
-    resolution = tuple(data.get("resolution", settings.resolution))
-    fps = float(data.get("fps", settings.fps))
-    fov = float(data.get("fov_deg", 60.0))
     sensor = _parse_sensor(data.get("sensor", {}), f"{where}.sensor")
     try:
+        resolution = tuple(data.get("resolution", settings.resolution))
+        fps = float(data.get("fps", settings.fps))
+        fov = float(data.get("fov_deg", 60.0))
         # cameras with no explicit pose fall back to the infotainment preset
         if "preset" in data or ("position" not in data and "rotation" not in data):
             if "preset" in data and ("position" in data or "rotation" in data):
@@ -299,7 +306,7 @@ def _parse_camera(data: dict, index: int, settings: GeneralSettings) -> CameraSp
             fps=fps,
             sensor=sensor,
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(str(exc), where) from None
@@ -359,7 +366,10 @@ def parse_config_full(text: str) -> ParsedConfig:
     if len(set(ids)) != len(ids):
         raise ConfigError(f"camera ids must be unique, got {ids}", "cameras")
 
-    script_paths = tuple(str(p) for p in data.get("gesture_script_paths", ()))
+    script_paths = data.get("gesture_script_paths", [])
+    if not isinstance(script_paths, list):
+        raise ConfigError(f"expected a list of file paths, got {script_paths!r}", "gesture_script_paths")
+    script_paths = tuple(str(p) for p in script_paths)
     scripts, script_digests = _load_scripts(script_paths)
     settings.validate(set(scripts))
     variation.validate()

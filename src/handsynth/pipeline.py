@@ -7,7 +7,11 @@ change a single byte of output.  Each job carries the parsed recipe,
 gesture scripts included, so no job reads the config or a script file.
 The static part of the scene (body, cabin) is traced once per camera and
 reused as the base buffer for every frame; only the gesturing arm is
-retraced per frame.
+retraced per frame.  Depth and RGB frames are traced and sensed only inside
+the arm's dirty window (``render.trace_depth``).  Everywhere else a frame
+equals what the sensor makes of the static base: one frame per flipbook tile
+for depth, one for RGB, computed once per recording and kept on its
+``_RecordingSetup``.
 """
 
 from __future__ import annotations
@@ -18,10 +22,12 @@ import multiprocessing
 import os
 import shutil
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from . import gesture
-from .config import ParsedConfig, config_digest
+import numpy as np
+
+from . import gesture, render
+from .config import ParsedConfig, VariationConfig, config_digest
 from .evalkit import Trajectory, extract_trajectory
 from .gesture import (
     GestureScript,
@@ -60,7 +66,7 @@ _STATIC_BUFFER_CACHE: dict = {}
 
 
 def _static_buffer(cam: CameraSpec, is_left: bool) -> DepthBuffer:
-    key = (cam.camera_id, cam.position, cam.rotation, cam.fov_deg, cam.resolution, is_left)
+    key = (cam.camera_id, cam.kind, cam.position, cam.rotation, cam.fov_deg, cam.resolution, is_left)
     buf = _STATIC_BUFFER_CACHE.get(key)
     if buf is None:
         buf = trace_depth(static_scene(default_rig(is_left=is_left)), cam)
@@ -85,15 +91,52 @@ class _RecordingSetup:
     sensor: SensorParams
     noise: FlipbookNoise
     base: DepthBuffer
+    backgrounds: dict = field(default_factory=dict)  # see background()
+
+    def background(self, cam: CameraSpec, frame_index: int, noise_enabled: bool) -> np.ndarray:
+        """What the sensor makes of the static base at a frame: the pixels
+        of that frame outside its dirty window.  Depth output changes with
+        the flipbook tile only (noise off counts as one more tile), RGB
+        output not at all; each is computed on first use.  It is not a
+        frame of the recording, so it is sensed through ``render``, not
+        through this module's per-frame ``sensor_frame``."""
+        if cam.kind == CameraKind.DEPTH and noise_enabled:
+            key = self.noise.tile_index(frame_index)
+        else:
+            key = self.noise.tile_count
+        pixels = self.backgrounds.get(key)
+        if pixels is None:
+            pixels = render.sensor_frame(self.base, cam, self.sensor, self.noise, frame_index, noise_enabled).pixels
+            self.backgrounds[key] = pixels
+        return pixels
 
 
 Job = tuple[CameraSpec, str, int]  # one recording: (camera, gesture name, variant index)
 
 
-def _variant(parsed: ParsedConfig, cam: CameraSpec, gesture_name: str, variant_index: int) -> VariantParams:
+def _derive_variant(
+    master_seed: int,
+    variation: VariationConfig,
+    conditions: dict,
+    cam: CameraSpec,
+    gesture_name: str,
+    variant_index: int,
+) -> VariantParams:
     """One recording's sampled parameters, seeded by (master seed, gesture, variant, camera)."""
-    seed = derive_seed(parsed.settings.master_seed, gesture_name, variant_index, cam.camera_id)
-    return sample_variant(parsed.variation, parsed.variation.condition_overrides, seed, variant_index)
+    seed = derive_seed(master_seed, gesture_name, variant_index, cam.camera_id)
+    return sample_variant(variation, conditions, seed, variant_index)
+
+
+def _variant(parsed: ParsedConfig, cam: CameraSpec, gesture_name: str, variant_index: int) -> VariantParams:
+    """``_derive_variant`` under a parsed recipe."""
+    return _derive_variant(
+        parsed.settings.master_seed,
+        parsed.variation,
+        parsed.variation.condition_overrides,
+        cam,
+        gesture_name,
+        variant_index,
+    )
 
 
 def _rig(script: GestureScript, default_left_hand: bool) -> ArmRig:
@@ -129,7 +172,10 @@ def _render_frame(
         counters.ik_clamps += 1
     posed = pose_hand(setup.rig, wrist_target, aim_dir, pose)
     buf = trace_depth(dynamic_scene(posed), cam, base=setup.base)
-    return sensor_frame(buf, cam, setup.sensor, setup.noise, frame_index, noise_enabled=noise_enabled)
+    background = None if buf.window is None else setup.background(cam, frame_index, noise_enabled)
+    return sensor_frame(
+        buf, cam, setup.sensor, setup.noise, frame_index, noise_enabled=noise_enabled, background=background
+    )
 
 
 def render_recording(
@@ -343,8 +389,7 @@ def render_trajectory_set(
     )
     trajectories = []
     for v in range(n_variants):
-        seed = derive_seed(master_seed, gesture_name, v, camera.camera_id)
-        variant = sample_variant(variation, conditions, seed, v)
+        variant = _derive_variant(master_seed, variation, conditions, camera, gesture_name, v)
         rendered = render_recording(script, camera, variant, noise_enabled=noise_enabled)
         codes = [f.pixels for f in rendered.frames]
         trajectories.append(

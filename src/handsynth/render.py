@@ -9,11 +9,21 @@ and plain Lambertian RGB.
 
 Everything here is pure numpy over immutable inputs; per-frame renders
 are deterministic functions of (scene, camera, seed, frame index).
+
+Per-frame work is limited to the gesturing arm's dirty window: traced on
+top of a static base buffer, a depth or RGB frame is traced and sensed only
+over the union of the arm capsules' screen rectangles (plus the reach of
+the depth noise model), and the rest of the frame is copied from what the
+sensor makes of the static base (``sensor_frame``'s ``background``; for
+depth one per flipbook tile).  The output is byte-identical to tracing and
+sensing the whole frame.  Infrared frames stay whole-frame: the panned
+blur moves pixels by per-frame offsets, so no part of an infrared frame is
+static.  Depth cameras trace no normals, which no depth sensor reads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -63,24 +73,23 @@ LIGHT_DIR = LIGHT_DIR / np.linalg.norm(LIGHT_DIR)
 @dataclass
 class DepthBuffer:
     """Nearest-hit result per pixel: camera-Z depth (inf = miss), hit tag,
-    world-space surface normal, and the ray directions used."""
+    world-space surface normal, and the ray directions used.
+
+    A buffer covers the whole frame, or only the pixel rectangle ``window``
+    = (u0, u1, v0, v1) of it: columns u0:u1, rows v0:v1 (``trace_depth``
+    with a base).  Buffers of depth cameras carry no normals: no depth
+    sensor model reads them.
+    """
 
     depth: np.ndarray  # (h, w) float64, np.inf where no hit
     tag: np.ndarray  # (h, w) uint8
-    normal: np.ndarray  # (h, w, 3) float64
+    normal: np.ndarray | None  # (h, w, 3) float64; None for depth cameras
     ray_dir: np.ndarray  # (h, w, 3) float64, unit world-space directions
+    window: tuple[int, int, int, int] | None = None  # None: the whole frame
 
     @property
     def valid(self) -> np.ndarray:
         return np.isfinite(self.depth)
-
-    def copy(self) -> "DepthBuffer":
-        return DepthBuffer(
-            depth=self.depth.copy(),
-            tag=self.tag.copy(),
-            normal=self.normal.copy(),
-            ray_dir=self.ray_dir,
-        )
 
 
 @dataclass(frozen=True)
@@ -197,6 +206,18 @@ def _intersect_plane(origin, dirs, point, normal):
     return np.where((np.abs(denom) > 1e-12) & (t > _T_EPS), t, np.inf)
 
 
+# px the depth noise model reads around a pixel (its four neighbours)
+_NOISE_REACH = 1
+
+# px by which the dirty window grows around the capsules' rectangles, per
+# camera kind whose frames are sensed over a window.  Depth: a changed depth
+# changes the output _NOISE_REACH px around it, and sensing a window
+# edge-pads it, so the window's outer _NOISE_REACH ring is wrong and dropped
+# (``_patch``).  RGB shading is per pixel.  Infrared is absent: its panned
+# blur moves pixels by per-frame offsets, so no part of its frame is static.
+_WINDOW_MARGIN = {CameraKind.DEPTH: 2 * _NOISE_REACH, CameraKind.RGB: 0}
+
+
 def _capsule_screen_bounds(cam: CameraSpec, a, b, radius, w, h):
     """Pixel rectangle covering one capsule, or None if the capsule can sit
     anywhere on screen (an end sphere reaches the camera plane).
@@ -238,6 +259,24 @@ def _capsule_screen_bounds(cam: CameraSpec, a, b, radius, w, h):
     return (u0, u1, v0, v1)
 
 
+def _dirty_window(bounds, margin: int, w: int, h: int):
+    """Union of the capsules' screen rectangles grown by ``margin`` px and
+    clipped to the frame, as (u0, u1, v0, v1); None when that is the whole
+    frame or a capsule has no bound."""
+    if any(b is None for b in bounds):
+        return None
+    drawn = [b for b in bounds if b != (0, 0, 0, 0)]
+    if not drawn:
+        return (0, 0, 0, 0)
+    window = (
+        max(min(b[0] for b in drawn) - margin, 0),
+        min(max(b[1] for b in drawn) + margin, w),
+        max(min(b[2] for b in drawn) - margin, 0),
+        min(max(b[3] for b in drawn) + margin, h),
+    )
+    return None if window == (0, w, 0, h) else window
+
+
 def _hit_points(origin, dirs, t):
     """World points at ray parameters t; misses (inf) map to the origin."""
     return origin + np.where(np.isfinite(t), t, 0.0)[..., None] * dirs
@@ -248,51 +287,74 @@ def _keep_nearer(buf: DepthBuffer, t_best, z_scale, sl, t, tag, normal_at) -> No
     of ``buf`` and ``t_best`` wherever they are nearer than ``t_best``.
 
     ``normal_at()`` returns the primitive's surface normals over ``sl``;
-    it is called only when at least one pixel is kept.
+    it is called only when at least one pixel is kept and ``buf`` has
+    normals.
     """
     closer = t < t_best[sl]
     if not np.any(closer):
         return
-    n = normal_at()
     t_best[sl] = np.where(closer, t, t_best[sl])
     buf.depth[sl] = np.where(closer, t * z_scale[sl], buf.depth[sl])
     buf.tag[sl] = np.where(closer, tag, buf.tag[sl])
-    buf.normal[sl] = np.where(closer[..., None], n, buf.normal[sl])
+    if buf.normal is not None:
+        buf.normal[sl] = np.where(closer[..., None], normal_at(), buf.normal[sl])
 
 
 def trace_depth(scene: Scene, cam: CameraSpec, base: DepthBuffer | None = None) -> DepthBuffer:
     """Nearest-hit depth buffer for the scene.
 
-    ``base`` seeds the result with an already-traced buffer (the static
-    part of a scene); tracing the remainder on top is exact because
-    nearest-hit composition is an elementwise minimum.
+    ``base`` seeds the result with an already-traced whole-frame buffer
+    (the static part of a scene); tracing the remainder on top is exact
+    because nearest-hit composition is an elementwise minimum.  With a
+    base, a depth or RGB camera's buffer covers only the scene's dirty
+    window: the union of its capsules' screen rectangles, grown by the
+    pixels the sensor model reads around them (``_WINDOW_MARGIN``).  The
+    frame outside the window is ``base``.  Infrared buffers, scenes with
+    boxes or planes, and capsules with no screen bound cover the whole
+    frame.  Depth cameras' buffers carry no normals.
     """
     origin, dirs, z_scale = _cached_rays(cam)
     w, h = cam.resolution
+    bounds = [
+        _capsule_screen_bounds(cam, a, b, float(r), w, h)
+        for a, b, r in zip(scene.capsule_a, scene.capsule_b, scene.capsule_r)
+    ]
+    window = None
+    if base is not None and cam.kind in _WINDOW_MARGIN and not (len(scene.box_tag) or len(scene.plane_tag)):
+        window = _dirty_window(bounds, _WINDOW_MARGIN[cam.kind], w, h)
+    wu0, wu1, wv0, wv1 = window or (0, w, 0, h)
+    win = np.s_[wv0:wv1, wu0:wu1]
+    dirs, z_scale = dirs[win], z_scale[win]
+    with_normals = cam.kind != CameraKind.DEPTH
 
     if base is not None:
-        buf = base.copy()
-        t_best = np.where(np.isfinite(base.depth), base.depth / z_scale, np.inf)
+        buf = DepthBuffer(
+            depth=base.depth[win].copy(),
+            tag=base.tag[win].copy(),
+            normal=base.normal[win].copy() if with_normals else None,
+            ray_dir=dirs,
+            window=window,
+        )
+        t_best = np.where(np.isfinite(buf.depth), buf.depth / z_scale, np.inf)
     else:
         buf = DepthBuffer(
             depth=np.full((h, w), np.inf),
             tag=np.full((h, w), TAG_NONE, dtype=np.uint8),
-            normal=np.zeros((h, w, 3)),
+            normal=np.zeros((h, w, 3)) if with_normals else None,
             ray_dir=dirs,
         )
         t_best = np.full((h, w), np.inf)
 
-    full = np.s_[0:h, 0:w]
-    for i in range(len(scene.capsule_r)):
-        a, b, r = scene.capsule_a[i], scene.capsule_b[i], float(scene.capsule_r[i])
-        bounds = _capsule_screen_bounds(cam, a, b, r, w, h)
-        if bounds == (0, 0, 0, 0):
+    full = np.s_[:, :]
+    for i, rect in enumerate(bounds):
+        if rect == (0, 0, 0, 0):
             continue
-        if bounds is None:
+        if rect is None:
             sl = full
         else:
-            u0, u1, v0, v1 = bounds
-            sl = np.s_[v0:v1, u0:u1]
+            u0, u1, v0, v1 = rect
+            sl = np.s_[v0 - wv0 : v1 - wv0, u0 - wu0 : u1 - wu0]
+        a, b, r = scene.capsule_a[i], scene.capsule_b[i], float(scene.capsule_r[i])
         t = _intersect_capsule(origin, dirs[sl], a, b, r)
         _keep_nearer(
             buf, t_best, z_scale, sl, t, scene.capsule_tag[i],
@@ -342,11 +404,16 @@ class FlipbookNoise:
     def period(self) -> int:
         return self.tile_count * self.frames_per_tile
 
-    def field(self, frame_index: int, h: int, w: int) -> np.ndarray:
-        """Noise value per pixel at a frame: the active tile, wrapped."""
-        tile = self.tiles[(frame_index // self.frames_per_tile) % self.tile_count]
-        us = np.arange(w) % self.tile_px
-        vs = np.arange(h) % self.tile_px
+    def tile_index(self, frame_index: int) -> int:
+        """The tile active at a frame."""
+        return (frame_index // self.frames_per_tile) % self.tile_count
+
+    def field(self, frame_index: int, h: int, w: int, top: int = 0, left: int = 0) -> np.ndarray:
+        """Noise value per pixel at a frame: the active tile, wrapped, over
+        rows top:top+h and columns left:left+w of the frame."""
+        tile = self.tiles[self.tile_index(frame_index)]
+        us = np.arange(left, left + w) % self.tile_px
+        vs = np.arange(top, top + h) % self.tile_px
         return tile[np.ix_(vs, us)]
 
     def panned_field(self, frame_index: int, h: int, w: int) -> np.ndarray:
@@ -438,19 +505,23 @@ def apply_depth_noise(
 
     A pixel drops out when I*n exceeds the threshold (equivalently, its
     alpha 1 - I*n falls below 1 - tau); survivors get jittered by
-    sigma_d * I * (2n - 1).
+    sigma_d * I * (2n - 1).  A windowed buffer gets the noise of its
+    window; its outer ring is exact only where it is a frame border, as
+    ``noise_intensity`` edge-pads the window.
     """
     h, w = buf.depth.shape
-    n = noise.field(frame_index, h, w)
+    u0, _, v0, _ = buf.window or (0, w, 0, h)
+    n = noise.field(frame_index, h, w, top=v0, left=u0)
     intensity = noise_intensity(buf, sp)
-    out = buf.copy()
-    drop = buf.valid & (intensity * n > sp.dropout_threshold)
+    valid = buf.valid
+    drop = valid & (intensity * n > sp.dropout_threshold)
     jitter = sp.depth_jitter * intensity * (2.0 * n - 1.0)
-    out.depth = np.where(buf.valid, buf.depth + jitter, np.inf)
-    out.depth[drop] = np.inf
-    out.tag[drop] = TAG_NONE
-    out.normal[drop] = 0.0
-    return out
+    depth = np.where(valid, buf.depth + jitter, np.inf)
+    depth[drop] = np.inf
+    tag = buf.tag.copy()
+    tag[drop] = TAG_NONE
+    normal = None if buf.normal is None else np.where(drop[..., None], 0.0, buf.normal)
+    return replace(buf, depth=depth, tag=tag, normal=normal)
 
 
 # ---------------------------------------------------------------------------
@@ -516,6 +587,21 @@ def shade_rgb(buf: DepthBuffer, sp: SensorParams, frame_index: int = 0, camera_i
     )
 
 
+def _patch(background: np.ndarray, pixels: np.ndarray, window, trim: int) -> np.ndarray:
+    """A copy of the whole frame ``background`` with ``pixels``, sensed over
+    ``window``, written in, less a ``trim``-px ring on each side of the
+    window that is not a frame border."""
+    u0, u1, v0, v1 = window
+    h, w = background.shape[:2]
+    top, bottom = (trim if v0 > 0 else 0), (trim if v1 < h else 0)
+    left, right = (trim if u0 > 0 else 0), (trim if u1 < w else 0)
+    out = background.copy()
+    out[v0 + top : v1 - bottom, u0 + left : u1 - right] = pixels[
+        top : pixels.shape[0] - bottom, left : pixels.shape[1] - right
+    ]
+    return out
+
+
 def sensor_frame(
     buf: DepthBuffer,
     cam: CameraSpec,
@@ -523,17 +609,26 @@ def sensor_frame(
     noise: FlipbookNoise,
     frame_index: int,
     noise_enabled: bool = True,
+    background: np.ndarray | None = None,
 ) -> Frame:
-    """Run the camera-kind-specific sensor pipeline on a clean buffer."""
-    if cam.kind == CameraKind.DEPTH:
-        if noise_enabled:
-            buf = apply_depth_noise(buf, noise, sp, frame_index)
-        return Frame(
-            kind=FRAME_KIND[CameraKind.DEPTH],
-            pixels=encode_depth16(buf, sp),
-            frame_index=frame_index,
-            camera_id=cam.camera_id,
-        )
+    """Run the camera-kind-specific sensor pipeline on a clean buffer.
+
+    A windowed buffer (``trace_depth`` with a base) is sensed over its
+    window only.  ``background`` gives the rest of the frame: what this
+    sensor makes of the whole static base buffer at this frame.  For depth
+    that depends on the flipbook tile only, for RGB on nothing.
+    """
     if cam.kind == CameraKind.INFRARED:
         return shade_infrared(buf, noise, sp, frame_index, camera_id=cam.camera_id)
-    return shade_rgb(buf, sp, frame_index, camera_id=cam.camera_id)
+    if buf.window is not None and not buf.depth.size:
+        pixels = background.copy()  # no capsule on screen
+    else:
+        if cam.kind == CameraKind.DEPTH:
+            if noise_enabled:
+                buf = apply_depth_noise(buf, noise, sp, frame_index)
+            pixels = encode_depth16(buf, sp)
+        else:
+            pixels = shade_rgb(buf, sp).pixels
+        if buf.window is not None:
+            pixels = _patch(background, pixels, buf.window, _NOISE_REACH if cam.kind == CameraKind.DEPTH else 0)
+    return Frame(kind=FRAME_KIND[cam.kind], pixels=pixels, frame_index=frame_index, camera_id=cam.camera_id)

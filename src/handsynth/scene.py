@@ -11,6 +11,7 @@ Environment (the tag drives the infrared shading).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, field, replace
 
@@ -105,9 +106,12 @@ class CameraSpec:
         if self.resolution[0] < 16 or self.resolution[1] < 16:
             raise ValueError("resolution must be at least 16x16")
 
-    @property
+    @functools.cached_property
     def rotation_matrix(self) -> np.ndarray:
-        return euler_deg_to_matrix(*self.rotation)
+        """Built on first use and kept, read-only: the spec is frozen."""
+        r = euler_deg_to_matrix(*self.rotation)
+        r.flags.writeable = False
+        return r
 
     def world_to_camera(self, points: np.ndarray) -> np.ndarray:
         r = self.rotation_matrix
@@ -309,7 +313,10 @@ def build_scene(rig: ArmRig, posed: PosedSkeleton) -> Scene:
 
 def static_scene(rig: ArmRig) -> Scene:
     """Everything except the gesturing arm; the pipeline traces it once per
-    camera and caches the buffer (``pipeline._static_buffer``)."""
+    camera and caches the buffer (``pipeline._static_buffer``).  Each
+    recording also keeps what its sensor makes of that buffer, one frame per
+    flipbook tile for depth and one for RGB, as the part of every frame
+    outside the arm's dirty window (``pipeline._RecordingSetup.background``)."""
     return scene_from_primitives(
         capsules=_static_body_capsules(rig),
         boxes=_environment_boxes(),

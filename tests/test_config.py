@@ -177,3 +177,23 @@ def test_variation_config_scaled_range_override():
     cfg = VariationConfig(condition_overrides={"speed_offset": RangeCondition.LOW})
     assert cfg.scaled_range("speed_offset") == ParamRange(12.5, 37.5)
     assert cfg.scaled_range("position_offset") == cfg.position_offset
+
+
+@pytest.mark.parametrize(
+    "doc, field_path",
+    [
+        ({"variation": 5}, "variation"),
+        ({"cameras": [5]}, "cameras[0]"),
+        ({"gesture_script_paths": 5}, "gesture_script_paths"),
+        ({"cameras": [{"camera_id": "c", "sensor": 5}]}, "cameras[0].sensor"),
+    ],
+)
+def test_section_of_wrong_json_type_is_config_error(tmp_path, capsys, doc, field_path):
+    from handsynth.cli import EXIT_CONFIG, main
+
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field_path}: expected ")
+    assert "Traceback" not in err

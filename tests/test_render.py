@@ -33,10 +33,12 @@ from handsynth.scene import (
 pytestmark = []
 
 
-def _cam(resolution=(161, 121), fov=60.0):
+def _cam(resolution=(161, 121), fov=60.0, kind=CameraKind.DEPTH):
+    """A camera at the origin looking down -Z.  Depth cameras trace no
+    normals, so tests that read them use another kind."""
     return CameraSpec(
         camera_id="t",
-        kind=CameraKind.DEPTH,
+        kind=kind,
         position=(0.0, 0.0, 0.0),
         rotation=(0.0, 0.0, 0.0),
         fov_deg=fov,
@@ -51,7 +53,7 @@ def _sphere_scene(center, radius):
 
 
 def test_sphere_center_pixel_depth_exact():
-    cam = _cam()
+    cam = _cam(kind=CameraKind.RGB)
     scene = _sphere_scene((0.0, 0.0, -80.0), 12.0)
     buf = trace_depth(scene, cam)
     w, h = cam.resolution
@@ -70,7 +72,7 @@ def test_empty_scene_all_invalid():
 
 
 def test_box_front_face_depth():
-    cam = _cam()
+    cam = _cam(kind=CameraKind.RGB)
     scene = scene_from_primitives(boxes=[(vec(-20, -20, -90), vec(20, 20, -70))])
     buf = trace_depth(scene, cam)
     w, h = cam.resolution
@@ -140,7 +142,7 @@ def test_screen_bounds_trace_equals_full_frame_trace(rng, monkeypatch, rotation)
 
     cam = CameraSpec(
         camera_id="t",
-        kind=CameraKind.DEPTH,
+        kind=CameraKind.RGB,
         position=(0.0, 0.0, 0.0),
         rotation=rotation,
         fov_deg=70.0,
@@ -319,7 +321,7 @@ def test_fresnel_endpoints_and_quarter():
 
 
 def test_infrared_center_and_edge_colors():
-    cam = _cam()
+    cam = _cam(kind=CameraKind.INFRARED)
     sp = SensorParams(blur_radius=0.0)
     scene = _sphere_scene((0.0, 0.0, -80.0), 20.0)
     buf = trace_depth(scene, cam)
@@ -337,7 +339,7 @@ def test_infrared_center_and_edge_colors():
 
 
 def test_infrared_environment_dark_blue():
-    cam = _cam()
+    cam = _cam(kind=CameraKind.INFRARED)
     sp = SensorParams(blur_radius=0.0)
     scene = scene_from_primitives(planes=[(vec(0, 0, -100.0), vec(0, 0, 1.0))])
     buf = trace_depth(scene, cam)
@@ -348,7 +350,7 @@ def test_infrared_environment_dark_blue():
 
 
 def test_rgb_lambert_anchor_cases():
-    cam = _cam(resolution=(33, 25))
+    cam = _cam(resolution=(33, 25), kind=CameraKind.RGB)
     scene = _sphere_scene((0.0, 0.0, -80.0), 10.0)
     buf = trace_depth(scene, cam)
     from handsynth.render import BODY_ALBEDO, LIGHT_DIR
@@ -370,7 +372,7 @@ def test_rgb_lambert_anchor_cases():
 
 
 def test_rgb_perpendicular_gets_ambient_only():
-    cam = _cam()
+    cam = _cam(kind=CameraKind.RGB)
     from handsynth.render import BODY_ALBEDO, LIGHT_DIR
 
     scene = _sphere_scene((0.0, 0.0, -80.0), 15.0)
@@ -445,7 +447,8 @@ def test_sensor_frame_kinds(depth_cam):
     from handsynth.skeleton import default_rig
 
     rig = default_rig()
-    buf = trace_depth(static_scene(rig), depth_cam)
+    rgb_cam = replace(depth_cam, kind=CameraKind.RGB)
+    buf = trace_depth(static_scene(rig), rgb_cam)  # with normals, which shading reads
     sp = depth_cam.sensor
     noise = make_flipbook(sp, 0)
     depth_frame = sensor_frame(buf, depth_cam, sp, noise, 0)
@@ -453,6 +456,113 @@ def test_sensor_frame_kinds(depth_cam):
     ir_cam = replace(depth_cam, kind=CameraKind.INFRARED)
     ir_frame = sensor_frame(buf, ir_cam, sp, noise, 0)
     assert ir_frame.kind == "ir8" and ir_frame.pixels.shape[-1] == 3
-    rgb_cam = replace(depth_cam, kind=CameraKind.RGB)
     rgb_frame = sensor_frame(buf, rgb_cam, sp, noise, 0)
     assert rgb_frame.kind == "rgb8" and rgb_frame.pixels.dtype == np.uint8
+
+
+# --- dirty window --------------------------------------------------------------
+
+
+def _window_camera(case):
+    from handsynth.scene import gesture_anchor, preset_camera
+    from handsynth.skeleton import default_rig
+
+    anchor = gesture_anchor(default_rig())
+    kind = CameraKind.RGB if case == "rgb" else CameraKind.DEPTH
+    if case == "camera_plane":
+        # just in front of the gesture volume, facing the driver: the hand
+        # passes behind the camera plane in some frames
+        position = tuple(float(x) for x in anchor + vec(0.0, 0.0, -8.0))
+        return CameraSpec("w", kind, position=position, rotation=(0.0, 180.0, 0.0), resolution=(80, 60), fps=10)
+    fov = 25.0 if case == "border" else 60.0
+    return preset_camera("infotainment", "w", kind, anchor, resolution=(80, 60), fps=10, fov_deg=fov)
+
+
+@pytest.mark.parametrize("case", ["depth_noise_on", "depth_noise_off", "rgb", "border", "camera_plane"])
+def test_windowed_frames_equal_full_frame_render(monkeypatch, case):
+    """Every frame of a recording, rendered through the dirty window, is
+    byte-identical to tracing the whole scene and sensing the whole frame."""
+    from handsynth import pipeline
+    from handsynth.gesture import WarningCounters, builtin_scripts, evaluate_frame
+    from handsynth.scene import build_scene
+    from handsynth.skeleton import pose_hand
+    from handsynth.variation import derive_seed, sample_variant
+    from handsynth.config import VariationConfig
+
+    cam = _window_camera(case)
+    noise_enabled = case != "depth_noise_off"
+    variant = sample_variant(VariationConfig(), {}, derive_seed(5, "swipe_right", 0, cam.camera_id), 0)
+    setup = pipeline._setup_recording(builtin_scripts()["swipe_right"], cam, variant, False)
+
+    windows = []
+    traced = pipeline.trace_depth
+
+    def spy(scene, cam, base=None):
+        buf = traced(scene, cam, base=base)
+        windows.append(buf.window)
+        return buf
+
+    monkeypatch.setattr(pipeline, "trace_depth", spy)
+    for i in range(setup.timeline.total_frames):
+        frame = pipeline._render_frame(setup, cam, i, WarningCounters(), noise_enabled)
+        wrist, aim, pose = evaluate_frame(setup.timeline, i, WarningCounters())
+        full = trace_depth(build_scene(setup.rig, pose_hand(setup.rig, wrist, aim, pose)), cam)
+        assert full.window is None
+        reference = sensor_frame(full, cam, setup.sensor, setup.noise, i, noise_enabled=noise_enabled)
+        assert frame.kind == reference.kind
+        assert np.array_equal(frame.pixels, reference.pixels), f"frame {i}"
+
+    w, _ = cam.resolution
+    windowed = [win for win in windows if win is not None]
+    if case == "camera_plane":
+        assert None in windows and windowed
+    elif case == "border":  # every window reaches the bottom row; these reach a side or the top too
+        assert any(win[0] == 0 or win[1] == w or win[2] == 0 for win in windowed)
+    else:
+        assert len(windowed) == len(windows)
+
+
+@pytest.mark.parametrize("kind", [CameraKind.DEPTH, CameraKind.RGB, CameraKind.INFRARED])
+def test_one_trace_and_one_sensor_call_per_frame(monkeypatch, kind):
+    """The static frames outside the window are not frames of the recording:
+    each frame makes one windowed trace and one sensor call, no more."""
+    from collections import Counter
+    from dataclasses import replace
+
+    from handsynth import pipeline
+    from handsynth.gesture import builtin_scripts
+    from handsynth.variation import VariantParams
+
+    cam = replace(_window_camera("depth_noise_on"), kind=kind)
+    calls = Counter()
+    traced, sensed = pipeline.trace_depth, pipeline.sensor_frame
+
+    def count_trace(scene, cam, base=None):
+        calls["trace_static" if base is None else "trace_dynamic"] += 1
+        return traced(scene, cam, base=base)
+
+    def count_sensor(buf, cam, *args, **kwargs):
+        calls["sensor"] += 1
+        return sensed(buf, cam, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "_STATIC_BUFFER_CACHE", {})
+    monkeypatch.setattr(pipeline, "trace_depth", count_trace)
+    monkeypatch.setattr(pipeline, "sensor_frame", count_sensor)
+    rec = pipeline.render_recording(builtin_scripts()["swipe_up"], cam, VariantParams.neutral())
+    frames = rec.timeline.total_frames
+    assert frames > 2 * cam.sensor.flipbook_frames_per_tile  # more than one flipbook tile
+    assert calls == Counter(trace_static=1, trace_dynamic=frames, sensor=frames)
+
+
+@pytest.mark.parametrize("kind", [CameraKind.DEPTH, CameraKind.RGB])
+def test_capsules_off_screen_give_the_background(kind):
+    cam = _cam(resolution=(48, 36), kind=kind)
+    sp = SensorParams()
+    noise = make_flipbook(sp, 2)
+    base = trace_depth(scene_from_primitives(planes=[(vec(0, 0, -100.0), vec(0, 0, 1.0))]), cam)
+    background = sensor_frame(base, cam, sp, noise, 5).pixels
+    off_screen = scene_from_primitives(capsules=[(vec(400.0, 0, -90.0), vec(420.0, 0, -90.0), 3.0)])
+    buf = trace_depth(off_screen, cam, base=base)
+    assert buf.window == (0, 0, 0, 0)
+    frame = sensor_frame(buf, cam, sp, noise, 5, background=background)
+    assert np.array_equal(frame.pixels, background)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -142,12 +143,21 @@ def test_static_plus_dynamic_equals_full_trace(rig, depth_cam):
     posed = pose_hand(
         rig, gesture_anchor(rig), vec(1, 0, 0), HAND_POSE_PRESETS["two_finger"]
     )
-    full = trace_depth(build_scene(rig, posed), depth_cam)
-    base = trace_depth(static_scene(rig), depth_cam)
-    split = trace_depth(dynamic_scene(posed), depth_cam, base=base)
-    assert np.array_equal(full.depth, split.depth)
-    assert np.array_equal(full.tag, split.tag)
-    assert np.array_equal(full.normal, split.normal)
+    cam = replace(depth_cam, kind=CameraKind.RGB)  # depth cameras trace no normals
+    full = trace_depth(build_scene(rig, posed), cam)
+    base = trace_depth(static_scene(rig), cam)
+    split = trace_depth(dynamic_scene(posed), cam, base=base)
+    # the split trace covers the arm's window; the frame outside it is the base
+    u0, u1, v0, v1 = split.window
+    win = np.s_[v0:v1, u0:u1]
+    assert np.array_equal(full.depth[win], split.depth)
+    assert np.array_equal(full.tag[win], split.tag)
+    assert np.array_equal(full.normal[win], split.normal)
+    outside = np.ones(full.depth.shape, dtype=bool)
+    outside[win] = False
+    assert np.array_equal(full.depth[outside], base.depth[outside])
+    assert np.array_equal(full.tag[outside], base.tag[outside])
+    assert np.array_equal(full.normal[outside], base.normal[outside])
 
 
 def test_camera_serialization_round_trip():
