@@ -2,17 +2,25 @@
 
 The JSON schema is strict — unknown keys anywhere are rejected so a
 misspelled variation name cannot silently fall back to its default and
-corrupt an ablation.  All lengths are centimeters and all angles degrees
-at this surface; radians stay internal to the math modules.
+corrupt an ablation.  Every value is checked against the type of the
+dataclass field it fills, and used as written or refused with its path
+(``cameras[0].resolution[0]``): integers only where the field is an
+integer (``2.0`` is refused there), finite numbers only (no ``NaN`` or
+``Infinity``), booleans only as ``true``/``false``, strings only as
+strings, and lists of the field's length.  All lengths are centimeters
+and all angles degrees at this surface; radians stay internal to the
+math modules.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import sys
+import typing
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
-from typing import TYPE_CHECKING
 
 from .scene import (
     CameraKind,
@@ -24,7 +32,7 @@ from .scene import (
 )
 from .skeleton import default_rig
 
-if TYPE_CHECKING:
+if typing.TYPE_CHECKING:
     from .gesture import GestureScript
 
 
@@ -127,10 +135,6 @@ class VariationConfig:
         return scale_range(self.median_range(name), cond)
 
     def validate(self) -> None:
-        for name in PARAM_NAMES:
-            scaled = self.scaled_range(name)
-            if scaled.lo > scaled.hi:
-                raise ConfigError("scaled range inverted", f"variation.{name}")
         dmin = self.scaled_range("depth_min")
         dmax = self.scaled_range("depth_max")
         if dmin.hi >= dmax.lo:
@@ -163,6 +167,9 @@ class GeneralSettings:
             raise ConfigError("must be a 64-bit unsigned integer", "master_seed")
         if not self.gesture_names:
             raise ConfigError("must name at least one gesture", "gestures")
+        repeated = sorted({name for name in self.gesture_names if self.gesture_names.count(name) > 1})
+        if repeated:
+            raise ConfigError(f"each gesture may be named once, repeated: {repeated}", "gestures")
         for name in self.gesture_names:
             if name not in known_gestures:
                 raise ConfigError(
@@ -186,50 +193,82 @@ class ParsedConfig:
     script_digests: tuple[str, ...] = ()
 
 
-_TOP_KEYS = {
-    "output_path",
-    "recordings_per_gesture",
-    "resolution",
-    "fps",
-    "default_left_hand",
-    "master_seed",
-    "gestures",
-    "variation",
-    "cameras",
-    "gesture_script_paths",
+# JSON key of each dataclass field whose name differs from it
+_JSON_KEYS = {"gesture_names": "gestures", "condition_overrides": "conditions"}
+
+# JSON check of each scalar field type: (what the message expects, test)
+_SCALARS = {
+    bool: ("true or false", lambda v: isinstance(v, bool)),
+    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    # NaN, the infinities and integers beyond the float range all fail the bound
+    float: (
+        "a finite number",
+        lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max,
+    ),
+    str: ("a string", lambda v: isinstance(v, str)),
 }
 
-_VARIATION_KEYS = set(PARAM_NAMES) | {"conditions"}
 
-_CAMERA_KEYS = {f.name for f in fields(CameraSpec)} | {"preset"}
+@functools.cache
+def _schema(cls) -> dict[str, tuple[str, object]]:
+    """JSON key -> (field name, resolved annotation) for dataclass ``cls``;
+    shared by every parse, so callers only read it."""
+    hints = typing.get_type_hints(cls)
+    return {_JSON_KEYS.get(f.name, f.name): (f.name, hints[f.name]) for f in fields(cls)}
 
-_SENSOR_KEYS = {f.name for f in fields(SensorParams)}
+
+def _build(make, path: str, *args, **kwargs):
+    """``make(*args, **kwargs)``; a ValueError it raises names ``path``."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc), path) from None
 
 
-def _expect_object(data, where: str) -> dict:
+def _read_fields(data, cls, path: str, own: tuple[str, ...] = ()) -> dict:
+    """Constructor arguments of dataclass ``cls`` for the keys ``data``
+    sets, each value checked by ``_read``.  ``own`` names the keys the
+    caller reads itself; any other key that is not a field is rejected."""
+    where = path or "top level"
     if not isinstance(data, dict):
-        raise ConfigError(f"expected an object, got {data!r}", where)
-    return data
-
-
-def _reject_unknown(data: dict, allowed: set[str], where: str) -> None:
-    _expect_object(data, where)
-    unknown = set(data) - allowed
+        raise ConfigError(f"expected an object, got {json.dumps(data)}", where)
+    schema = _schema(cls)
+    unknown = set(data) - set(schema) - set(own)
     if unknown:
         raise ConfigError(f"unknown keys {sorted(unknown)}", where)
+    prefix = f"{path}." if path else ""
+    return {
+        schema[key][0]: _read(value, schema[key][1], prefix + key)
+        for key, value in data.items()
+        if key not in own
+    }
 
 
-def _as_range(value, where: str) -> ParamRange:
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
-    ):
-        raise ConfigError("expected [lo, hi]", where)
-    try:
-        return ParamRange(float(value[0]), float(value[1]))
-    except ConfigError as exc:
-        raise ConfigError(str(exc), where) from None
+def _read(value, annotation, path: str):
+    """``value`` as a field of type ``annotation`` holds it, or a
+    ConfigError naming ``path`` (and showing the value as JSON) when its
+    JSON type does not fit."""
+    if annotation in _SCALARS:
+        expected, fits = _SCALARS[annotation]
+        if not fits(value):
+            raise ConfigError(f"expected {expected}, got {json.dumps(value)}", path)
+        return float(value) if annotation is float else value
+    if typing.get_origin(annotation) is tuple:
+        items = typing.get_args(annotation)  # one element type throughout
+        length = None if items[-1] is Ellipsis else len(items)
+        if not isinstance(value, list) or length not in (None, len(value)):
+            expected = "a list" if length is None else f"a list of {length} values"
+            raise ConfigError(f"expected {expected}, got {json.dumps(value)}", path)
+        return tuple(_read(v, items[0], f"{path}[{i}]") for i, v in enumerate(value))
+    if annotation is ParamRange:
+        return _build(ParamRange, path, *_read(value, tuple[float, float], path))
+    if annotation == dict[str, RangeCondition]:
+        return _parse_conditions(value, path)
+    # what is left is a nested dataclass: a camera's sensor
+    _read_fields(value, annotation, path)
+    # its numbers stay as written (``2`` stays an integer), as a manifest's
+    # cameras are read back, so a recipe keeps its canonical form and digest
+    return _build(annotation, path, **value)
 
 
 def _parse_conditions(values: dict, where: str) -> dict[str, RangeCondition]:
@@ -247,69 +286,28 @@ def _parse_conditions(values: dict, where: str) -> dict[str, RangeCondition]:
     return conditions
 
 
-def _parse_variation(data: dict) -> VariationConfig:
-    _reject_unknown(data, _VARIATION_KEYS, "variation")
-    kwargs = {}
-    for name in PARAM_NAMES:
-        if name in data:
-            kwargs[name] = _as_range(data[name], f"variation.{name}")
-    conditions = _parse_conditions(data.get("conditions", {}), "variation.conditions")
-    return VariationConfig(condition_overrides=conditions, **kwargs)
-
-
-def _parse_sensor(data: dict, where: str) -> SensorParams:
-    _reject_unknown(data, _SENSOR_KEYS, where)
-    try:
-        return SensorParams(**data)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc), where) from None
-
-
-def _parse_camera(data: dict, index: int, settings: GeneralSettings) -> CameraSpec:
+def _parse_camera(data, index: int, settings: GeneralSettings) -> CameraSpec:
+    """One camera: an explicit pose (``position`` and ``rotation``) or a
+    preset aimed at the gesture anchor, the infotainment one when neither
+    is given.  Resolution and fps default to the general settings."""
     where = f"cameras[{index}]"
-    _reject_unknown(data, _CAMERA_KEYS, where)
-    kind = data.get("kind", CameraKind.DEPTH)
+    spec = _read_fields(data, CameraSpec, where, own=("preset",))
+    kind = spec.setdefault("kind", CameraKind.DEPTH)
     if kind not in CameraKind.ALL:
         raise ConfigError(f"unknown camera kind {kind!r}", f"{where}.kind")
-    camera_id = data.get("camera_id", f"{kind}{index}")
-    sensor = _parse_sensor(data.get("sensor", {}), f"{where}.sensor")
-    try:
-        resolution = tuple(data.get("resolution", settings.resolution))
-        fps = float(data.get("fps", settings.fps))
-        fov = float(data.get("fov_deg", 60.0))
-        # cameras with no explicit pose fall back to the infotainment preset
-        if "preset" in data or ("position" not in data and "rotation" not in data):
-            if "preset" in data and ("position" in data or "rotation" in data):
-                raise ConfigError("preset and explicit pose are mutually exclusive", where)
-            anchor = gesture_anchor(default_rig(is_left=settings.default_left_hand))
-            return preset_camera(
-                data.get("preset", "infotainment"),
-                camera_id=camera_id,
-                kind=kind,
-                anchor=anchor,
-                resolution=resolution,
-                fps=fps,
-                fov_deg=fov,
-                sensor=sensor,
-            )
-        if "position" not in data or "rotation" not in data:
-            raise ConfigError("explicit cameras need both position and rotation", where)
-        position = tuple(float(v) for v in data["position"])
-        rotation = tuple(float(v) for v in data["rotation"])
-        return CameraSpec(
-            camera_id=camera_id,
-            kind=kind,
-            position=position,
-            rotation=rotation,
-            fov_deg=fov,
-            resolution=resolution,
-            fps=fps,
-            sensor=sensor,
-        )
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc), where) from None
+    spec.setdefault("camera_id", f"{kind}{index}")
+    spec.setdefault("resolution", settings.resolution)
+    spec.setdefault("fps", settings.fps)
+    posed = [key for key in ("position", "rotation") if key in spec]
+    if "preset" in data or not posed:
+        if posed:
+            raise ConfigError("preset and explicit pose are mutually exclusive", where)
+        preset = _read(data.get("preset", "infotainment"), str, f"{where}.preset")
+        anchor = gesture_anchor(default_rig(is_left=settings.default_left_hand))
+        return _build(preset_camera, where, preset, anchor=anchor, **spec)
+    if len(posed) < 2:
+        raise ConfigError("explicit cameras need both position and rotation", where)
+    return _build(CameraSpec, where, **spec)
 
 
 def _load_scripts(script_paths: tuple[str, ...]) -> tuple[dict[str, GestureScript], tuple[str, ...]]:
@@ -339,25 +337,10 @@ def parse_config_full(text: str) -> ParsedConfig:
         raise ConfigError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
     if not isinstance(data, dict):
         raise ConfigError("top level must be a JSON object")
-    _reject_unknown(data, _TOP_KEYS, "top level")
-
-    defaults = GeneralSettings()
-    try:
-        settings = GeneralSettings(
-            output_path=str(data.get("output_path", defaults.output_path)),
-            recordings_per_gesture=int(data.get("recordings_per_gesture", defaults.recordings_per_gesture)),
-            resolution=tuple(int(v) for v in data.get("resolution", defaults.resolution)),
-            fps=float(data.get("fps", defaults.fps)),
-            default_left_hand=bool(data.get("default_left_hand", defaults.default_left_hand)),
-            master_seed=int(data.get("master_seed", defaults.master_seed)),
-            gesture_names=tuple(str(g) for g in data.get("gestures", defaults.gesture_names)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed general settings: {exc}") from None
-    if len(settings.resolution) != 2:
-        raise ConfigError("expected [width, height]", "resolution")
-
-    variation = _parse_variation(data.get("variation", {}))
+    settings = GeneralSettings(
+        **_read_fields(data, GeneralSettings, "", own=("variation", "cameras", "gesture_script_paths"))
+    )
+    variation = VariationConfig(**_read_fields(data.get("variation", {}), VariationConfig, "variation"))
     camera_list = data.get("cameras", [{"kind": CameraKind.DEPTH, "preset": "infotainment", "camera_id": "depth0"}])
     if not isinstance(camera_list, list) or not camera_list:
         raise ConfigError("must be a non-empty list", "cameras")
@@ -366,10 +349,7 @@ def parse_config_full(text: str) -> ParsedConfig:
     if len(set(ids)) != len(ids):
         raise ConfigError(f"camera ids must be unique, got {ids}", "cameras")
 
-    script_paths = data.get("gesture_script_paths", [])
-    if not isinstance(script_paths, list):
-        raise ConfigError(f"expected a list of file paths, got {script_paths!r}", "gesture_script_paths")
-    script_paths = tuple(str(p) for p in script_paths)
+    script_paths = _read(data.get("gesture_script_paths", []), tuple[str, ...], "gesture_script_paths")
     scripts, script_digests = _load_scripts(script_paths)
     settings.validate(set(scripts))
     variation.validate()

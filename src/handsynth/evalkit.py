@@ -19,7 +19,7 @@ bit: the results equal the textbook recurrence exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -364,8 +364,7 @@ def run_variance_ablation(
         for cond in (RangeCondition.LOW, RangeCondition.MEDIAN, RangeCondition.HIGH):
             trajectories = render_trajectory_set(
                 gesture_name=gesture_name,
-                variation=cfg,
-                conditions={param: cond},
+                variation=replace(cfg, condition_overrides={param: cond}),
                 n_variants=n_variants,
                 master_seed=master_seed,
                 resolution=resolution,

@@ -114,29 +114,13 @@ class _RecordingSetup:
 Job = tuple[CameraSpec, str, int]  # one recording: (camera, gesture name, variant index)
 
 
-def _derive_variant(
-    master_seed: int,
-    variation: VariationConfig,
-    conditions: dict,
-    cam: CameraSpec,
-    gesture_name: str,
-    variant_index: int,
+def _variant(
+    master_seed: int, variation: VariationConfig, cam: CameraSpec, gesture_name: str, variant_index: int
 ) -> VariantParams:
-    """One recording's sampled parameters, seeded by (master seed, gesture, variant, camera)."""
+    """One recording's sampled parameters, seeded by (master seed, gesture,
+    variant, camera), under the variation's range conditions."""
     seed = derive_seed(master_seed, gesture_name, variant_index, cam.camera_id)
-    return sample_variant(variation, conditions, seed, variant_index)
-
-
-def _variant(parsed: ParsedConfig, cam: CameraSpec, gesture_name: str, variant_index: int) -> VariantParams:
-    """``_derive_variant`` under a parsed recipe."""
-    return _derive_variant(
-        parsed.settings.master_seed,
-        parsed.variation,
-        parsed.variation.condition_overrides,
-        cam,
-        gesture_name,
-        variant_index,
-    )
+    return sample_variant(variation, variation.condition_overrides, seed, variant_index)
 
 
 def _rig(script: GestureScript, default_left_hand: bool) -> ArmRig:
@@ -204,7 +188,7 @@ def _record_one(parsed: ParsedConfig, out_dir: str, job: Job) -> RecordingEntry:
     """Render one recording, write its frames under ``out_dir`` and return
     its manifest entry."""
     cam, gesture_name, variant_index = job
-    variant = _variant(parsed, *job)
+    variant = _variant(parsed.settings.master_seed, parsed.variation, *job)
     rendered = render_recording(
         parsed.scripts[gesture_name],
         cam,
@@ -237,7 +221,7 @@ def _frame_count(parsed: ParsedConfig, job: Job) -> int:
     cam, gesture_name, _ = job
     script = parsed.scripts[gesture_name]
     rig = _rig(script, parsed.settings.default_left_hand)
-    variant = _variant(parsed, *job)
+    variant = _variant(parsed.settings.master_seed, parsed.variation, *job)
     return gesture.plan_timeline(script, rest_position(rig), gesture_anchor(rig), cam.fps, variant).total_frames
 
 
@@ -353,7 +337,7 @@ def preview_frame(
     cam = next((c for c in parsed.cameras if c.camera_id == camera_id), None)
     if cam is None:
         raise ValueError(f"unknown camera {camera_id!r}")
-    variant = _variant(parsed, cam, gesture_name, 0)
+    variant = _variant(parsed.settings.master_seed, parsed.variation, cam, gesture_name, 0)
     setup = _setup_recording(parsed.scripts[gesture_name], cam, variant, parsed.settings.default_left_hand)
     total = setup.timeline.total_frames
     if not (0 <= frame_index < total):
@@ -365,16 +349,16 @@ def preview_frame(
 
 def render_trajectory_set(
     gesture_name: str,
-    variation,
-    conditions,
+    variation: VariationConfig,
     n_variants: int,
     master_seed: int = 0,
     resolution: tuple[int, int] = (320, 240),
     fps: float = 30.0,
     noise_enabled: bool = True,
 ) -> list[Trajectory]:
-    """Render n variants of one built-in gesture in memory and extract
-    trajectories, seen by the infotainment depth camera."""
+    """Render n variants of one built-in gesture in memory, under the
+    variation's ranges and range conditions, and extract trajectories, seen
+    by the infotainment depth camera."""
     registry = builtin_scripts()
     if gesture_name not in registry:
         raise ValueError(f"unknown gesture {gesture_name!r}")
@@ -389,7 +373,7 @@ def render_trajectory_set(
     )
     trajectories = []
     for v in range(n_variants):
-        variant = _derive_variant(master_seed, variation, conditions, camera, gesture_name, v)
+        variant = _variant(master_seed, variation, camera, gesture_name, v)
         rendered = render_recording(script, camera, variant, noise_enabled=noise_enabled)
         codes = [f.pixels for f in rendered.frames]
         trajectories.append(

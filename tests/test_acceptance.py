@@ -323,7 +323,7 @@ def test_criterion_8_separability():
     records = []
     for gesture in builtin_scripts():
         trajectories = render_trajectory_set(
-            gesture, VariationConfig(), {}, 10, noise_enabled=True
+            gesture, VariationConfig(), 10, noise_enabled=True
         )
         records += [TrajectoryRecord(t, gesture, i) for i, t in enumerate(trajectories)]
     report = leave_one_out_accuracy(records)

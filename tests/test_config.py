@@ -1,3 +1,5 @@
+import copy
+import hashlib
 import json
 
 import pytest
@@ -197,3 +199,165 @@ def test_section_of_wrong_json_type_is_config_error(tmp_path, capsys, doc, field
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {field_path}: expected ")
     assert "Traceback" not in err
+
+
+# --- JSON types of values -------------------------------------------------
+
+
+def _fields(node, keys=()):
+    """(keys, value) of every field of a config document, list elements included."""
+    for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+        yield keys + (key,), value
+        if isinstance(value, (dict, list)):
+            yield from _fields(value, keys + (key,))
+
+
+def _field_path(keys) -> str:
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys).lstrip(".")
+
+
+def _get(doc, keys):
+    for key in keys:
+        doc = doc[key]
+    return doc
+
+
+def _json_kind(value) -> set[str]:
+    """The JSON kinds that fit the field ``value`` fills."""
+    if isinstance(value, bool):
+        return {"bool"}
+    if isinstance(value, int):
+        return {"integer"}
+    if isinstance(value, float):
+        return {"integer", "decimal"}
+    if isinstance(value, str):
+        return {"string"}
+    return {"list"} if isinstance(value, list) else {"object"}
+
+
+_JSON_VALUES = {
+    "integer": 7,
+    "decimal": 2.5,
+    "NaN": float("nan"),
+    "string": "x",
+    "bool": True,
+    "null": None,
+    "list": [],
+    "object": {},
+}
+_DEFAULT_DOC = config_to_dict(parse_config_full("{}"))
+
+
+def _validate(tmp_path, capsys, doc) -> tuple[int, str, str]:
+    from handsynth.cli import main
+
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    code = main(["validate", "--config", str(path)])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("keys", [keys for keys, _ in _fields(_DEFAULT_DOC)], ids=_field_path)
+def test_every_field_refuses_every_wrong_json_type(tmp_path, capsys, keys):
+    """Each field of the fully defaulted document, cameras and sensor
+    included, given each JSON value that does not fit its type."""
+    from handsynth.cli import EXIT_CONFIG
+
+    fits = _json_kind(_get(_DEFAULT_DOC, keys))
+    failures = []
+    for kind, wrong in _JSON_VALUES.items():
+        if kind in fits:
+            continue
+        doc = copy.deepcopy(_DEFAULT_DOC)
+        _get(doc, keys[:-1])[keys[-1]] = wrong
+        code, _, err = _validate(tmp_path, capsys, doc)
+        if code != EXIT_CONFIG or not err.startswith(f"config error: {_field_path(keys)}: ") or "Traceback" in err:
+            failures.append((kind, code, err))
+    assert not failures
+
+
+@pytest.mark.parametrize(
+    "doc, field_path",
+    [
+        ('{"default_left_hand": "false"}', "default_left_hand"),
+        ('{"recordings_per_gesture": 2.7}', "recordings_per_gesture"),
+        ('{"master_seed": true}', "master_seed"),
+        ('{"cameras": [{"camera_id": 5}]}', "cameras[0].camera_id"),
+        ('{"cameras": [{"resolution": [32.5, 24]}]}', "cameras[0].resolution[0]"),
+        ('{"cameras": [{"sensor": {"flipbook_tile_px": 16.5}}]}', "cameras[0].sensor.flipbook_tile_px"),
+        ('{"fps": NaN}', "fps"),
+        ('{"cameras": [{"sensor": {"depth_jitter": NaN}}]}', "cameras[0].sensor.depth_jitter"),
+        ('{"resolution": 5}', "resolution"),
+        ('{"cameras": [{"resolution": 5}]}', "cameras[0].resolution"),
+        ('{"gestures": 5}', "gestures"),
+        ('{"gestures": ["swipe_up", "swipe_up"]}', "gestures"),
+    ],
+)
+def test_value_that_does_not_fit_is_refused_before_any_frame(tmp_path, capsys, doc, field_path):
+    from handsynth.cli import EXIT_CONFIG, main
+
+    config = tmp_path / "config.json"
+    config.write_text(doc)
+    out = tmp_path / "out"
+    for args in (["validate"], ["generate", "--variants", "1", "--out", str(out)]):
+        assert main(args + ["--config", str(config)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {field_path}: ")
+        assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_repeated_gesture_override_is_refused_before_any_frame(tmp_path, capsys):
+    from handsynth.cli import EXIT_CONFIG, main
+
+    out = tmp_path / "out"
+    args = ["generate", "--gestures", "swipe_up", "swipe_up", "--variants", "1", "--out", str(out)]
+    assert main(args) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: gestures: ")
+    assert not out.exists()
+
+
+_POSED_DOC = {
+    "recordings_per_gesture": 3,
+    "resolution": [200, 150],
+    "fps": 25,
+    "default_left_hand": True,
+    "master_seed": 99,
+    "gestures": ["swipe_up", "peace_sign"],
+    "variation": {
+        "speed_offset": [5, 20],
+        "depth_min": [10.5, 20],
+        "conditions": {"speed_offset": "high", "finger_spacing": "low"},
+    },
+    "cameras": [
+        {
+            "camera_id": "rgb1",
+            "kind": "rgb",
+            "position": [1, 2.5, -80],
+            "rotation": [0, 10, 0],
+            "fov_deg": 55,
+            "resolution": [64, 48],
+            "fps": 15,
+            "sensor": {"ambient": 0.3, "depth_jitter": 2, "flipbook_tile_px": 32},
+        },
+        {"kind": "infrared", "preset": "wheel"},
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "doc, digest",
+    [
+        ({}, "bc34fc06adaa8be777495de2cff9df12ca548d9ace86744919a181c1dee6827d"),
+        (_POSED_DOC, "be7113af112114d336e3e178babf125e5409f19d9940578bb30192c78436a48c"),
+    ],
+    ids=["defaults", "posed_camera_sensor_conditions"],
+)
+def test_validate_output_is_pinned(tmp_path, capsys, doc, digest):
+    """SHA-256 of ``handsynth validate``'s output as the hand-written
+    section readers printed it: a sensor number written as an integer still
+    prints as one."""
+    code, out, _ = _validate(tmp_path, capsys, doc)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

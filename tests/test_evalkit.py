@@ -269,7 +269,7 @@ def test_degenerate_ranges_zero_dispersion():
         depth_max=ParamRange(150.0, 150.0),
     )
     trajectories = render_trajectory_set(
-        "swipe_right", cfg, {}, 3, resolution=(161, 121), noise_enabled=False
+        "swipe_right", cfg, 3, resolution=(161, 121), noise_enabled=False
     )
     assert mean_pairwise_dispersion(trajectories) == 0.0
 
