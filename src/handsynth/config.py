@@ -40,6 +40,7 @@ class ConfigError(ValueError):
     """Configuration problem; names the offending field when known."""
 
     def __init__(self, message: str, field_path: str | None = None):
+        self.message = message
         self.field_path = field_path
         super().__init__(f"{field_path}: {message}" if field_path else message)
 
@@ -423,30 +424,42 @@ def apply_overrides(
     variants: int | None = None,
     conditions: dict[str, str] | None = None,
 ) -> ParsedConfig:
-    """CLI-level overrides, applied after parsing and re-validated."""
+    """CLI-level overrides, applied after parsing and re-validated.  An
+    error in an overridden value names the flag that gave it."""
     settings = parsed.settings
+    flags = {}  # settings field path -> the flag that overrode it
     if out is not None:
         settings = replace(settings, output_path=out)
     if seed is not None:
         settings = replace(settings, master_seed=seed)
+        flags["master_seed"] = "--seed"
     if gestures is not None:
         settings = replace(settings, gesture_names=tuple(gestures))
+        flags["gestures"] = "--gestures"
     if variants is not None:
         settings = replace(settings, recordings_per_gesture=variants)
+        flags["recordings_per_gesture"] = "--variants"
+    try:
+        settings.validate(set(parsed.scripts))
+    except ConfigError as exc:
+        if exc.field_path not in flags:
+            raise
+        raise ConfigError(exc.message, flags[exc.field_path]) from None
 
     cams = parsed.cameras
     if cameras is not None:
         known = {c.camera_id for c in parsed.cameras}
         missing = [c for c in cameras if c not in known]
         if missing:
-            raise ConfigError(f"unknown camera ids {missing}; configured: {sorted(known)}", "cameras")
+            raise ConfigError(f"unknown camera ids {missing}; configured: {sorted(known)}", "--cameras")
         cams = tuple(c for c in parsed.cameras if c.camera_id in set(cameras))
 
     variation = parsed.variation
     if conditions:
-        merged = {**variation.condition_overrides, **_parse_conditions(conditions, "condition")}
+        merged = {**variation.condition_overrides, **_parse_conditions(conditions, "--condition")}
         variation = replace(variation, condition_overrides=merged)
-
-    settings.validate(set(parsed.scripts))
-    variation.validate()
+        try:
+            variation.validate()
+        except ConfigError as exc:
+            raise ConfigError(exc.message, "--condition") from None
     return replace(parsed, settings=settings, variation=variation, cameras=cams)

@@ -7,11 +7,12 @@ change a single byte of output.  Each job carries the parsed recipe,
 gesture scripts included, so no job reads the config or a script file.
 The static part of the scene (body, cabin) is traced once per camera and
 reused as the base buffer for every frame; only the gesturing arm is
-retraced per frame.  Depth and RGB frames are traced and sensed only inside
-the arm's dirty window (``render.trace_depth``).  Everywhere else a frame
-equals what the sensor makes of the static base: one frame per flipbook tile
-for depth, one for RGB, computed once per recording and kept on its
-``_RecordingSetup``.
+retraced per frame, inside its dirty window (``render.trace_depth``).  Depth
+frames are sensed over that window; RGB and infrared frames shade only the
+pixels the arm wins.  The rest of each frame comes from what the sensor
+makes of the static base (``render.sensor_background``): one frame per
+flipbook tile for depth, one frame for RGB, one pre-blur image for infrared,
+each computed once per recording and kept on its ``_RecordingSetup``.
 """
 
 from __future__ import annotations
@@ -93,22 +94,34 @@ class _RecordingSetup:
     base: DepthBuffer
     backgrounds: dict = field(default_factory=dict)  # see background()
 
-    def background(self, cam: CameraSpec, frame_index: int, noise_enabled: bool) -> np.ndarray:
-        """What the sensor makes of the static base at a frame: the pixels
-        of that frame outside its dirty window.  Depth output changes with
-        the flipbook tile only (noise off counts as one more tile), RGB
-        output not at all; each is computed on first use.  It is not a
+    @functools.cached_property
+    def static_intensity(self) -> np.ndarray:
+        """The depth noise intensity of the static base, which no flipbook
+        tile changes."""
+        return render.noise_intensity(self.base, self.sensor)
+
+    def background(self, cam: CameraSpec, frame_index: int, noise_enabled: bool):
+        """What the sensor makes of the static base at a frame, for the part
+        of the frame the arm does not change.  Depth output changes with the
+        flipbook tile only (noise off counts as one more tile), RGB and
+        infrared not at all; each is computed on first use.  It is not a
         frame of the recording, so it is sensed through ``render``, not
         through this module's per-frame ``sensor_frame``."""
-        if cam.kind == CameraKind.DEPTH and noise_enabled:
-            key = self.noise.tile_index(frame_index)
-        else:
-            key = self.noise.tile_count
-        pixels = self.backgrounds.get(key)
-        if pixels is None:
-            pixels = render.sensor_frame(self.base, cam, self.sensor, self.noise, frame_index, noise_enabled).pixels
-            self.backgrounds[key] = pixels
-        return pixels
+        depth_noise = cam.kind == CameraKind.DEPTH and noise_enabled
+        key = self.noise.tile_index(frame_index) if depth_noise else self.noise.tile_count
+        background = self.backgrounds.get(key)
+        if background is None:
+            background = render.sensor_background(
+                self.base,
+                cam,
+                self.sensor,
+                self.noise,
+                frame_index,
+                noise_enabled,
+                intensity=self.static_intensity if depth_noise else None,
+            )
+            self.backgrounds[key] = background
+        return background
 
 
 Job = tuple[CameraSpec, str, int]  # one recording: (camera, gesture name, variant index)

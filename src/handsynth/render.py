@@ -10,15 +10,19 @@ and plain Lambertian RGB.
 Everything here is pure numpy over immutable inputs; per-frame renders
 are deterministic functions of (scene, camera, seed, frame index).
 
-Per-frame work is limited to the gesturing arm's dirty window: traced on
-top of a static base buffer, a depth or RGB frame is traced and sensed only
-over the union of the arm capsules' screen rectangles (plus the reach of
-the depth noise model), and the rest of the frame is copied from what the
-sensor makes of the static base (``sensor_frame``'s ``background``; for
-depth one per flipbook tile).  The output is byte-identical to tracing and
-sensing the whole frame.  Infrared frames stay whole-frame: the panned
-blur moves pixels by per-frame offsets, so no part of an infrared frame is
-static.  Depth cameras trace no normals, which no depth sensor reads.
+Per-frame work is limited to the gesturing arm: traced on top of a static
+base buffer, a frame is traced only over its dirty window, the union of the
+arm capsules' screen rectangles (plus, for depth, the reach of the noise
+model).  The tracer composites only ray parameters and the index of the
+winning primitive, and derives depth, tag and (for RGB and infrared) normals
+once, at the pixels the arm wins.  Depth frames are sensed over the window;
+RGB and infrared frames shade only the arm's pixels.  Everything else comes
+from what the sensor makes of the static base (``sensor_background``): for
+depth one frame per flipbook tile, for RGB one frame, for infrared the
+image, Fresnel factors and validity before the panned blur, which then runs
+over the whole frame.  The output is byte-identical to tracing and sensing
+the whole frame.  Depth cameras trace no normals, which no depth sensor
+reads.
 """
 
 from __future__ import annotations
@@ -77,14 +81,18 @@ class DepthBuffer:
 
     A buffer covers the whole frame, or only the pixel rectangle ``window``
     = (u0, u1, v0, v1) of it: columns u0:u1, rows v0:v1 (``trace_depth``
-    with a base).  Buffers of depth cameras carry no normals: no depth
-    sensor model reads them.
+    with a base).  ``changed`` marks the pixels that a primitive traced into
+    this buffer won, over the base if there is one.  A whole-frame buffer
+    carries a normal for every pixel; a windowed one only for its changed
+    pixels, as rows in the row-major order of ``changed``.  Buffers of depth
+    cameras carry no normals: no depth sensor model reads them.
     """
 
     depth: np.ndarray  # (h, w) float64, np.inf where no hit
     tag: np.ndarray  # (h, w) uint8
-    normal: np.ndarray | None  # (h, w, 3) float64; None for depth cameras
+    normal: np.ndarray | None  # (h, w, 3), or (changed count, 3) if windowed; None for depth cameras
     ray_dir: np.ndarray  # (h, w, 3) float64, unit world-space directions
+    changed: np.ndarray  # (h, w) bool
     window: tuple[int, int, int, int] | None = None  # None: the whole frame
 
     @property
@@ -161,7 +169,7 @@ def _intersect_capsule(origin, dirs, a, b, radius):
     return t_best
 
 
-def _capsule_normal(points, a, b, radius):
+def _capsule_normal(points, a, b):
     axis = b - a
     axis_len2 = float(np.dot(axis, axis))
     if axis_len2 > 1e-18:
@@ -210,12 +218,12 @@ def _intersect_plane(origin, dirs, point, normal):
 _NOISE_REACH = 1
 
 # px by which the dirty window grows around the capsules' rectangles, per
-# camera kind whose frames are sensed over a window.  Depth: a changed depth
-# changes the output _NOISE_REACH px around it, and sensing a window
-# edge-pads it, so the window's outer _NOISE_REACH ring is wrong and dropped
-# (``_patch``).  RGB shading is per pixel.  Infrared is absent: its panned
-# blur moves pixels by per-frame offsets, so no part of its frame is static.
-_WINDOW_MARGIN = {CameraKind.DEPTH: 2 * _NOISE_REACH, CameraKind.RGB: 0}
+# camera kind.  Depth: a changed depth changes the output _NOISE_REACH px
+# around it, and sensing a window edge-pads it, so the window's outer
+# _NOISE_REACH ring is wrong and dropped (``_patch``).  RGB and infrared
+# shade per pixel; the infrared blur, which moves pixels, runs over the whole
+# frame after the arm's pixels are written in.
+_WINDOW_MARGIN = {CameraKind.DEPTH: 2 * _NOISE_REACH, CameraKind.RGB: 0, CameraKind.INFRARED: 0}
 
 
 def _capsule_screen_bounds(cam: CameraSpec, a, b, radius, w, h):
@@ -277,27 +285,44 @@ def _dirty_window(bounds, margin: int, w: int, h: int):
     return None if window == (0, w, 0, h) else window
 
 
-def _hit_points(origin, dirs, t):
-    """World points at ray parameters t; misses (inf) map to the origin."""
-    return origin + np.where(np.isfinite(t), t, 0.0)[..., None] * dirs
-
-
-def _keep_nearer(buf: DepthBuffer, t_best, z_scale, sl, t, tag, normal_at) -> None:
-    """Composite one primitive's ray parameters ``t`` into the pixels ``sl``
-    of ``buf`` and ``t_best`` wherever they are nearer than ``t_best``.
-
-    ``normal_at()`` returns the primitive's surface normals over ``sl``;
-    it is called only when at least one pixel is kept and ``buf`` has
-    normals.
-    """
+def _keep_nearer(t_best, winner, sl, t, index: int) -> None:
+    """Composite one primitive's ray parameters ``t`` into the pixels ``sl``:
+    where they are nearer than ``t_best``, they replace it and the pixel is
+    won by primitive ``index``."""
     closer = t < t_best[sl]
-    if not np.any(closer):
-        return
-    t_best[sl] = np.where(closer, t, t_best[sl])
-    buf.depth[sl] = np.where(closer, t * z_scale[sl], buf.depth[sl])
-    buf.tag[sl] = np.where(closer, tag, buf.tag[sl])
-    if buf.normal is not None:
-        buf.normal[sl] = np.where(closer[..., None], normal_at(), buf.normal[sl])
+    np.copyto(t_best[sl], t, where=closer)
+    np.copyto(winner[sl], index, where=closer)
+
+
+def _primitive_normals(scene: Scene, index: int, points, rays):
+    """Surface normals of one primitive at world ``points`` (n, 3) hit by
+    ``rays`` (n, 3).  Primitives are numbered as ``trace_depth`` numbers
+    them: capsules, then boxes, then planes."""
+    nc, nb = len(scene.capsule_tag), len(scene.box_tag)
+    if index < nc:
+        return _capsule_normal(points, scene.capsule_a[index], scene.capsule_b[index])
+    if index < nc + nb:
+        return _box_normal(points, scene.box_min[index - nc], scene.box_max[index - nc])
+    normal = scene.plane_normal[index - nc - nb]
+    return np.where((rays @ normal)[:, None] > 0, -normal, normal)
+
+
+def _won_normals(scene: Scene, origin, rays, t, winner):
+    """Normals where ``rays`` (n, 3) hit primitives ``winner`` (n,) at ray
+    parameters ``t`` (n,).  The rows are sorted by primitive, so that each
+    primitive's normals come from its own contiguous (k, 3) rows: a dot
+    product over those gives the bytes it gives over a pixel rectangle,
+    which a per-pixel elementwise dot does not."""
+    order = np.argsort(winner)
+    winner, rays = winner[order], rays[order]
+    points = origin + t[order, None] * rays
+    grouped = np.empty_like(points)
+    starts = np.flatnonzero(np.diff(winner, prepend=-1)).tolist()  # first row of each primitive
+    for lo, hi in zip(starts, [*starts[1:], len(winner)]):
+        grouped[lo:hi] = _primitive_normals(scene, int(winner[lo]), points[lo:hi], rays[lo:hi])
+    normal = np.empty_like(grouped)
+    normal[order] = grouped
+    return normal
 
 
 def trace_depth(scene: Scene, cam: CameraSpec, base: DepthBuffer | None = None) -> DepthBuffer:
@@ -306,12 +331,12 @@ def trace_depth(scene: Scene, cam: CameraSpec, base: DepthBuffer | None = None) 
     ``base`` seeds the result with an already-traced whole-frame buffer
     (the static part of a scene); tracing the remainder on top is exact
     because nearest-hit composition is an elementwise minimum.  With a
-    base, a depth or RGB camera's buffer covers only the scene's dirty
-    window: the union of its capsules' screen rectangles, grown by the
-    pixels the sensor model reads around them (``_WINDOW_MARGIN``).  The
-    frame outside the window is ``base``.  Infrared buffers, scenes with
-    boxes or planes, and capsules with no screen bound cover the whole
-    frame.  Depth cameras' buffers carry no normals.
+    base, the buffer covers only the scene's dirty window: the union of its
+    capsules' screen rectangles, grown by the pixels the sensor model reads
+    around them (``_WINDOW_MARGIN``), and its normals only the pixels the
+    arm wins.  The frame outside the window is ``base``.  Scenes with boxes
+    or planes, and capsules with no screen bound, give whole-frame buffers.
+    Depth cameras' buffers carry no normals.
     """
     origin, dirs, z_scale = _cached_rays(cam)
     w, h = cam.resolution
@@ -320,30 +345,19 @@ def trace_depth(scene: Scene, cam: CameraSpec, base: DepthBuffer | None = None) 
         for a, b, r in zip(scene.capsule_a, scene.capsule_b, scene.capsule_r)
     ]
     window = None
-    if base is not None and cam.kind in _WINDOW_MARGIN and not (len(scene.box_tag) or len(scene.plane_tag)):
+    if base is not None and not (len(scene.box_tag) or len(scene.plane_tag)):
         window = _dirty_window(bounds, _WINDOW_MARGIN[cam.kind], w, h)
     wu0, wu1, wv0, wv1 = window or (0, w, 0, h)
     win = np.s_[wv0:wv1, wu0:wu1]
     dirs, z_scale = dirs[win], z_scale[win]
-    with_normals = cam.kind != CameraKind.DEPTH
 
-    if base is not None:
-        buf = DepthBuffer(
-            depth=base.depth[win].copy(),
-            tag=base.tag[win].copy(),
-            normal=base.normal[win].copy() if with_normals else None,
-            ray_dir=dirs,
-            window=window,
-        )
-        t_best = np.where(np.isfinite(buf.depth), buf.depth / z_scale, np.inf)
+    if base is None:
+        depth = np.full((h, w), np.inf)
+        tag = np.full((h, w), TAG_NONE, dtype=np.uint8)
     else:
-        buf = DepthBuffer(
-            depth=np.full((h, w), np.inf),
-            tag=np.full((h, w), TAG_NONE, dtype=np.uint8),
-            normal=np.zeros((h, w, 3)) if with_normals else None,
-            ray_dir=dirs,
-        )
-        t_best = np.full((h, w), np.inf)
+        depth, tag = base.depth[win].copy(), base.tag[win].copy()
+    t_best = np.where(np.isfinite(depth), depth / z_scale, np.inf)
+    winner = np.full(depth.shape, -1, dtype=np.int32)  # primitive index; -1: the base
 
     full = np.s_[:, :]
     for i, rect in enumerate(bounds):
@@ -354,30 +368,29 @@ def trace_depth(scene: Scene, cam: CameraSpec, base: DepthBuffer | None = None) 
         else:
             u0, u1, v0, v1 = rect
             sl = np.s_[v0 - wv0 : v1 - wv0, u0 - wu0 : u1 - wu0]
-        a, b, r = scene.capsule_a[i], scene.capsule_b[i], float(scene.capsule_r[i])
-        t = _intersect_capsule(origin, dirs[sl], a, b, r)
-        _keep_nearer(
-            buf, t_best, z_scale, sl, t, scene.capsule_tag[i],
-            lambda: _capsule_normal(_hit_points(origin, dirs[sl], t), a, b, r),
-        )
-
+        t = _intersect_capsule(origin, dirs[sl], scene.capsule_a[i], scene.capsule_b[i], float(scene.capsule_r[i]))
+        _keep_nearer(t_best, winner, sl, t, i)
+    first = len(bounds)
     for i in range(len(scene.box_tag)):
-        bmin, bmax = scene.box_min[i], scene.box_max[i]
-        t = _intersect_box(origin, dirs, bmin, bmax)
-        _keep_nearer(
-            buf, t_best, z_scale, full, t, scene.box_tag[i],
-            lambda: _box_normal(_hit_points(origin, dirs, t), bmin, bmax),
-        )
-
+        t = _intersect_box(origin, dirs, scene.box_min[i], scene.box_max[i])
+        _keep_nearer(t_best, winner, full, t, first + i)
+    first += len(scene.box_tag)
     for i in range(len(scene.plane_tag)):
-        normal = scene.plane_normal[i]
-        t = _intersect_plane(origin, dirs, scene.plane_point[i], normal)
-        _keep_nearer(
-            buf, t_best, z_scale, full, t, scene.plane_tag[i],
-            lambda: np.where((dirs @ normal)[..., None] > 0, -normal, normal),
-        )
+        t = _intersect_plane(origin, dirs, scene.plane_point[i], scene.plane_normal[i])
+        _keep_nearer(t_best, winner, full, t, first + i)
 
-    return buf
+    changed = winner >= 0
+    won_by, t_won = winner[changed], t_best[changed]
+    depth[changed] = t_won * z_scale[changed]
+    tag[changed] = np.concatenate([scene.capsule_tag, scene.box_tag, scene.plane_tag])[won_by]
+    normal = None
+    if cam.kind != CameraKind.DEPTH:
+        normal = _won_normals(scene, origin, dirs[changed], t_won, won_by)
+        if window is None:
+            whole = np.zeros((h, w, 3)) if base is None else base.normal.copy()
+            whole[changed] = normal
+            normal = whole
+    return DepthBuffer(depth=depth, tag=tag, normal=normal, ray_dir=dirs, changed=changed, window=window)
 
 
 # ---------------------------------------------------------------------------
@@ -499,20 +512,26 @@ def noise_intensity(buf: DepthBuffer, sp: SensorParams) -> np.ndarray:
 
 
 def apply_depth_noise(
-    buf: DepthBuffer, noise: FlipbookNoise, sp: SensorParams, frame_index: int
+    buf: DepthBuffer,
+    noise: FlipbookNoise,
+    sp: SensorParams,
+    frame_index: int,
+    intensity: np.ndarray | None = None,
 ) -> DepthBuffer:
     """Flipbook-modulated dropout and jitter on a clean depth buffer.
 
     A pixel drops out when I*n exceeds the threshold (equivalently, its
     alpha 1 - I*n falls below 1 - tau); survivors get jittered by
-    sigma_d * I * (2n - 1).  A windowed buffer gets the noise of its
-    window; its outer ring is exact only where it is a frame border, as
+    sigma_d * I * (2n - 1).  ``intensity`` is ``noise_intensity(buf, sp)``
+    when the caller already has it.  A windowed buffer gets the noise of
+    its window; its outer ring is exact only where it is a frame border, as
     ``noise_intensity`` edge-pads the window.
     """
     h, w = buf.depth.shape
     u0, _, v0, _ = buf.window or (0, w, 0, h)
     n = noise.field(frame_index, h, w, top=v0, left=u0)
-    intensity = noise_intensity(buf, sp)
+    if intensity is None:
+        intensity = noise_intensity(buf, sp)
     valid = buf.valid
     drop = valid & (intensity * n > sp.dropout_threshold)
     jitter = sp.depth_jitter * intensity * (2.0 * n - 1.0)
@@ -534,54 +553,82 @@ def fresnel_factor(cos_nv, exponent: float):
     return (1.0 - np.maximum(cos_nv, 0.0)) ** exponent
 
 
-def shade_infrared(
-    buf: DepthBuffer, noise: FlipbookNoise, sp: SensorParams, frame_index: int, camera_id: str = ""
-) -> Frame:
-    """Infrared look: body orange fading to green toward silhouettes,
-    environment dark blue, plus panned-noise UV blur on strong rims."""
-    h, w = buf.depth.shape
-    view = -buf.ray_dir
-    cos_nv = np.einsum("...i,...i->...", buf.normal, view)
-    fr = fresnel_factor(cos_nv, sp.fresnel_exponent)
+@dataclass(frozen=True)
+class InfraredLayers:
+    """An infrared frame before its panned blur."""
 
-    img = np.zeros((h, w, 3))
-    body = buf.tag == TAG_BODY
-    env = buf.tag == TAG_ENVIRONMENT
+    image: np.ndarray  # (h, w, 3) float64 colour
+    fresnel: np.ndarray  # (h, w) float64 Fresnel factor
+    valid: np.ndarray  # (h, w) bool, a surface was hit
+
+
+def _infrared_shading(normal, ray_dir, tag, sp: SensorParams):
+    """Colour and Fresnel factor of pixels with normals and ray directions
+    (..., 3) and tags (...): body orange fading to green toward
+    silhouettes, environment dark blue."""
+    cos_nv = np.einsum("...i,...i->...", normal, -ray_dir)
+    fr = fresnel_factor(cos_nv, sp.fresnel_exponent)
+    img = np.zeros(tag.shape + (3,))
+    body = tag == TAG_BODY
+    env = tag == TAG_ENVIRONMENT
     f3 = fr[..., None]
     img[body] = (BODY_CENTER_COLOR * (1 - f3) + BODY_EDGE_COLOR * f3)[body]
     img[env] = (ENV_BASE_COLOR * (0.4 + 0.6 * f3))[env]
+    return img, fr
 
+
+def _infrared_pixels(layers: InfraredLayers, noise: FlipbookNoise, sp: SensorParams, frame_index: int):
+    """The 8-bit infrared frame: panned-noise UV blur on strong rims, run
+    over the whole frame in place on ``layers.image``."""
+    img, fr = layers.image, layers.fresnel
+    h, w = fr.shape
     if sp.blur_radius > 0:
         n = noise.panned_field(frame_index, h, w)
         offset = np.rint(sp.blur_radius * (2.0 * n - 1.0)).astype(np.int64)
-        blur_mask = (fr > 0.6) & buf.valid
+        blur_mask = (fr > 0.6) & layers.valid
         vs, us = np.nonzero(blur_mask)
         sv = np.clip(vs + offset[vs, us], 0, h - 1)
         su = np.clip(us + offset[vs, us], 0, w - 1)
         img[vs, us] = img[sv, su]
+    return np.clip(np.rint(img), 0, 255).astype(np.uint8)
 
+
+def _whole_infrared_layers(buf: DepthBuffer, sp: SensorParams) -> InfraredLayers:
+    return InfraredLayers(*_infrared_shading(buf.normal, buf.ray_dir, buf.tag, sp), valid=buf.valid)
+
+
+def shade_infrared(
+    buf: DepthBuffer, noise: FlipbookNoise, sp: SensorParams, frame_index: int, camera_id: str = ""
+) -> Frame:
+    """Infrared look of a whole-frame buffer: body orange fading to green
+    toward silhouettes, environment dark blue, plus panned-noise UV blur on
+    strong rims."""
     return Frame(
         kind=FRAME_KIND[CameraKind.INFRARED],
-        pixels=np.clip(np.rint(img), 0, 255).astype(np.uint8),
+        pixels=_infrared_pixels(_whole_infrared_layers(buf, sp), noise, sp, frame_index),
         frame_index=frame_index,
         camera_id=camera_id,
     )
 
 
-def shade_rgb(buf: DepthBuffer, sp: SensorParams, frame_index: int = 0, camera_id: str = "") -> Frame:
-    """Lambertian shading under one directional light plus an ambient term."""
-    h, w = buf.depth.shape
-    diffuse = np.maximum(np.einsum("...i,...i->...", buf.normal, -LIGHT_DIR), 0.0)
+def _rgb_pixels(normal, tag, sp: SensorParams):
+    """8-bit colour (..., 3) of pixels with normals (..., 3) and tags (...)."""
+    diffuse = np.maximum(np.einsum("...i,...i->...", normal, -LIGHT_DIR), 0.0)
     intensity = np.clip(sp.ambient + (1.0 - sp.ambient) * diffuse, 0.0, 1.0)
-
-    img = np.zeros((h, w, 3))
-    body = buf.tag == TAG_BODY
-    env = buf.tag == TAG_ENVIRONMENT
+    img = np.zeros(tag.shape + (3,))
+    body = tag == TAG_BODY
+    env = tag == TAG_ENVIRONMENT
     img[body] = (BODY_ALBEDO * intensity[..., None])[body]
     img[env] = (ENV_ALBEDO * intensity[..., None])[env]
+    return np.clip(np.rint(img * 255.0), 0, 255).astype(np.uint8)
+
+
+def shade_rgb(buf: DepthBuffer, sp: SensorParams, frame_index: int = 0, camera_id: str = "") -> Frame:
+    """Lambertian shading of a whole-frame buffer under one directional
+    light plus an ambient term."""
     return Frame(
         kind=FRAME_KIND[CameraKind.RGB],
-        pixels=np.clip(np.rint(img * 255.0), 0, 255).astype(np.uint8),
+        pixels=_rgb_pixels(buf.normal, buf.tag, sp),
         frame_index=frame_index,
         camera_id=camera_id,
     )
@@ -602,6 +649,34 @@ def _patch(background: np.ndarray, pixels: np.ndarray, window, trim: int) -> np.
     return out
 
 
+def _sense_depth(buf: DepthBuffer, sp, noise, frame_index, noise_enabled, intensity=None) -> np.ndarray:
+    if noise_enabled:
+        buf = apply_depth_noise(buf, noise, sp, frame_index, intensity)
+    return encode_depth16(buf, sp)
+
+
+def sensor_background(
+    base: DepthBuffer,
+    cam: CameraSpec,
+    sp: SensorParams,
+    noise: FlipbookNoise,
+    frame_index: int,
+    noise_enabled: bool = True,
+    intensity: np.ndarray | None = None,
+):
+    """``sensor_frame``'s ``background`` for buffers traced on the whole-frame
+    static ``base``.  Depth: the frame the sensor makes of ``base``, which
+    changes with the flipbook tile only; ``intensity`` is
+    ``noise_intensity(base, sp)`` when the caller already has it.  RGB: the
+    frame, the same at every frame index.  Infrared: ``base``'s
+    ``InfraredLayers``, the same at every frame index."""
+    if cam.kind == CameraKind.DEPTH:
+        return _sense_depth(base, sp, noise, frame_index, noise_enabled, intensity)
+    if cam.kind == CameraKind.RGB:
+        return shade_rgb(base, sp).pixels
+    return _whole_infrared_layers(base, sp)
+
+
 def sensor_frame(
     buf: DepthBuffer,
     cam: CameraSpec,
@@ -609,26 +684,43 @@ def sensor_frame(
     noise: FlipbookNoise,
     frame_index: int,
     noise_enabled: bool = True,
-    background: np.ndarray | None = None,
+    background=None,
 ) -> Frame:
     """Run the camera-kind-specific sensor pipeline on a clean buffer.
 
-    A windowed buffer (``trace_depth`` with a base) is sensed over its
-    window only.  ``background`` gives the rest of the frame: what this
-    sensor makes of the whole static base buffer at this frame.  For depth
-    that depends on the flipbook tile only, for RGB on nothing.
+    A windowed buffer (``trace_depth`` with a base) needs ``background``,
+    ``sensor_background`` of that base at this frame, for the rest of the
+    frame.  Depth is sensed over the window; RGB and infrared shade only the
+    buffer's changed pixels, and infrared then blurs the whole frame.
     """
-    if cam.kind == CameraKind.INFRARED:
-        return shade_infrared(buf, noise, sp, frame_index, camera_id=cam.camera_id)
-    if buf.window is not None and not buf.depth.size:
-        pixels = background.copy()  # no capsule on screen
-    else:
+    window = buf.window
+    if window is None:
         if cam.kind == CameraKind.DEPTH:
-            if noise_enabled:
-                buf = apply_depth_noise(buf, noise, sp, frame_index)
-            pixels = encode_depth16(buf, sp)
-        else:
+            pixels = _sense_depth(buf, sp, noise, frame_index, noise_enabled)
+        elif cam.kind == CameraKind.RGB:
             pixels = shade_rgb(buf, sp).pixels
-        if buf.window is not None:
-            pixels = _patch(background, pixels, buf.window, _NOISE_REACH if cam.kind == CameraKind.DEPTH else 0)
+        else:
+            pixels = shade_infrared(buf, noise, sp, frame_index).pixels
+    elif background is None:
+        raise ValueError(
+            f"buffer windowed to (u0, u1, v0, v1) = {window}: sensing it needs the background, "
+            "what the sensor makes of the static base"
+        )
+    else:
+        u0, u1, v0, v1 = window
+        arm = np.s_[v0:v1, u0:u1]
+        if cam.kind == CameraKind.INFRARED:
+            layers = InfraredLayers(background.image.copy(), background.fresnel.copy(), background.valid.copy())
+            layers.image[arm][buf.changed], layers.fresnel[arm][buf.changed] = _infrared_shading(
+                buf.normal, buf.ray_dir[buf.changed], buf.tag[buf.changed], sp
+            )
+            layers.valid[arm] = buf.valid
+            pixels = _infrared_pixels(layers, noise, sp, frame_index)
+        elif cam.kind == CameraKind.RGB:
+            pixels = background.copy()
+            pixels[arm][buf.changed] = _rgb_pixels(buf.normal, buf.tag[buf.changed], sp)
+        elif buf.depth.size:
+            pixels = _patch(background, _sense_depth(buf, sp, noise, frame_index, noise_enabled), window, _NOISE_REACH)
+        else:
+            pixels = background.copy()  # no capsule on screen
     return Frame(kind=FRAME_KIND[cam.kind], pixels=pixels, frame_index=frame_index, camera_id=cam.camera_id)

@@ -47,6 +47,67 @@ def test_validate_bad_config_exit_2(tmp_path, capsys):
     assert "recordings_per_gesture" in capsys.readouterr().err
 
 
+# recipe depth ranges that the High condition on both makes overlap
+_NARROW_DEPTH = {"depth_min": [60, 70], "depth_max": [80, 90]}
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--variants", "0"], "--variants: must be >= 1"),
+        (["--seed", "-1"], "--seed: must be a 64-bit unsigned integer"),
+        (["--seed", str(2**64)], "--seed: must be a 64-bit unsigned integer"),
+        (["--gestures", "moonwalk"], "--gestures: unknown gesture name 'moonwalk'"),
+        (["--gestures", "swipe_up", "swipe_up"], "--gestures: each gesture may be named once"),
+        (["--cameras", "rgb9"], "--cameras: unknown camera ids ['rgb9']"),
+        (["--condition", "warp_factor=low"], "--condition: unknown parameter 'warp_factor'"),
+        (["--condition", "speed_offset=extreme"], "--condition: speed_offset: expected one of low/median/high"),
+        (["--condition", "speed_offset"], "--condition expects <param>=<low|median|high>"),
+        (["--condition", "depth_min=high", "--condition", "depth_max=high"], "--condition: depth_min range"),
+        (["--out", "elsewhere", "--variants", "-2"], "--variants: must be >= 1"),
+    ],
+)
+def test_override_error_names_the_flag(tmp_path, capsys, flags, message):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"variation": _NARROW_DEPTH}))
+    out = tmp_path / "out"
+    for command in (["validate"], ["generate", "--out", str(out)]):
+        assert main(command + ["--config", str(config)] + flags) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {message}"), err
+        assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "doc, field_path",
+    [
+        ({"recordings_per_gesture": 0}, "recordings_per_gesture"),
+        ({"master_seed": -1}, "master_seed"),
+        ({"gestures": ["moonwalk"]}, "gestures"),
+        ({"variation": {**_NARROW_DEPTH, "conditions": {"depth_min": "high", "depth_max": "high"}}}, "variation.depth_min"),
+    ],
+)
+def test_recipe_error_keeps_its_field_path_beside_overrides(tmp_path, capsys, doc, field_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    flags = ["--out", str(tmp_path / "out"), "--seed", "3", "--variants", "2", "--condition", "speed_offset=low"]
+    assert main(["validate", "--config", str(config)] + flags) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: {field_path}: ")
+
+
+def test_overrides_that_fit_are_applied(tmp_path, capsys):
+    flags = ["--out", "elsewhere", "--seed", "3", "--variants", "2", "--gestures", "swipe_up", "--cameras", "depth0"]
+    assert main(["validate", "--config", _small_config(tmp_path)] + flags + ["--condition", "speed_offset=low"]) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["output_path"] == "elsewhere"
+    assert doc["master_seed"] == 3
+    assert doc["recordings_per_gesture"] == 2
+    assert doc["gestures"] == ["swipe_up"]
+    assert [c["camera_id"] for c in doc["cameras"]] == ["depth0"]
+    assert doc["variation"]["conditions"] == {"speed_offset": "low"}
+
+
 def test_validate_unknown_gesture_exit_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"gestures": ["moonwalk"]}')

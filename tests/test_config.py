@@ -314,7 +314,7 @@ def test_repeated_gesture_override_is_refused_before_any_frame(tmp_path, capsys)
     out = tmp_path / "out"
     args = ["generate", "--gestures", "swipe_up", "swipe_up", "--variants", "1", "--out", str(out)]
     assert main(args) == EXIT_CONFIG
-    assert capsys.readouterr().err.startswith("config error: gestures: ")
+    assert capsys.readouterr().err.startswith("config error: --gestures: ")
     assert not out.exists()
 
 

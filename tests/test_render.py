@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from handsynth.render import (
     encode_depth16,
     fresnel_factor,
     make_flipbook,
+    sensor_background,
     sensor_frame,
     shade_infrared,
     shade_rgb,
@@ -468,17 +470,34 @@ def _window_camera(case):
     from handsynth.skeleton import default_rig
 
     anchor = gesture_anchor(default_rig())
-    kind = CameraKind.RGB if case == "rgb" else CameraKind.DEPTH
-    if case == "camera_plane":
+    if case == "rgb":
+        kind = CameraKind.RGB
+    elif case.startswith("infrared"):
+        kind = CameraKind.INFRARED
+    else:
+        kind = CameraKind.DEPTH
+    if case.endswith("camera_plane"):
         # just in front of the gesture volume, facing the driver: the hand
         # passes behind the camera plane in some frames
         position = tuple(float(x) for x in anchor + vec(0.0, 0.0, -8.0))
         return CameraSpec("w", kind, position=position, rotation=(0.0, 180.0, 0.0), resolution=(80, 60), fps=10)
-    fov = 25.0 if case == "border" else 60.0
+    fov = 25.0 if case.endswith("border") else 60.0
     return preset_camera("infotainment", "w", kind, anchor, resolution=(80, 60), fps=10, fov_deg=fov)
 
 
-@pytest.mark.parametrize("case", ["depth_noise_on", "depth_noise_off", "rgb", "border", "camera_plane"])
+@pytest.mark.parametrize(
+    "case",
+    [
+        "depth_noise_on",
+        "depth_noise_off",
+        "rgb",
+        "border",
+        "camera_plane",
+        "infrared",
+        "infrared_border",
+        "infrared_camera_plane",
+    ],
+)
 def test_windowed_frames_equal_full_frame_render(monkeypatch, case):
     """Every frame of a recording, rendered through the dirty window, is
     byte-identical to tracing the whole scene and sensing the whole frame."""
@@ -514,9 +533,9 @@ def test_windowed_frames_equal_full_frame_render(monkeypatch, case):
 
     w, _ = cam.resolution
     windowed = [win for win in windows if win is not None]
-    if case == "camera_plane":
+    if case.endswith("camera_plane"):
         assert None in windows and windowed
-    elif case == "border":  # every window reaches the bottom row; these reach a side or the top too
+    elif case.endswith("border"):  # every window reaches the bottom row; these reach a side or the top too
         assert any(win[0] == 0 or win[1] == w or win[2] == 0 for win in windowed)
     else:
         assert len(windowed) == len(windows)
@@ -554,15 +573,26 @@ def test_one_trace_and_one_sensor_call_per_frame(monkeypatch, kind):
     assert calls == Counter(trace_static=1, trace_dynamic=frames, sensor=frames)
 
 
-@pytest.mark.parametrize("kind", [CameraKind.DEPTH, CameraKind.RGB])
+@pytest.mark.parametrize("kind", [CameraKind.DEPTH, CameraKind.RGB, CameraKind.INFRARED])
 def test_capsules_off_screen_give_the_background(kind):
     cam = _cam(resolution=(48, 36), kind=kind)
     sp = SensorParams()
     noise = make_flipbook(sp, 2)
     base = trace_depth(scene_from_primitives(planes=[(vec(0, 0, -100.0), vec(0, 0, 1.0))]), cam)
-    background = sensor_frame(base, cam, sp, noise, 5).pixels
+    static = sensor_frame(base, cam, sp, noise, 5).pixels
     off_screen = scene_from_primitives(capsules=[(vec(400.0, 0, -90.0), vec(420.0, 0, -90.0), 3.0)])
     buf = trace_depth(off_screen, cam, base=base)
     assert buf.window == (0, 0, 0, 0)
-    frame = sensor_frame(buf, cam, sp, noise, 5, background=background)
-    assert np.array_equal(frame.pixels, background)
+    frame = sensor_frame(buf, cam, sp, noise, 5, background=sensor_background(base, cam, sp, noise, 5))
+    assert np.array_equal(frame.pixels, static)
+
+
+@pytest.mark.parametrize("kind", [CameraKind.DEPTH, CameraKind.RGB, CameraKind.INFRARED])
+def test_windowed_buffer_without_background_is_refused(kind):
+    cam = _cam(resolution=(48, 36), kind=kind)
+    sp = SensorParams()
+    base = trace_depth(scene_from_primitives(planes=[(vec(0, 0, -100.0), vec(0, 0, 1.0))]), cam)
+    buf = trace_depth(_sphere_scene((0.0, 0.0, -80.0), 6.0), cam, base=base)
+    assert buf.window not in (None, (0, 0, 0, 0))
+    with pytest.raises(ValueError, match=re.escape(f"windowed to (u0, u1, v0, v1) = {buf.window}")):
+        sensor_frame(buf, cam, sp, make_flipbook(sp, 2), 0)

@@ -147,17 +147,20 @@ def test_static_plus_dynamic_equals_full_trace(rig, depth_cam):
     full = trace_depth(build_scene(rig, posed), cam)
     base = trace_depth(static_scene(rig), cam)
     split = trace_depth(dynamic_scene(posed), cam, base=base)
-    # the split trace covers the arm's window; the frame outside it is the base
+    # the split trace covers the arm's window, with normals at the pixels the
+    # arm wins only; every other pixel of the frame is the base
     u0, u1, v0, v1 = split.window
     win = np.s_[v0:v1, u0:u1]
     assert np.array_equal(full.depth[win], split.depth)
     assert np.array_equal(full.tag[win], split.tag)
-    assert np.array_equal(full.normal[win], split.normal)
-    outside = np.ones(full.depth.shape, dtype=bool)
-    outside[win] = False
-    assert np.array_equal(full.depth[outside], base.depth[outside])
-    assert np.array_equal(full.tag[outside], base.tag[outside])
-    assert np.array_equal(full.normal[outside], base.normal[outside])
+    assert split.changed.any()
+    assert np.all(split.depth[split.changed] < base.depth[win][split.changed])
+    assert np.array_equal(full.normal[win][split.changed], split.normal)
+    unchanged = np.ones(full.depth.shape, dtype=bool)
+    unchanged[win] = ~split.changed
+    assert np.array_equal(full.depth[unchanged], base.depth[unchanged])
+    assert np.array_equal(full.tag[unchanged], base.tag[unchanged])
+    assert np.array_equal(full.normal[unchanged], base.normal[unchanged])
 
 
 def test_camera_serialization_round_trip():
