@@ -27,6 +27,7 @@ reads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -120,75 +121,116 @@ FRAME_KIND = {CameraKind.DEPTH: "depth16", CameraKind.INFRARED: "ir8", CameraKin
 
 
 def _intersect_capsule(origin, dirs, a, b, radius):
-    """Nearest positive t of rays against one capsule; inf where missed."""
+    """Nearest positive t of rays ``dirs`` (h, w, 3) against one capsule;
+    inf where missed.
+
+    The rays are copied once into contiguous (n, 3) rows, and every dot
+    product with a capsule vector is one ``rows @ vec``: that gives the
+    bytes it gives over any other rectangle holding the same rays, which an
+    elementwise sum, ``einsum`` or ``@`` with a (3, k) matrix does not.  A
+    missed ray takes the square root of a negative discriminant, NaN, which
+    fails every comparison below, so it ends as inf.  The arithmetic is done
+    in place where an operand is not needed again, and (n, 3) arithmetic a
+    column at a time; each formula is noted above its steps.
+    """
+    h, w = dirs.shape[:2]
+    rows = np.ascontiguousarray(dirs).reshape(-1, 3)
     axis = b - a
     axis_len2 = float(np.dot(axis, axis))
-    h, w = dirs.shape[:2]
-    t_best = np.full((h, w), np.inf)
-
+    r2 = radius * radius
     oa = origin - a
-    if axis_len2 > 1e-18:
-        axis_n = axis / np.sqrt(axis_len2)
-        d_par = dirs @ axis_n
-        o_par = float(oa @ axis_n)
-        d_perp = dirs - d_par[..., None] * axis_n
-        o_perp = oa - o_par * axis_n
-        aa = np.einsum("...i,...i->...", d_perp, d_perp)
-        bb = d_perp @ o_perp
-        cc = float(o_perp @ o_perp) - radius * radius
-        disc = bb * bb - aa * cc
-        hit = disc >= 0.0
-        sq = np.sqrt(np.where(hit, disc, 0.0))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_cyl = np.where(hit & (aa > 1e-18), (-bb - sq) / aa, np.inf)
-        z = o_par + t_cyl * d_par
-        seg_len = np.sqrt(axis_len2)
-        on_body = (z >= 0.0) & (z <= seg_len) & (t_cyl > _T_EPS)
-        t_best = np.where(on_body, t_cyl, t_best)
-
-    for cap_center in (a, b):
-        oc = origin - cap_center
-        b_s = dirs @ oc
-        c_s = float(oc @ oc) - radius * radius
-        disc = b_s * b_s - c_s
-        hit = disc >= 0.0
-        sq = np.sqrt(np.where(hit, disc, 0.0))
-        t1 = -b_s - sq
-        t2 = -b_s + sq
-        t_sph = np.where(t1 > _T_EPS, t1, np.where(t2 > _T_EPS, t2, np.inf))
-        t_sph = np.where(hit, t_sph, np.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
         if axis_len2 > 1e-18:
-            # accept only points in the cap's hemisphere (outside the cylinder span)
-            p_axis = float(oa @ axis) + t_sph * (dirs @ axis)
-            if cap_center is a:
-                in_cap = p_axis <= 0.0
-            else:
-                in_cap = p_axis >= axis_len2
-            t_sph = np.where(np.isfinite(t_sph) & in_cap, t_sph, np.inf)
-        t_best = np.minimum(t_best, t_sph)
-    return t_best
+            axis_n = axis / np.sqrt(axis_len2)
+            d_par = rows @ axis_n
+            o_par = float(oa @ axis_n)
+            # d_perp = rows - d_par[:, None] * axis_n, a column at a time: numpy
+            # broadcasts slowly over a length-3 axis
+            d_perp = np.empty_like(rows)
+            for k in range(3):
+                np.subtract(rows[:, k], d_par * axis_n[k], out=d_perp[:, k])
+            o_perp = oa - o_par * axis_n
+            aa = np.einsum("...i,...i->...", d_perp, d_perp)
+            bb = d_perp @ o_perp
+            cc = float(o_perp @ o_perp) - r2
+            # t_cyl = (-bb - sqrt(bb * bb - aa * cc)) / aa, z = o_par + t_cyl * d_par
+            sq = bb * bb
+            sq -= aa * cc
+            np.sqrt(sq, out=sq)
+            t_cyl = np.subtract(np.negative(bb, out=bb), sq, out=sq)
+            t_cyl /= aa
+            z = t_cyl * d_par
+            z += o_par
+            on_body = aa > 1e-18  # else the ray runs along the axis
+            on_body &= z >= 0.0
+            on_body &= z <= np.sqrt(axis_len2)
+            on_body &= t_cyl > _T_EPS
+            t_best = np.where(on_body, t_cyl, np.inf)
+            d_axis = rows @ axis
+        else:
+            t_best = np.full(len(rows), np.inf)
+
+        for cap_center in (a, b):
+            oc = origin - cap_center
+            b_s = rows @ oc
+            # t1, t2 = -b_s -+ sqrt(b_s * b_s - (oc . oc - r2))
+            sq = b_s * b_s
+            sq -= float(oc @ oc) - r2
+            np.sqrt(sq, out=sq)
+            minus_b = np.negative(b_s, out=b_s)
+            t1 = minus_b - sq
+            t2 = np.add(minus_b, sq, out=sq)
+            t_sph = np.where(t1 > _T_EPS, t1, np.where(t2 > _T_EPS, t2, np.inf))
+            in_cap = True
+            if axis_len2 > 1e-18:
+                # accept only points in the cap's hemisphere (outside the cylinder
+                # span): p_axis = oa . axis + t_sph * d_axis
+                p_axis = t_sph * d_axis
+                p_axis += float(oa @ axis)
+                in_cap = p_axis <= 0.0 if cap_center is a else p_axis >= axis_len2
+            np.minimum(t_best, t_sph, out=t_best, where=in_cap)
+    return t_best.reshape(h, w)
 
 
 def _capsule_normal(points, a, b):
+    """Unit normals at surface ``points`` (n, 3) of the capsule a-b: away
+    from the nearest point of the axis segment.  The (n, 3) arithmetic runs
+    a column at a time, as numpy broadcasts slowly over a length-3 axis;
+    the norm sums its three squares left to right, as ``np.linalg.norm``
+    does."""
     axis = b - a
     axis_len2 = float(np.dot(axis, axis))
+    n = np.empty_like(points)
     if axis_len2 > 1e-18:
-        s = np.clip(((points - a) @ axis) / axis_len2, 0.0, 1.0)
+        for k in range(3):
+            np.subtract(points[:, k], a[k], out=n[:, k])
+        s = np.clip((n @ axis) / axis_len2, 0.0, 1.0)
     else:
-        s = np.zeros(points.shape[:-1])
-    closest = a + s[..., None] * axis
-    n = points - closest
-    return n / np.maximum(np.linalg.norm(n, axis=-1, keepdims=True), 1e-12)
+        s = np.zeros(len(points))
+    for k in range(3):  # points - (a + s * axis)
+        np.subtract(points[:, k], a[k] + s * axis[k], out=n[:, k])
+    norm = n[:, 0] * n[:, 0]
+    norm += n[:, 1] * n[:, 1]
+    norm += n[:, 2] * n[:, 2]
+    norm = np.maximum(np.sqrt(norm, out=norm), 1e-12)
+    for k in range(3):
+        n[:, k] /= norm
+    return n
 
 
 def _intersect_box(origin, dirs, bmin, bmax):
-    """Nearest positive t against one AABB (slab method)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = 1.0 / dirs
-    t1 = (bmin - origin) * inv
-    t2 = (bmax - origin) * inv
-    t_near = np.nanmax(np.minimum(t1, t2), axis=-1)
-    t_far = np.nanmin(np.maximum(t1, t2), axis=-1)
+    """Nearest positive t against one AABB (slab method), a slab at a time.
+    A ray parallel to a slab with its origin on the slab's plane gets a NaN
+    there (0 * inf), which ``fmax``/``fmin`` skip."""
+    t_near = t_far = None
+    for k in range(3):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inv = 1.0 / dirs[..., k]
+            t1 = (bmin[k] - origin[k]) * inv
+            t2 = np.multiply(bmax[k] - origin[k], inv, out=inv)
+        lo, hi = np.minimum(t1, t2), np.maximum(t1, t2, out=t1)
+        t_near = lo if t_near is None else np.fmax(t_near, lo, out=t_near)
+        t_far = hi if t_far is None else np.fmin(t_far, hi, out=t_far)
     hit = (t_near <= t_far) & (t_far > _T_EPS)
     t = np.where(t_near > _T_EPS, t_near, t_far)
     return np.where(hit, t, np.inf)
@@ -226,45 +268,55 @@ _NOISE_REACH = 1
 _WINDOW_MARGIN = {CameraKind.DEPTH: 2 * _NOISE_REACH, CameraKind.RGB: 0, CameraKind.INFRARED: 0}
 
 
-def _capsule_screen_bounds(cam: CameraSpec, a, b, radius, w, h):
-    """Pixel rectangle covering one capsule, or None if the capsule can sit
-    anywhere on screen (an end sphere reaches the camera plane).
+def _capsule_screen_bounds(cam: CameraSpec, scene: Scene) -> list:
+    """Pixel rectangle (u0, u1, v0, v1) covering each capsule of ``scene``:
+    (0, 0, 0, 0) when it is fully off screen, None when it can sit anywhere
+    on screen (an end sphere reaches the camera plane).
 
     A capsule is the convex hull of its two end spheres and x/z, y/z are
     linear-fractional, so the union of the spheres' exact projected
     extents bounds it.  A sphere at camera (x, y) and depth z > r spans
     x/z in (x*z -+ r*sqrt(x^2 + z^2 - r^2)) / (z^2 - r^2): the two planes
-    through the eye that touch it, and likewise in y.
+    through the eye that touch it, and likewise in y.  All capsules are
+    bounded in one pass; axis 1 of the arrays below is the end sphere.
     """
-    import math
-
+    w, h = cam.resolution
+    n = len(scene.capsule_tag)
     tan_half = math.tan(math.radians(cam.fov_deg) / 2.0)
     tan_v = tan_half * h / w
-    pts = cam.world_to_camera(np.vstack([a, b]))
+    ends = np.stack([scene.capsule_a, scene.capsule_b], axis=1).reshape(-1, 3)
+    pts = cam.world_to_camera(ends).reshape(n, 2, 3)
+    x, y, z = pts[..., 0], pts[..., 1], -pts[..., 2]
+    radius = np.asarray(scene.capsule_r, dtype=np.float64)[:, None]
     r2 = radius * radius
-    u_lo, u_hi, v_lo, v_hi = np.inf, -np.inf, np.inf, -np.inf
-    for x, y, z_cam in pts.tolist():
-        z = -z_cam
-        if z - radius <= 1e-6:
-            return None  # sphere reaches the camera plane: no safe bound
+    reaches = np.any(z - radius <= 1e-6, axis=1)  # no safe bound
+    with np.errstate(divide="ignore", invalid="ignore"):  # the spheres that reach the plane
         denom = z * z - r2
-        sx = radius * math.sqrt(x * x + z * z - r2)
-        sy = radius * math.sqrt(y * y + z * z - r2)
+        sx = radius * np.sqrt(x * x + z * z - r2)
+        sy = radius * np.sqrt(y * y + z * z - r2)
         x_lo = (x * z - sx) / denom
         x_hi = (x * z + sx) / denom
         y_lo = (y * z - sy) / denom
         y_hi = (y * z + sy) / denom
-        u_lo = min(u_lo, (x_lo / tan_half + 1.0) / 2.0 * w)
-        u_hi = max(u_hi, (x_hi / tan_half + 1.0) / 2.0 * w)
-        v_lo = min(v_lo, (1.0 - (y_hi / tan_v + 1.0) / 2.0) * h)
-        v_hi = max(v_hi, (1.0 - (y_lo / tan_v + 1.0) / 2.0) * h)
-    u0 = max(int(np.floor(u_lo)) - 1, 0)
-    u1 = min(int(np.ceil(u_hi)) + 2, w)
-    v0 = max(int(np.floor(v_lo)) - 1, 0)
-    v1 = min(int(np.ceil(v_hi)) + 2, h)
-    if u0 >= u1 or v0 >= v1:
-        return (0, 0, 0, 0)  # fully off screen
-    return (u0, u1, v0, v1)
+        u_lo = np.min((x_lo / tan_half + 1.0) / 2.0 * w, axis=1)
+        u_hi = np.max((x_hi / tan_half + 1.0) / 2.0 * w, axis=1)
+        v_lo = np.min((1.0 - (y_hi / tan_v + 1.0) / 2.0) * h, axis=1)
+        v_hi = np.max((1.0 - (y_lo / tan_v + 1.0) / 2.0) * h, axis=1)
+    # clipped to the frame before the integer cast, which a far-off bound
+    # could overflow; a rectangle empty before the clip stays empty
+    rects = np.stack(
+        [
+            np.clip(np.floor(u_lo) - 1, 0, w),
+            np.clip(np.ceil(u_hi) + 2, 0, w),
+            np.clip(np.floor(v_lo) - 1, 0, h),
+            np.clip(np.ceil(v_hi) + 2, 0, h),
+        ],
+        axis=1,
+    )
+    rects[reaches] = 0.0  # NaN or meaningless where a sphere reaches the plane
+    rects = rects.astype(np.int64)
+    rects[(rects[:, 0] >= rects[:, 1]) | (rects[:, 2] >= rects[:, 3])] = 0  # fully off screen
+    return [None if r else tuple(rect) for r, rect in zip(reaches.tolist(), rects.tolist())]
 
 
 def _dirty_window(bounds, margin: int, w: int, h: int):
@@ -313,9 +365,11 @@ def _won_normals(scene: Scene, origin, rays, t, winner):
     primitive's normals come from its own contiguous (k, 3) rows: a dot
     product over those gives the bytes it gives over a pixel rectangle,
     which a per-pixel elementwise dot does not."""
-    order = np.argsort(winner)
-    winner, rays = winner[order], rays[order]
-    points = origin + t[order, None] * rays
+    order = np.argsort(winner.astype(np.int16), kind="stable")  # a radix sort
+    winner, rays, t = winner[order], rays[order], t[order]
+    points = np.empty_like(rays)
+    for k in range(3):  # origin + t * rays, a column at a time
+        np.add(origin[k], t * rays[:, k], out=points[:, k])
     grouped = np.empty_like(points)
     starts = np.flatnonzero(np.diff(winner, prepend=-1)).tolist()  # first row of each primitive
     for lo, hi in zip(starts, [*starts[1:], len(winner)]):
@@ -340,10 +394,7 @@ def trace_depth(scene: Scene, cam: CameraSpec, base: DepthBuffer | None = None) 
     """
     origin, dirs, z_scale = _cached_rays(cam)
     w, h = cam.resolution
-    bounds = [
-        _capsule_screen_bounds(cam, a, b, float(r), w, h)
-        for a, b, r in zip(scene.capsule_a, scene.capsule_b, scene.capsule_r)
-    ]
+    bounds = _capsule_screen_bounds(cam, scene)
     window = None
     if base is not None and not (len(scene.box_tag) or len(scene.plane_tag)):
         window = _dirty_window(bounds, _WINDOW_MARGIN[cam.kind], w, h)
@@ -427,13 +478,6 @@ class FlipbookNoise:
         tile = self.tiles[self.tile_index(frame_index)]
         us = np.arange(left, left + w) % self.tile_px
         vs = np.arange(top, top + h) % self.tile_px
-        return tile[np.ix_(vs, us)]
-
-    def panned_field(self, frame_index: int, h: int, w: int) -> np.ndarray:
-        """First tile panned by (frame, frame) pixels; drives infrared blur."""
-        tile = self.tiles[0]
-        us = (np.arange(w) + frame_index) % self.tile_px
-        vs = (np.arange(h) + frame_index) % self.tile_px
         return tile[np.ix_(vs, us)]
 
 
@@ -565,30 +609,36 @@ class InfraredLayers:
 def _infrared_shading(normal, ray_dir, tag, sp: SensorParams):
     """Colour and Fresnel factor of pixels with normals and ray directions
     (..., 3) and tags (...): body orange fading to green toward
-    silhouettes, environment dark blue."""
+    silhouettes, environment dark blue.  The colour is built a channel at
+    a time, as numpy broadcasts slowly over a length-3 axis."""
     cos_nv = np.einsum("...i,...i->...", normal, -ray_dir)
     fr = fresnel_factor(cos_nv, sp.fresnel_exponent)
-    img = np.zeros(tag.shape + (3,))
-    body = tag == TAG_BODY
-    env = tag == TAG_ENVIRONMENT
-    f3 = fr[..., None]
-    img[body] = (BODY_CENTER_COLOR * (1 - f3) + BODY_EDGE_COLOR * f3)[body]
-    img[env] = (ENV_BASE_COLOR * (0.4 + 0.6 * f3))[env]
+    body, env = tag == TAG_BODY, tag == TAG_ENVIRONMENT
+    center, env_scale = 1 - fr, 0.4 + 0.6 * fr
+    img = np.empty(tag.shape + (3,))
+    for c in range(3):
+        img[..., c] = np.where(
+            body,
+            BODY_CENTER_COLOR[c] * center + BODY_EDGE_COLOR[c] * fr,
+            np.where(env, ENV_BASE_COLOR[c] * env_scale, 0.0),
+        )
     return img, fr
 
 
 def _infrared_pixels(layers: InfraredLayers, noise: FlipbookNoise, sp: SensorParams, frame_index: int):
     """The 8-bit infrared frame: panned-noise UV blur on strong rims, run
-    over the whole frame in place on ``layers.image``."""
+    over the whole frame in place on ``layers.image``.  The noise is the
+    first flipbook tile panned by (frame, frame) pixels, read only at the
+    rim pixels that move."""
     img, fr = layers.image, layers.fresnel
     h, w = fr.shape
     if sp.blur_radius > 0:
-        n = noise.panned_field(frame_index, h, w)
+        vs, us = np.nonzero((fr > 0.6) & layers.valid)
+        tp = noise.tile_px
+        n = noise.tiles[0][(vs + frame_index) % tp, (us + frame_index) % tp]
         offset = np.rint(sp.blur_radius * (2.0 * n - 1.0)).astype(np.int64)
-        blur_mask = (fr > 0.6) & layers.valid
-        vs, us = np.nonzero(blur_mask)
-        sv = np.clip(vs + offset[vs, us], 0, h - 1)
-        su = np.clip(us + offset[vs, us], 0, w - 1)
+        sv = np.clip(vs + offset, 0, h - 1)
+        su = np.clip(us + offset, 0, w - 1)
         img[vs, us] = img[sv, su]
     return np.clip(np.rint(img), 0, 255).astype(np.uint8)
 
@@ -612,15 +662,16 @@ def shade_infrared(
 
 
 def _rgb_pixels(normal, tag, sp: SensorParams):
-    """8-bit colour (..., 3) of pixels with normals (..., 3) and tags (...)."""
+    """8-bit colour (..., 3) of pixels with normals (..., 3) and tags (...),
+    a channel at a time, as numpy broadcasts slowly over a length-3 axis."""
     diffuse = np.maximum(np.einsum("...i,...i->...", normal, -LIGHT_DIR), 0.0)
     intensity = np.clip(sp.ambient + (1.0 - sp.ambient) * diffuse, 0.0, 1.0)
-    img = np.zeros(tag.shape + (3,))
-    body = tag == TAG_BODY
-    env = tag == TAG_ENVIRONMENT
-    img[body] = (BODY_ALBEDO * intensity[..., None])[body]
-    img[env] = (ENV_ALBEDO * intensity[..., None])[env]
-    return np.clip(np.rint(img * 255.0), 0, 255).astype(np.uint8)
+    body, env = tag == TAG_BODY, tag == TAG_ENVIRONMENT
+    pixels = np.empty(tag.shape + (3,), dtype=np.uint8)
+    for c in range(3):
+        albedo = np.where(body, BODY_ALBEDO[c], np.where(env, ENV_ALBEDO[c], 0.0))
+        pixels[..., c] = np.clip(np.rint(albedo * intensity * 255.0), 0, 255)
+    return pixels
 
 
 def shade_rgb(buf: DepthBuffer, sp: SensorParams, frame_index: int = 0, camera_id: str = "") -> Frame:

@@ -150,15 +150,28 @@ def test_screen_bounds_trace_equals_full_frame_trace(rng, monkeypatch, rotation)
         fov_deg=70.0,
         resolution=(96, 72),
     )
+    w, h = cam.resolution
+    blocks = []  # the ray block shape of each capsule intersection
+    intersect = render._intersect_capsule
+
+    def spy(origin, dirs, *capsule):
+        blocks.append(dirs.shape[:2])
+        return intersect(origin, dirs, *capsule)
+
+    monkeypatch.setattr(render, "_intersect_capsule", spy)
     for _ in range(8):
         scene = scene_from_primitives(
             capsules=_random_capsules(rng, 9),
             planes=[(vec(0, 0, -160.0), vec(0, 0, 1.0))],
         )
+        blocks.clear()
         bounded = trace_depth(scene, cam)
+        assert blocks and all(block != (h, w) for block in blocks)  # every capsule bounded
+        blocks.clear()
         with monkeypatch.context() as patch:
-            patch.setattr(render, "_capsule_screen_bounds", lambda *args: None)
+            patch.setattr(render, "_capsule_screen_bounds", lambda cam, scene: [None] * len(scene.capsule_tag))
             full = trace_depth(scene, cam)
+        assert blocks == [(h, w)] * 9  # every capsule intersected over the whole frame
         assert np.array_equal(bounded.tag, full.tag)
         assert np.array_equal(bounded.depth, full.depth)
         assert np.array_equal(bounded.normal, full.normal)
@@ -571,6 +584,27 @@ def test_one_trace_and_one_sensor_call_per_frame(monkeypatch, kind):
     frames = rec.timeline.total_frames
     assert frames > 2 * cam.sensor.flipbook_frames_per_tile  # more than one flipbook tile
     assert calls == Counter(trace_static=1, trace_dynamic=frames, sensor=frames)
+
+
+@pytest.mark.parametrize("kind", [CameraKind.DEPTH, CameraKind.RGB, CameraKind.INFRARED])
+@pytest.mark.parametrize("case", ["depth_noise_on", "camera_plane"])
+def test_recording_renders_without_floating_point_warnings(monkeypatch, case, kind):
+    """The kernels let NaN run through (a missed ray's square root, 0 * inf
+    in a slab test) only inside their ``np.errstate``: a whole recording,
+    its static trace included, renders with every warning an error."""
+    import warnings
+    from dataclasses import replace
+
+    from handsynth import pipeline
+    from handsynth.gesture import builtin_scripts
+    from handsynth.variation import VariantParams
+
+    cam = replace(_window_camera(case), kind=kind)
+    monkeypatch.setattr(pipeline, "_STATIC_BUFFER_CACHE", {})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rec = pipeline.render_recording(builtin_scripts()["swipe_up"], cam, VariantParams.neutral())
+    assert len(rec.frames) == rec.timeline.total_frames > 0
 
 
 @pytest.mark.parametrize("kind", [CameraKind.DEPTH, CameraKind.RGB, CameraKind.INFRARED])

@@ -1,0 +1,382 @@
+"""The ray caster's kernels give the bytes of their earlier, slower forms.
+
+Each ``_reference_*`` function below is a frozen copy of the kernel as it
+was before it was rewritten for fewer array passes; the tests compare the
+two bit for bit on inputs that reach every branch: zero-length capsule
+axes, a camera inside an end sphere, grazing rays, rays parallel to a box
+slab, an origin on a slab plane, capsules reaching the camera plane and
+capsules fully off screen.  The normals and the RGB and infrared shading,
+rewritten to run a column at a time, are compared the same way.
+"""
+
+import math
+import warnings
+
+import numpy as np
+import pytest
+
+from handsynth import render
+from handsynth.geom import vec
+from handsynth.scene import (
+    TAG_BODY,
+    TAG_ENVIRONMENT,
+    CameraKind,
+    CameraSpec,
+    SensorParams,
+    camera_rays,
+    scene_from_primitives,
+)
+
+_T_EPS = render._T_EPS
+
+
+def _reference_intersect_capsule(origin, dirs, a, b, radius):
+    axis = b - a
+    axis_len2 = float(np.dot(axis, axis))
+    h, w = dirs.shape[:2]
+    t_best = np.full((h, w), np.inf)
+
+    oa = origin - a
+    if axis_len2 > 1e-18:
+        axis_n = axis / np.sqrt(axis_len2)
+        d_par = dirs @ axis_n
+        o_par = float(oa @ axis_n)
+        d_perp = dirs - d_par[..., None] * axis_n
+        o_perp = oa - o_par * axis_n
+        aa = np.einsum("...i,...i->...", d_perp, d_perp)
+        bb = d_perp @ o_perp
+        cc = float(o_perp @ o_perp) - radius * radius
+        disc = bb * bb - aa * cc
+        hit = disc >= 0.0
+        sq = np.sqrt(np.where(hit, disc, 0.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_cyl = np.where(hit & (aa > 1e-18), (-bb - sq) / aa, np.inf)
+        z = o_par + t_cyl * d_par
+        seg_len = np.sqrt(axis_len2)
+        on_body = (z >= 0.0) & (z <= seg_len) & (t_cyl > _T_EPS)
+        t_best = np.where(on_body, t_cyl, t_best)
+
+    for cap_center in (a, b):
+        oc = origin - cap_center
+        b_s = dirs @ oc
+        c_s = float(oc @ oc) - radius * radius
+        disc = b_s * b_s - c_s
+        hit = disc >= 0.0
+        sq = np.sqrt(np.where(hit, disc, 0.0))
+        t1 = -b_s - sq
+        t2 = -b_s + sq
+        t_sph = np.where(t1 > _T_EPS, t1, np.where(t2 > _T_EPS, t2, np.inf))
+        t_sph = np.where(hit, t_sph, np.inf)
+        if axis_len2 > 1e-18:
+            p_axis = float(oa @ axis) + t_sph * (dirs @ axis)
+            if cap_center is a:
+                in_cap = p_axis <= 0.0
+            else:
+                in_cap = p_axis >= axis_len2
+            t_sph = np.where(np.isfinite(t_sph) & in_cap, t_sph, np.inf)
+        t_best = np.minimum(t_best, t_sph)
+    return t_best
+
+
+def _reference_intersect_box(origin, dirs, bmin, bmax):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = 1.0 / dirs
+    t1 = (bmin - origin) * inv
+    t2 = (bmax - origin) * inv
+    t_near = np.nanmax(np.minimum(t1, t2), axis=-1)
+    t_far = np.nanmin(np.maximum(t1, t2), axis=-1)
+    hit = (t_near <= t_far) & (t_far > _T_EPS)
+    t = np.where(t_near > _T_EPS, t_near, t_far)
+    return np.where(hit, t, np.inf)
+
+
+def _reference_capsule_screen_bounds(cam, a, b, radius, w, h):
+    tan_half = math.tan(math.radians(cam.fov_deg) / 2.0)
+    tan_v = tan_half * h / w
+    pts = cam.world_to_camera(np.vstack([a, b]))
+    r2 = radius * radius
+    u_lo, u_hi, v_lo, v_hi = np.inf, -np.inf, np.inf, -np.inf
+    for x, y, z_cam in pts.tolist():
+        z = -z_cam
+        if z - radius <= 1e-6:
+            return None
+        denom = z * z - r2
+        sx = radius * math.sqrt(x * x + z * z - r2)
+        sy = radius * math.sqrt(y * y + z * z - r2)
+        x_lo = (x * z - sx) / denom
+        x_hi = (x * z + sx) / denom
+        y_lo = (y * z - sy) / denom
+        y_hi = (y * z + sy) / denom
+        u_lo = min(u_lo, (x_lo / tan_half + 1.0) / 2.0 * w)
+        u_hi = max(u_hi, (x_hi / tan_half + 1.0) / 2.0 * w)
+        v_lo = min(v_lo, (1.0 - (y_hi / tan_v + 1.0) / 2.0) * h)
+        v_hi = max(v_hi, (1.0 - (y_lo / tan_v + 1.0) / 2.0) * h)
+    u0 = max(int(np.floor(u_lo)) - 1, 0)
+    u1 = min(int(np.ceil(u_hi)) + 2, w)
+    v0 = max(int(np.floor(v_lo)) - 1, 0)
+    v1 = min(int(np.ceil(v_hi)) + 2, h)
+    if u0 >= u1 or v0 >= v1:
+        return (0, 0, 0, 0)
+    return (u0, u1, v0, v1)
+
+
+def _reference_capsule_normal(points, a, b):
+    axis = b - a
+    axis_len2 = float(np.dot(axis, axis))
+    if axis_len2 > 1e-18:
+        s = np.clip(((points - a) @ axis) / axis_len2, 0.0, 1.0)
+    else:
+        s = np.zeros(points.shape[:-1])
+    closest = a + s[..., None] * axis
+    n = points - closest
+    return n / np.maximum(np.linalg.norm(n, axis=-1, keepdims=True), 1e-12)
+
+
+def _reference_infrared_shading(normal, ray_dir, tag, sp):
+    cos_nv = np.einsum("...i,...i->...", normal, -ray_dir)
+    fr = render.fresnel_factor(cos_nv, sp.fresnel_exponent)
+    img = np.zeros(tag.shape + (3,))
+    body = tag == TAG_BODY
+    env = tag == TAG_ENVIRONMENT
+    f3 = fr[..., None]
+    img[body] = (render.BODY_CENTER_COLOR * (1 - f3) + render.BODY_EDGE_COLOR * f3)[body]
+    img[env] = (render.ENV_BASE_COLOR * (0.4 + 0.6 * f3))[env]
+    return img, fr
+
+
+def _reference_infrared_pixels(layers, noise, sp, frame_index):
+    img, fr = layers.image, layers.fresnel
+    h, w = fr.shape
+    if sp.blur_radius > 0:
+        tile = noise.tiles[0]  # panned by (frame, frame) pixels
+        us = (np.arange(w) + frame_index) % noise.tile_px
+        vs = (np.arange(h) + frame_index) % noise.tile_px
+        n = tile[np.ix_(vs, us)]
+        offset = np.rint(sp.blur_radius * (2.0 * n - 1.0)).astype(np.int64)
+        blur_mask = (fr > 0.6) & layers.valid
+        vs, us = np.nonzero(blur_mask)
+        sv = np.clip(vs + offset[vs, us], 0, h - 1)
+        su = np.clip(us + offset[vs, us], 0, w - 1)
+        img[vs, us] = img[sv, su]
+    return np.clip(np.rint(img), 0, 255).astype(np.uint8)
+
+
+def _reference_rgb_pixels(normal, tag, sp):
+    diffuse = np.maximum(np.einsum("...i,...i->...", normal, -render.LIGHT_DIR), 0.0)
+    intensity = np.clip(sp.ambient + (1.0 - sp.ambient) * diffuse, 0.0, 1.0)
+    img = np.zeros(tag.shape + (3,))
+    body = tag == TAG_BODY
+    env = tag == TAG_ENVIRONMENT
+    img[body] = (render.BODY_ALBEDO * intensity[..., None])[body]
+    img[env] = (render.ENV_ALBEDO * intensity[..., None])[env]
+    return np.clip(np.rint(img * 255.0), 0, 255).astype(np.uint8)
+
+
+def _camera(rotation=(12.0, -20.0, 5.0), position=(3.0, -2.0, 1.0), resolution=(96, 72), fov=70.0):
+    return CameraSpec(
+        camera_id="k",
+        kind=CameraKind.RGB,
+        position=position,
+        rotation=rotation,
+        fov_deg=fov,
+        resolution=resolution,
+    )
+
+
+def _ray_blocks(dirs):
+    """The shapes of ray array the tracer hands a kernel: the whole frame,
+    a strided rectangle of it, one row and two columns at the border.
+
+    Not one column: a capsule's rectangle is one column wide only when the
+    capsule lies wholly beyond the right border, so none of its rays hits.
+    There the reference's ``(k, 1, 3) @ v`` took another numpy path than
+    wider blocks and could differ in the last bit (see
+    ``test_capsule_kernel_does_not_depend_on_the_block``)."""
+    return [dirs, dirs[10:50, 7:61], dirs[33:34, 5:80], dirs[4:70, -2:]]
+
+
+def _strict(kernel, *args):
+    """``kernel(*args)`` with every warning an error: NaN may run through a
+    kernel only inside its ``np.errstate``."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return kernel(*args)
+
+
+def _assert_same_bytes(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def _check_capsule(origin, dirs, a, b, radius):
+    for block in _ray_blocks(dirs):
+        _assert_same_bytes(
+            _strict(render._intersect_capsule, origin, block, a, b, radius),
+            _reference_intersect_capsule(origin, block, a, b, radius),
+        )
+
+
+def test_capsule_kernel_matches_reference_on_random_capsules(rng):
+    cam = _camera()
+    origin, dirs = camera_rays(cam)
+    for k in range(40):
+        a = origin + rng.uniform(-40, 40, size=3) + vec(0, 0, -rng.uniform(20, 120))
+        b = a + rng.uniform(-25, 25, size=3) * (k % 4 != 0)  # every fourth: a zero-length axis
+        _check_capsule(origin, dirs, a, b, float(rng.uniform(0.5, 15.0)))
+
+
+def test_capsule_kernel_matches_reference_with_the_camera_inside_an_end_sphere():
+    origin, dirs = camera_rays(_camera())
+    for radius in (3.0, 12.0):
+        for a, b in (
+            (origin + vec(0.5, -0.4, 0.3), origin + vec(10.0, 4.0, -60.0)),  # inside the first sphere
+            (origin + vec(-30.0, 2.0, -50.0), origin + vec(0.2, 0.1, -0.4)),  # inside the second
+            (origin + vec(0.3, 0.2, -0.1), origin + vec(0.3, 0.2, -0.1)),  # inside a sphere
+        ):
+            if a is b or np.array_equal(a, b):
+                # every ray leaves the sphere through the far root
+                assert np.isfinite(render._intersect_capsule(origin, dirs, a, b, radius)).all()
+            _check_capsule(origin, dirs, a, b, radius)
+
+
+def test_capsule_kernel_matches_reference_on_grazing_rays(rng):
+    """Capsules placed so that one ray of the frame is tangent to an end
+    sphere or to the cylinder: their discriminants are within rounding of
+    zero, on either side."""
+    origin, dirs = camera_rays(_camera())
+    h, w = dirs.shape[:2]
+    for _ in range(30):
+        d = dirs[rng.integers(h), rng.integers(w)]
+        perp = np.cross(d, rng.normal(size=3))
+        perp /= np.linalg.norm(perp)
+        radius = float(rng.uniform(1.0, 8.0))
+        touch = origin + rng.uniform(30, 90) * d + radius * perp  # a sphere's centre
+        _check_capsule(origin, dirs, touch, touch, radius)
+        _check_capsule(origin, dirs, touch, touch + rng.uniform(-20, 20, size=3), radius)
+        along = np.cross(d, perp)  # a cylinder whose side touches the ray
+        _check_capsule(origin, dirs, touch - 20.0 * along, touch + 20.0 * along, radius)
+
+
+def test_capsule_kernel_does_not_depend_on_the_block(rng):
+    """A ray's t is the same bytes in every block of rays that holds it,
+    one column included: windowed and whole-frame traces agree."""
+    origin, dirs = camera_rays(_camera())
+    for k in range(20):
+        a = origin + rng.uniform(-40, 40, size=3) + vec(0, 0, -rng.uniform(20, 120))
+        b = a + rng.uniform(-25, 25, size=3) * (k % 4 != 0)
+        radius = float(rng.uniform(0.5, 15.0))
+        whole = render._intersect_capsule(origin, dirs, a, b, radius)
+        for block in (np.s_[10:50, 7:61], np.s_[33:34, 5:80], np.s_[4:70, 40:41], np.s_[:, 95:]):
+            _assert_same_bytes(render._intersect_capsule(origin, dirs[block], a, b, radius), whole[block])
+
+
+def _unit_rays_with_zero_components(rng):
+    rays = rng.normal(size=(40, 3))
+    rays[0:10, 0] = 0.0  # parallel to the x slabs
+    rays[10:20, 1] = -0.0  # parallel to the y slabs, negative zero
+    rays[20:24, 0:2] = 0.0  # along z
+    rays[24:28, 1:3] = 0.0  # along x
+    rays /= np.linalg.norm(rays, axis=1, keepdims=True)
+    return rays.reshape(5, 8, 3)
+
+
+@pytest.mark.parametrize(
+    "origin",
+    [
+        vec(0.0, 0.0, 0.0),  # inside the box
+        vec(-5.0, 1.0, 2.0),  # on the plane of the x = -5 slab
+        vec(-5.0, 4.0, 2.0),  # on the x = -5 slab plane and the y = 4 slab plane, at the box's edge
+        vec(-20.0, -30.0, 40.0),  # outside
+        vec(-20.0, 4.0, 40.0),  # outside, on a slab plane
+    ],
+)
+def test_box_kernel_matches_reference_on_parallel_rays_and_slab_planes(rng, origin):
+    bmin, bmax = vec(-5.0, -3.0, -8.0), vec(6.0, 4.0, 9.0)
+    rays = _unit_rays_with_zero_components(rng)
+    with np.errstate(invalid="ignore"):  # the reference's 0 * inf
+        want = _reference_intersect_box(origin, rays, bmin, bmax)
+    _assert_same_bytes(_strict(render._intersect_box, origin, rays, bmin, bmax), want)
+
+
+def test_box_kernel_matches_reference_over_a_frame(rng):
+    cam = _camera(rotation=(0.0, 0.0, 0.0), position=(0.0, 0.0, 0.0), resolution=(97, 73))
+    origin, dirs = camera_rays(cam)
+    assert (dirs[:, 48, 0] == 0.0).all() and (dirs[36, :, 1] == 0.0).all()  # rays parallel to slabs
+    boxes = [(vec(-20, -20, -90), vec(20, 20, -70)), (vec(0.0, -10, -80), vec(30, 0.0, -40))]
+    boxes += [tuple(np.sort(rng.uniform(-60, 60, size=(2, 3)), axis=0) + vec(0, 0, -80)) for _ in range(20)]
+    for bmin, bmax in boxes:
+        for block in _ray_blocks(dirs):
+            with np.errstate(invalid="ignore"):
+                want = _reference_intersect_box(origin, block, bmin, bmax)
+            _assert_same_bytes(_strict(render._intersect_box, origin, block, bmin, bmax), want)
+
+
+def test_screen_bounds_match_reference(rng):
+    """Capsules in front of the camera, across its plane (None), behind it
+    and fully off screen, for cameras of several poses and sizes."""
+    for cam in (_camera(), _camera(rotation=(0, 0, 0), position=(0, 0, 0), resolution=(320, 240), fov=60.0)):
+        w, h = cam.resolution
+        capsules = []
+        for k in range(2500):
+            a = rng.uniform(-150, 150, size=3) + vec(0, 0, -60)
+            b = a + rng.uniform(-40, 40, size=3) * (k % 5 != 0)
+            capsules.append((a, b, float(rng.uniform(0.5, 20.0))))
+        capsules.append((vec(0, 0, -1.0), vec(0, 0, -40.0), 2.0))  # reaches the camera plane
+        capsules.append((vec(400.0, 0, -90.0), vec(420.0, 0, -90.0), 3.0))  # fully off screen
+        scene = scene_from_primitives(
+            capsules=[(cam.camera_to_world(a), cam.camera_to_world(b), r) for a, b, r in capsules]
+        )
+        got = _strict(render._capsule_screen_bounds, cam, scene)
+        want = [
+            _reference_capsule_screen_bounds(cam, a, b, float(r), w, h)
+            for a, b, r in zip(scene.capsule_a, scene.capsule_b, scene.capsule_r)
+        ]
+        assert got == want
+        assert got[-2] is None and got[-1] == (0, 0, 0, 0)
+        assert all(isinstance(v, int) for rect in got if rect for v in rect)
+        assert sum(rect is None for rect in got) > 100 and sum(rect == (0, 0, 0, 0) for rect in got) > 100
+
+
+def test_screen_bounds_of_a_scene_without_capsules():
+    assert render._capsule_screen_bounds(_camera(), scene_from_primitives()) == []
+
+
+def test_capsule_normals_match_reference(rng):
+    for k in range(24):
+        a = rng.uniform(-50, 50, size=3)
+        b = a + rng.uniform(-20, 20, size=3) * (k % 4 != 0)  # every fourth: a zero-length axis
+        points = rng.uniform(-60, 60, size=(int(rng.integers(1, 3000)), 3))
+        points[:3] = [a, b, 0.5 * (a + b)]  # on the axis: a zero normal, clamped
+        _assert_same_bytes(_strict(render._capsule_normal, points, a, b), _reference_capsule_normal(points, a, b))
+
+
+def _shading_inputs(rng, shape):
+    normal = rng.normal(size=shape + (3,))
+    normal /= np.linalg.norm(normal, axis=-1, keepdims=True)
+    normal.reshape(-1, 3)[::7] = 0.0  # the zero normal of a pixel nothing hit
+    ray_dir = rng.normal(size=shape + (3,))
+    ray_dir /= np.linalg.norm(ray_dir, axis=-1, keepdims=True)
+    tag = rng.integers(0, 3, size=shape).astype(np.uint8)  # none, body, environment
+    return normal, ray_dir, tag
+
+
+@pytest.mark.parametrize("shape", [(1000,), (24, 32)])  # a windowed buffer's changed pixels; a whole frame
+def test_rgb_and_infrared_shading_match_reference(rng, shape):
+    sp = SensorParams()
+    normal, ray_dir, tag = _shading_inputs(rng, shape)
+    _assert_same_bytes(_strict(render._rgb_pixels, normal, tag, sp), _reference_rgb_pixels(normal, tag, sp))
+    got = _strict(render._infrared_shading, normal, ray_dir, tag, sp)
+    for got_layer, want_layer in zip(got, _reference_infrared_shading(normal, ray_dir, tag, sp)):
+        _assert_same_bytes(got_layer, want_layer)
+
+
+def test_infrared_blur_matches_reference(rng):
+    sp = SensorParams()
+    noise = render.make_flipbook(sp, 3)
+    normal, ray_dir, tag = _shading_inputs(rng, (60, 80))
+    for frame_index in (0, 7, noise.tile_px + 5):
+        image, fresnel = _reference_infrared_shading(normal, ray_dir, tag, sp)
+        valid = tag != 0
+        want = _reference_infrared_pixels(render.InfraredLayers(image.copy(), fresnel, valid), noise, sp, frame_index)
+        got = _strict(render._infrared_pixels, render.InfraredLayers(image, fresnel, valid), noise, sp, frame_index)
+        _assert_same_bytes(got, want)
