@@ -125,6 +125,16 @@ def cmd_eval(args) -> int:
         if not records:
             raise DataError(f"{args.manifest}: no depth recordings to evaluate")
         report["leave_one_out"] = leave_one_out_accuracy(records)
+        report["trajectories"] = [
+            {
+                "frame_dir": r.frame_dir,
+                "label": r.label,
+                "variant_index": r.variant_index,
+                "labeled_frames": len(r.trajectory),
+                "confidence": r.trajectory.confidence,
+            }
+            for r in records
+        ]
     if args.mode in ("ablation", "all"):
         report["variance_ablation"] = run_variance_ablation(n_variants=args.variants or 20)
     print(json.dumps(report, sort_keys=True, indent=2))

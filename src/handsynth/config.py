@@ -136,6 +136,13 @@ class VariationConfig:
         return scale_range(self.median_range(name), cond)
 
     def validate(self) -> None:
+        chroma = self.scaled_range("chromaticity_coeff")
+        if not chroma.lo > 0.0:
+            raise ConfigError(
+                f"range (scaled, from {chroma.lo:g}) must stay above 0 so every sampled "
+                "camera has a positive coefficient",
+                "variation.chromaticity_coeff",
+            )
         dmin = self.scaled_range("depth_min")
         dmax = self.scaled_range("depth_max")
         if dmin.hi >= dmax.lo:

@@ -7,6 +7,19 @@ the generated classes are geometrically separable, and the variance
 ablation checks that Low / Median / High range conditions order intra-class
 dispersion the way the range widths say they should.
 
+Extraction works on the foreground only.  ``decode_depth16`` is
+nondecreasing in the code whenever the chromaticity coefficient is
+positive and depth_min < depth_max, which ``SensorParams`` enforces, so a
+sample that passes the float test ``depth < background - margin`` has a
+code no larger than a per-pixel threshold found once per recording from
+the background codes.  Each frame takes one integer pass against that
+threshold; the float test, the hand slab and the back-projection then run
+on the candidate pixels only, batched over chunks of frames.  The
+threshold is checked, not assumed: where one code above it could still
+pass the float test, it falls back to the background code itself.  So the
+candidates hold every pixel the float test keeps, and every output byte
+equals a decode of the whole frame.
+
 One DTW kernel serves every caller.  It sweeps the cost tables of a batch
 of pairs anti-diagonal by anti-diagonal, vectorised across the pairs, with
 batches bounded by DTW_CHUNK_CELLS.  ``pairwise_dtw`` runs it once over
@@ -25,12 +38,17 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .config import RangeCondition, VariationConfig, ParamRange
-from .render import decode_depth16
+from .render import DEPTH_CODE_MAX, decode_depth16
 from .scene import CameraSpec, SensorParams, backproject_pixels
 
 FOREGROUND_MARGIN_CM = 5.0  # hand must sit this far in front of the background
 HAND_EXTENT_CM = 14.0  # depth slab kept behind the nearest foreground pixel
 MIN_FOREGROUND_PIXELS = 50
+# Candidate pixels per chunk of labeled frames.  A chunk's arrays (decoded
+# depth, pixel coordinates, back-projected points) take about 150 bytes per
+# pixel, so extraction needs a few MB of scratch memory at any resolution
+# and span length.
+EXTRACT_CHUNK_PIXELS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -44,48 +62,114 @@ class Trajectory:
         return len(self.points)
 
 
-def extract_trajectory(
-    frames: Sequence[np.ndarray],
+def _code_margin(sensor: SensorParams) -> int:
+    """FOREGROUND_MARGIN_CM in depth codes, rounded down and less one."""
+    codes_per_cm = (DEPTH_CODE_MAX - 1) * sensor.chromaticity_coeff / (sensor.depth_max - sensor.depth_min)
+    return max(int(min(FOREGROUND_MARGIN_CM * codes_per_cm, DEPTH_CODE_MAX)) - 1, 0)
+
+
+def _code_threshold(bg_codes: np.ndarray, background: np.ndarray, sensor: SensorParams) -> np.ndarray:
+    """Per pixel, a code no foreground sample can exceed (0 where the
+    background is invalid): the background code less ``_code_margin``.
+
+    decode_depth16 is nondecreasing in the code, so where the code one
+    above the threshold fails the float test, every larger code fails it
+    too.  Where it does not, the threshold falls back to the background
+    code, which no foreground sample can reach.
+    """
+    margin = _code_margin(sensor)
+    bg_valid = np.isfinite(background)
+    bg = bg_codes.astype(np.int32)
+    thr = np.where(bg_valid, np.maximum(bg - margin, 0), 0)
+    passes = bg_valid & (decode_depth16(thr + 1, sensor) < background - FOREGROUND_MARGIN_CM)
+    return np.where(passes, bg, thr).astype(np.uint16)
+
+
+def _chunk_centroids(
+    chunk: list[tuple[np.ndarray, np.ndarray]],
+    floor: np.ndarray,
     cam: CameraSpec,
     sensor: SensorParams,
-    label_span: tuple[int, int],
-) -> Trajectory:
-    """Hand trajectory from 16-bit depth frames of one recording.
+) -> list[np.ndarray | None]:
+    """Centroids of a chunk of frames, each given as the codes and flat
+    pixel indices of its candidates; None for a frame with fewer than
+    MIN_FOREGROUND_PIXELS hand pixels."""
+    frames = len(chunk)
+    pixels = np.concatenate([p for _, p in chunk])
+    depth = decode_depth16(np.concatenate([c for c, _ in chunk]), sensor)
+    fg = depth < floor[pixels]
+    depth, pixels = depth[fg], pixels[fg]
+    if not len(depth):
+        return [None] * frames
+    frame_of = np.repeat(np.arange(frames), [len(p) for _, p in chunk])[fg]
+    per_frame = np.bincount(frame_of, minlength=frames)
+    present = per_frame > 0
+    starts = (np.cumsum(per_frame) - per_frame)[present]
+    # the front slab of each frame: behind its nearest foreground sample
+    nearest = np.minimum.reduceat(depth, starts)
+    hand = depth < np.repeat(nearest + HAND_EXTENT_CM, per_frame[present])
+    per_frame = np.bincount(frame_of[hand], minlength=frames)
+    good = per_frame >= MIN_FOREGROUND_PIXELS
+    hand &= good[frame_of]
+    pts = backproject_pixels(cam, pixels[hand], depth[hand])
+    ends = np.cumsum(np.where(good, per_frame, 0))
+    return [pts[end - n : end].mean(axis=0) if ok else None for end, n, ok in zip(ends, per_frame, good)]
 
-    The first frame (hand still at rest) provides the per-pixel
-    environment depth floor; foreground pixels at later frames are valid
-    samples at least FOREGROUND_MARGIN_CM in front of it.  Of those, only
+
+def extract_trajectory(
+    background: np.ndarray,
+    frames: Iterable[np.ndarray],
+    cam: CameraSpec,
+    sensor: SensorParams,
+) -> Trajectory:
+    """Hand trajectory from the 16-bit depth frames of one label span.
+
+    ``background`` is the recording's first frame (hand still at rest),
+    the per-pixel environment depth floor; ``frames`` are the labeled
+    frames, consumed one at a time.  Foreground pixels are valid samples
+    at least FOREGROUND_MARGIN_CM in front of the floor.  Of those, only
     the front HAND_EXTENT_CM depth slab enters the centroid, so the
     trailing forearm does not wash out the hand motion.  Frames with too
     few foreground pixels reuse the neighboring centroid.
-    """
-    if not len(frames):
-        raise ValueError("no frames")
-    background = decode_depth16(np.asarray(frames[0]), sensor)
-    bg_valid = np.isfinite(background)
-    if not np.any(bg_valid):
-        raise ValueError("first frame has no valid depth to estimate the background floor")
 
-    first, last = label_span
-    if not (0 <= first <= last < len(frames)):
-        raise ValueError(f"label span {label_span} outside 0..{len(frames) - 1}")
+    Only candidate pixels are decoded: codes from 1 up to the per-pixel
+    threshold of ``_code_threshold``, which holds every code the float
+    test can keep because decode_depth16 is monotone in the code.  The
+    float test then runs on the candidates exactly as on a whole decoded
+    frame, so the result is the same to the byte.  Candidates are batched
+    over frames, at most EXTRACT_CHUNK_PIXELS at a time unless one frame
+    alone has more.
+    """
+    bg_codes = np.asarray(background)
+    bg_depth = decode_depth16(bg_codes, sensor)
+    if not np.any(np.isfinite(bg_depth)):
+        raise ValueError("first frame has no valid depth to estimate the background floor")
+    thr = _code_threshold(bg_codes, bg_depth, sensor).ravel()
+    floor = (bg_depth - FOREGROUND_MARGIN_CM).ravel()
 
     centroids: list[np.ndarray | None] = []
-    good = 0
-    for idx in range(first, last + 1):
-        depth = decode_depth16(np.asarray(frames[idx]), sensor)
-        fg = bg_valid & np.isfinite(depth) & (depth < background - FOREGROUND_MARGIN_CM)
-        if np.any(fg):
-            fg &= depth < float(depth[fg].min()) + HAND_EXTENT_CM
-        count = int(np.count_nonzero(fg))
-        if count >= MIN_FOREGROUND_PIXELS:
-            vs, us = np.nonzero(fg)
-            pts = backproject_pixels(cam, us.astype(np.float64), vs.astype(np.float64), depth[fg])
-            centroids.append(pts.mean(axis=0))
-            good += 1
-        else:
-            centroids.append(None)
+    chunk: list[tuple[np.ndarray, np.ndarray]] = []  # candidates of frames not yet reduced
+    pending = 0
+    for frame in frames:
+        frame = np.asarray(frame)
+        if frame.shape != bg_codes.shape:
+            raise ValueError(
+                f"labeled frame {len(centroids) + len(chunk)} has shape {frame.shape}, "
+                f"the first frame {bg_codes.shape}"
+            )
+        flat = frame.ravel()
+        cand = np.flatnonzero((flat - 1) < thr)  # 1 <= code <= thr: code 0 wraps to the top
+        if chunk and pending + len(cand) > EXTRACT_CHUNK_PIXELS:
+            centroids += _chunk_centroids(chunk, floor, cam, sensor)
+            chunk, pending = [], 0
+        chunk.append((flat[cand], cand))
+        pending += len(cand)
+    if chunk:
+        centroids += _chunk_centroids(chunk, floor, cam, sensor)
+    if not centroids:
+        raise ValueError("no labeled frames")
 
+    good = sum(c is not None for c in centroids)
     if good == 0:
         raise ValueError("zero foreground pixels across all labeled frames")
     # fill gaps: reuse the previous centroid, backfill leading gaps
@@ -234,6 +318,7 @@ class TrajectoryRecord(NamedTuple):
     trajectory: Trajectory
     label: str
     variant_index: int = 0
+    frame_dir: str = ""  # the recording's frames, relative to its manifest
 
 
 def _tie_order(dataset: Sequence[TrajectoryRecord]) -> np.ndarray:

@@ -34,6 +34,15 @@ def normalize(v: Vec3) -> Vec3:
     return v / n
 
 
+def cross(a: Vec3, b: Vec3) -> Vec3:
+    """Cross product of two 3-vectors, written out.  Each component is
+    np.cross's own expression, so the bytes are np.cross's; np.cross spends
+    most of a call on two 3-vectors in its axis handling."""
+    a0, a1, a2 = np.asarray(a, dtype=np.float64).tolist()
+    b0, b1, b2 = np.asarray(b, dtype=np.float64).tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
 def rot_x(angle_rad: float) -> np.ndarray:
     c, s = math.cos(angle_rad), math.sin(angle_rad)
     return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])

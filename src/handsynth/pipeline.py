@@ -388,15 +388,34 @@ def render_trajectory_set(
     for v in range(n_variants):
         variant = _variant(master_seed, variation, camera, gesture_name, v)
         rendered = render_recording(script, camera, variant, noise_enabled=noise_enabled)
-        codes = [f.pixels for f in rendered.frames]
-        trajectories.append(
-            extract_trajectory(codes, camera, rendered.sensor, rendered.timeline.label_span)
-        )
+        first, last = rendered.timeline.label_span
+        span = (f.pixels for f in rendered.frames[first : last + 1])
+        trajectories.append(extract_trajectory(rendered.frames[0].pixels, span, camera, rendered.sensor))
     return trajectories
 
 
+def _check_frame_size(path: str, size: int) -> None:
+    """Raise unless ``path`` is a file of ``size`` bytes: OSError when it
+    cannot be found, DataError when its size differs."""
+    try:
+        actual = os.stat(path).st_size
+    except OSError as exc:
+        raise OSError(f"checking frame {path}: {exc}") from exc
+    if actual != size:
+        raise DataError(f"{path}: unreadable frame: {actual} bytes where write_frame writes {size}")
+
+
 def trajectories_from_manifest(manifest: DatasetManifest, root_dir: str) -> list:
-    """(TrajectoryRecord list) for every depth recording in a written dataset."""
+    """(TrajectoryRecord list) for every depth recording in a written dataset.
+
+    Of each depth recording, frame 0 (the background) and the frames of
+    the label span are read and parsed, through ``output.read_frame``.
+    Every other frame the manifest lists is only checked, with one
+    ``os.stat``, to exist at the size ``write_frame`` gives it.  A missing
+    frame raises OSError and a frame of the wrong size, or one that does
+    not parse, DataError; both name the file.  The span's frames reach
+    ``extract_trajectory`` one at a time, so no recording is held whole.
+    """
     from .evalkit import TrajectoryRecord
     from .output import read_frame
 
@@ -405,22 +424,31 @@ def trajectories_from_manifest(manifest: DatasetManifest, root_dir: str) -> list
         if entry.kind != CameraKind.DEPTH:
             continue
         cam = manifest.camera(entry.camera_id)
-        sensor = cam.sensor.with_variant(
-            entry.variant_params.chromaticity_coeff,
-            entry.variant_params.depth_min,
-            entry.variant_params.depth_max,
-        )
-        frames = [
-            read_frame(os.path.join(root_dir, frame_path(entry.frame_dir, i, "depth16")))
-            for i in range(entry.frame_count)
-        ]
+        recording = os.path.join(root_dir, entry.frame_dir)
+        first, last = entry.label_span
+        paths = [frame_path(recording, i, "depth16") for i in range(entry.frame_count)]
+        size = frame_file_bytes("depth16", entry.resolution)
+        for path in paths[1:first] + paths[last + 1 :]:
+            _check_frame_size(path, size)
         try:
-            trajectory = extract_trajectory(frames, cam, sensor, entry.label_span)
+            sensor = cam.sensor.with_variant(
+                entry.variant_params.chromaticity_coeff,
+                entry.variant_params.depth_min,
+                entry.variant_params.depth_max,
+            )
+            background = read_frame(paths[0])
+            span = (read_frame(path) for path in paths[first : last + 1])
+            trajectory = extract_trajectory(background, span, cam, sensor)
+        except DataError:
+            raise  # a frame that does not parse, already named
         except ValueError as exc:
-            raise DataError(f"recording {os.path.join(root_dir, entry.frame_dir)}: {exc}") from None
+            raise DataError(f"recording {recording}: {exc}") from None
         records.append(
             TrajectoryRecord(
-                trajectory=trajectory, label=entry.gesture_label, variant_index=entry.variant_index
+                trajectory=trajectory,
+                label=entry.gesture_label,
+                variant_index=entry.variant_index,
+                frame_dir=entry.frame_dir,
             )
         )
     return records

@@ -73,6 +73,10 @@ class SensorParams:
     def __post_init__(self):
         if self.depth_min >= self.depth_max:
             raise ValueError("depth_min must be below depth_max")
+        # the depth decode is monotone in the code only for a positive
+        # coefficient, and evalkit's foreground test relies on that
+        if not (0.0 < self.chromaticity_coeff < math.inf):
+            raise ValueError(f"chromaticity_coeff must be positive and finite, got {self.chromaticity_coeff}")
         if not (0.0 < self.dropout_threshold <= 1.0):
             raise ValueError("dropout_threshold must be in (0, 1]")
         if self.flipbook_tile_count < 1 or self.flipbook_tile_px < 2 or self.flipbook_frames_per_tile < 1:
@@ -118,8 +122,22 @@ class CameraSpec:
         return (np.asarray(points, dtype=np.float64) - np.asarray(self.position)) @ r
 
     def camera_to_world(self, points: np.ndarray) -> np.ndarray:
-        r = self.rotation_matrix
-        return np.asarray(points, dtype=np.float64) @ r.T + np.asarray(self.position)
+        world = np.asarray(points, dtype=np.float64) @ self.rotation_matrix.T
+        # a column at a time: the bytes of adding the 3-vector, without
+        # numpy's slow loop over a length-3 inner axis
+        for c in range(3):
+            world[..., c] += self.position[c]
+        return world
+
+    @functools.cached_property
+    def pixel_ndc(self) -> tuple[np.ndarray, np.ndarray]:
+        """Image-plane x and y of every pixel centre at unit depth, flat in
+        row-major pixel order; built on first use and kept, read-only."""
+        w, h = self.resolution
+        xs, ys = _ndc_axes(self)
+        x_ndc, y_ndc = np.tile(xs, h), np.repeat(ys, w)
+        x_ndc.flags.writeable = y_ndc.flags.writeable = False
+        return x_ndc, y_ndc
 
 
 def camera_to_dict(cam: CameraSpec) -> dict:
@@ -205,22 +223,30 @@ def camera_rays(cam: CameraSpec) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(cam.position, dtype=np.float64), dirs
 
 
-def ray_depth_scale(cam: CameraSpec) -> np.ndarray:
-    """Per-pixel factor converting ray-hit parameter t to camera Z depth."""
+def _ndc_axes(cam: CameraSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Image-plane x of each pixel column's centre and y of each row's, at
+    unit depth."""
     w, h = cam.resolution
     tan_half = math.tan(math.radians(cam.fov_deg) / 2.0)
     xs = ((np.arange(w) + 0.5) / w * 2.0 - 1.0) * tan_half
     ys = -((np.arange(h) + 0.5) / h * 2.0 - 1.0) * tan_half * (h / w)
+    return xs, ys
+
+
+def ray_depth_scale(cam: CameraSpec) -> np.ndarray:
+    """Per-pixel factor converting ray-hit parameter t to camera Z depth."""
+    xs, ys = _ndc_axes(cam)
     return 1.0 / np.sqrt(xs[None, :] ** 2 + ys[:, None] ** 2 + 1.0)
 
 
-def backproject_pixels(cam: CameraSpec, us: np.ndarray, vs: np.ndarray, depths: np.ndarray) -> np.ndarray:
-    """World points for pixel centers (us, vs) at camera Z depths."""
-    w, h = cam.resolution
-    tan_half = math.tan(math.radians(cam.fov_deg) / 2.0)
-    x_ndc = ((us + 0.5) / w * 2.0 - 1.0) * tan_half
-    y_ndc = -((vs + 0.5) / h * 2.0 - 1.0) * tan_half * (h / w)
-    pts_cam = np.stack([x_ndc * depths, y_ndc * depths, -depths], axis=-1)
+def backproject_pixels(cam: CameraSpec, pixels: np.ndarray, depths: np.ndarray) -> np.ndarray:
+    """World points, (n, 3), for the centres of flat row-major pixel
+    indices at camera Z depths."""
+    x_ndc, y_ndc = cam.pixel_ndc
+    pts_cam = np.empty((len(depths), 3))
+    np.multiply(x_ndc[pixels], depths, out=pts_cam[:, 0])
+    np.multiply(y_ndc[pixels], depths, out=pts_cam[:, 1])
+    np.negative(depths, out=pts_cam[:, 2])
     return cam.camera_to_world(pts_cam)
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .geom import Vec3, axis_angle_matrix, euler_deg_to_matrix, norm, normalize, vec
+from .geom import Vec3, axis_angle_matrix, cross, euler_deg_to_matrix, norm, normalize, vec
 
 REACH_EPS = 1e-4  # cm, margin kept from both reach limits when clamping
 
@@ -216,7 +216,7 @@ def _palm_frame(aim_dir: Vec3, wrist_rotation_deg: tuple[float, float, float]) -
         ref = vec(0.0, 1.0, 0.0)
     normal = ref - axis * float(np.dot(ref, axis))
     normal = normalize(normal)
-    lateral = np.cross(normal, axis)
+    lateral = cross(normal, axis)
     frame = np.column_stack([lateral, normal, axis])
     return frame @ euler_deg_to_matrix(*wrist_rotation_deg)
 
@@ -258,7 +258,7 @@ def pose_hand(rig: ArmRig, wrist_pos: Vec3, aim_dir: Vec3, pose: HandPose) -> Po
         abd = math.radians(pose.abduction[i] if not rig.is_left else -pose.abduction[i])
         direction = axis_angle_matrix(normal, abd) @ rest
         # curl: equal rotation at every phalanx joint, folding toward the palm side
-        curl_axis = normalize(np.cross(normal, direction))
+        curl_axis = normalize(cross(normal, direction))
         curl_step = axis_angle_matrix(curl_axis, -math.radians(pose.curl[i]))
         finger_joints[i, 0] = base
         p = base

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -477,6 +478,19 @@ def test_eval_loo_runs_on_generated_dataset(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert "leave_one_out" in report
     assert 0.0 <= report["leave_one_out"]["accuracy"] <= 1.0
+    entries = read_manifest(str(tmp_path / "out" / "manifest.json")).entries
+    assert report["trajectories"] == [
+        {
+            "frame_dir": e.frame_dir,
+            "label": e.gesture_label,
+            "variant_index": e.variant_index,
+            "labeled_frames": e.label_span[1] - e.label_span[0] + 1,
+            "confidence": t["confidence"],
+        }
+        for e, t in zip(entries, report["trajectories"])
+    ]
+    assert len(report["trajectories"]) == len(entries) == 4
+    assert all(0.0 < t["confidence"] <= 1.0 for t in report["trajectories"])
 
 
 def _truncate(path, keep):
@@ -509,6 +523,95 @@ def test_eval_unreadable_dataset_is_data_error(tmp_path, capsys, spoil, named):
     err = capsys.readouterr().err
     assert err.startswith("data error: ")
     assert str(out / named.format(d=frame_dir)) in err
+
+
+@pytest.fixture(scope="module")
+def _eval_dataset(tmp_path_factory):
+    """A small written depth dataset; tests spoil copies of it."""
+    base = tmp_path_factory.mktemp("eval-dataset")
+    cfg_path = _small_config(base, gestures=("swipe_right", "point_two_finger"), variants=2)
+    assert main(["generate", "--config", cfg_path]) == EXIT_OK
+    return base / "out"
+
+
+def _spoilable(dataset, tmp_path):
+    out = tmp_path / "out"
+    shutil.copytree(dataset, out)
+    entry = read_manifest(str(out / "manifest.json")).entries[1]
+    first, last = entry.label_span
+    assert first > 1 and last + 1 < entry.frame_count
+    return out, entry
+
+
+@pytest.mark.parametrize("where", ["before_span", "in_span", "after_span"])
+@pytest.mark.parametrize(
+    "spoil, code",
+    [(lambda path: _truncate(path, 0.9), EXIT_DATA), (lambda path: path.unlink(), EXIT_IO)],
+    ids=["truncated", "missing"],
+)
+def test_eval_bad_frame_is_named_inside_and_outside_the_label_span(
+    _eval_dataset, tmp_path, capsys, where, spoil, code
+):
+    out, entry = _spoilable(_eval_dataset, tmp_path)
+    first, last = entry.label_span
+    index = {"before_span": first - 1, "in_span": (first + last) // 2, "after_span": last + 1}[where]
+    frame = out / entry.frame_dir / f"frame_{index:05d}.pgm"
+    spoil(frame)
+    capsys.readouterr()
+    assert main(["eval", "--manifest", str(out / "manifest.json")]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("data error: " if code == EXIT_DATA else "I/O error: ")
+    assert str(frame) in err
+    assert "recording " not in err  # a frame error is not re-worded as the recording's
+
+
+@pytest.mark.parametrize("coeff", [0.0, -0.7])
+def test_eval_manifest_entry_with_a_non_positive_coefficient(_eval_dataset, tmp_path, capsys, coeff):
+    out, entry = _spoilable(_eval_dataset, tmp_path)
+    doc = json.loads((out / "manifest.json").read_text())
+    doc["entries"][1]["variant_params"]["chromaticity_coeff"] = coeff
+    (out / "manifest.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["eval", "--manifest", str(out / "manifest.json")]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: recording {out / entry.frame_dir}: chromaticity_coeff")
+
+
+def test_eval_reads_background_and_span_only(_eval_dataset, monkeypatch):
+    from handsynth import output
+
+    manifest = read_manifest(str(_eval_dataset / "manifest.json"))
+    reads, extracts = [], []
+    real_read, real_extract = output.read_frame, pipeline.extract_trajectory
+
+    def read_spy(path):
+        reads.append(path)
+        return real_read(path)
+
+    def extract_spy(background, frames, cam, sensor):
+        assert isinstance(frames, types.GeneratorType)
+        start = len(reads)
+        extracts.append(start)
+
+        def counted():
+            for n, frame in enumerate(frames, 1):
+                assert len(reads) == start + n  # each frame is read as it is consumed
+                yield frame
+
+        return real_extract(background, counted(), cam, sensor)
+
+    monkeypatch.setattr(output, "read_frame", read_spy)
+    monkeypatch.setattr(pipeline, "extract_trajectory", extract_spy)
+    records = pipeline.trajectories_from_manifest(manifest, str(_eval_dataset))
+    assert len(records) == len(extracts) == len(manifest.entries) == 4
+    expected = []
+    for e in manifest.entries:
+        first, last = e.label_span
+        expected += [os.path.join(str(_eval_dataset), e.frame_dir, "frame_00000.pgm")] + [
+            os.path.join(str(_eval_dataset), e.frame_dir, f"frame_{i:05d}.pgm") for i in range(first, last + 1)
+        ]
+    assert reads == expected
+    assert [r.frame_dir for r in records] == [e.frame_dir for e in manifest.entries]
 
 
 def test_missing_config_file_exit_io(tmp_path):

@@ -292,6 +292,13 @@ def test_every_field_refuses_every_wrong_json_type(tmp_path, capsys, keys):
         ('{"cameras": [{"resolution": 5}]}', "cameras[0].resolution"),
         ('{"gestures": 5}', "gestures"),
         ('{"gestures": ["swipe_up", "swipe_up"]}', "gestures"),
+        ('{"variation": {"chromaticity_coeff": [0, 0]}}', "variation.chromaticity_coeff"),
+        ('{"variation": {"chromaticity_coeff": [-1.0, -0.5]}}', "variation.chromaticity_coeff"),
+        (
+            '{"variation": {"chromaticity_coeff": [0.1, 1.0], "conditions": {"chromaticity_coeff": "high"}}}',
+            "variation.chromaticity_coeff",
+        ),
+        ('{"cameras": [{"sensor": {"chromaticity_coeff": 0}}]}', "cameras[0].sensor"),
     ],
 )
 def test_value_that_does_not_fit_is_refused_before_any_frame(tmp_path, capsys, doc, field_path):

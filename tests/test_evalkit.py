@@ -39,6 +39,13 @@ def _traj(points):
     return Trajectory(points=np.asarray(points, dtype=float), confidence=1.0)
 
 
+def _extract(frames, cam, sp, span):
+    """Trajectory of a recording's label span, its frames handed over one
+    at a time."""
+    first, last = span
+    return extract_trajectory(frames[0], (f for f in frames[first : last + 1]), cam, sp)
+
+
 # --- extraction --------------------------------------------------------------
 
 
@@ -54,7 +61,7 @@ def test_translating_sphere_centroid_tracks_motion():
             planes=[(vec(0, 0, -120.0), vec(0, 0, 1.0))],
         )
         frames.append(_depth_codes(scene, cam, sp))
-    traj = extract_trajectory(frames, cam, sp, (1, n_steps))
+    traj = _extract(frames, cam, sp, (1, n_steps))
     assert len(traj) == n_steps
     steps = np.diff(traj.points[:, 0])
     assert np.all(np.abs(steps - 1.0) < 0.2)  # ~1 cm per frame in +x
@@ -70,7 +77,7 @@ def test_static_scene_centroid_variance_tiny():
     )
     background = scene_from_primitives(planes=[(vec(0, 0, -130.0), vec(0, 0, 1.0))])
     frames = [_depth_codes(background, cam, sp)] + [_depth_codes(scene, cam, sp)] * 10
-    traj = extract_trajectory(frames, cam, sp, (1, 10))
+    traj = _extract(frames, cam, sp, (1, 10))
     assert np.all(traj.points.var(axis=0) < 0.01)
 
 
@@ -80,7 +87,7 @@ def test_all_invalid_frames_error():
     empty = scene_from_primitives(planes=[(vec(0, 0, -120.0), vec(0, 0, 1.0))])
     frames = [_depth_codes(empty, cam, sp)] * 5
     with pytest.raises(ValueError, match="zero foreground"):
-        extract_trajectory(frames, cam, sp, (1, 4))
+        _extract(frames, cam, sp, (1, 4))
 
 
 def test_low_pixel_frames_reuse_neighbor_centroid():
@@ -94,7 +101,7 @@ def test_low_pixel_frames_reuse_neighbor_centroid():
     bg = _depth_codes(background, cam, sp)
     ball = _depth_codes(with_sphere, cam, sp)
     frames = [bg, ball, bg, ball]  # middle labeled frame has no foreground
-    traj = extract_trajectory(frames, cam, sp, (1, 3))
+    traj = _extract(frames, cam, sp, (1, 3))
     assert np.array_equal(traj.points[1], traj.points[0])
     assert traj.confidence == pytest.approx(2 / 3)
 

@@ -177,6 +177,9 @@ def test_sensor_validation():
         SensorParams(dropout_threshold=0.0)
     with pytest.raises(ValueError):
         SensorParams(fresnel_exponent=0.0)
+    for coeff in (0.0, -0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="chromaticity_coeff must be positive and finite"):
+            SensorParams(chromaticity_coeff=coeff)
 
 
 def test_camera_validation():

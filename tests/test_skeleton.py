@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from handsynth.geom import mirror_x, normalize, vec
+from handsynth.geom import cross, mirror_x, normalize, vec
 from handsynth.skeleton import (
     ArmRig,
     HAND_POSE_PRESETS,
@@ -213,3 +213,14 @@ def test_capsule_count_covers_every_bone(rig):
 
 def test_presets_exist():
     assert set(HAND_POSE_PRESETS) == {"open_palm", "two_finger", "peace", "point", "grip"}
+
+
+def test_cross_has_the_bytes_of_np_cross():
+    rng = np.random.default_rng(11)
+    a = rng.normal(size=(100_000, 3)) * 10.0 ** rng.uniform(-6, 6, size=(100_000, 1))
+    b = rng.normal(size=(100_000, 3)) * 10.0 ** rng.uniform(-6, 6, size=(100_000, 1))
+    a[:100] = 0.0  # zero and signed-zero components
+    b[50:150] = -0.0
+    want = np.cross(a, b)
+    got = np.array([cross(u, v) for u, v in zip(a, b)])
+    assert got.tobytes() == want.tobytes()
