@@ -5,7 +5,8 @@ canonical JSON), ``generate`` (run the full generation loop), ``preview``
 (render a single frame to an image file) and ``eval`` (dataset quality
 reports).  Exit codes: 0 success, 2 configuration error, 3 I/O error,
 4 internal invariant violation, 5 data error (a frame or manifest of a
-dataset that cannot be read as written; the message names the file).
+dataset that cannot be read as written; the message names the file),
+130 interrupted (the message names what the run left behind).
 
 Progress goes to stderr; machine-readable summaries go to stdout with
 ``--json``.
@@ -28,6 +29,7 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_INTERNAL = 4
 EXIT_DATA = 5
+EXIT_INTERRUPTED = 130
 
 
 def _read_config(path: str | None):
@@ -85,9 +87,13 @@ def cmd_generate(args) -> int:
         if done == total or done % 25 == 0:
             print(f"  {done}/{total} recordings", file=sys.stderr)
 
-    manifest, summary = generate_dataset(
-        parsed, jobs=args.jobs, force=args.force, progress=progress
-    )
+    try:
+        manifest, summary = generate_dataset(parsed, jobs=args.jobs, force=args.force, progress=progress)
+    except KeyboardInterrupt:
+        raise KeyboardInterrupt(
+            f"{parsed.settings.output_path} holds a partial dataset with no manifest; "
+            "rerun with --force to replace it"
+        ) from None
     if args.json:
         print(json.dumps(summary, sort_keys=True))
     else:
@@ -214,6 +220,9 @@ def main(argv: list[str] | None = None) -> int:
     except AssertionError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except KeyboardInterrupt as exc:
+        print(f"interrupted: {exc}" if str(exc) else "interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -7,12 +7,13 @@ change a single byte of output.  Each job carries the parsed recipe,
 gesture scripts included, so no job reads the config or a script file.
 The static part of the scene (body, cabin) is traced once per camera and
 reused as the base buffer for every frame; only the gesturing arm is
-retraced per frame, inside its dirty window (``render.trace_depth``).  Depth
-frames are sensed over that window; RGB and infrared frames shade only the
-pixels the arm wins.  The rest of each frame comes from what the sensor
-makes of the static base (``render.sensor_background``): one frame per
-flipbook tile for depth, one frame for RGB, one pre-blur image for infrared,
-each computed once per recording and kept on its ``_RecordingSetup``.
+retraced per frame, inside its dirty window (``render.trace_depth``).  Each
+frame's window is written into what the sensor makes of the static base
+(``render.sensor_background``): depth frames are sensed over the window,
+RGB and infrared frames shade only the pixels the arm wins.  That
+background is one frame per flipbook tile for depth, one frame for RGB and
+one pre-blur image for infrared, each computed once per recording and kept
+on its ``_RecordingSetup``.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import functools
 import multiprocessing
 import os
 import shutil
+import signal
 import time
 from dataclasses import dataclass, field
 
@@ -169,7 +171,7 @@ def _render_frame(
         counters.ik_clamps += 1
     posed = pose_hand(setup.rig, wrist_target, aim_dir, pose)
     buf = trace_depth(dynamic_scene(posed), cam, base=setup.base)
-    background = None if buf.window is None else setup.background(cam, frame_index, noise_enabled)
+    background = setup.background(cam, frame_index, noise_enabled)
     return sensor_frame(
         buf, cam, setup.sensor, setup.noise, frame_index, noise_enabled=noise_enabled, background=background
     )
@@ -275,6 +277,12 @@ def clear_output(out_dir: str, parsed: ParsedConfig) -> None:
             shutil.rmtree(cam_dir)
 
 
+def _ignore_interrupt() -> None:
+    """Pool initializer: an interrupt stops the parent, which then
+    terminates the workers, and no worker prints its own traceback."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
 def generate_dataset(
     parsed: ParsedConfig,
     jobs: int = 1,
@@ -313,7 +321,8 @@ def generate_dataset(
         if workers <= 1:
             done = map(record, jobs_list)
         else:
-            pool = stack.enter_context(multiprocessing.get_context("fork").Pool(workers))
+            fork = multiprocessing.get_context("fork")
+            pool = stack.enter_context(fork.Pool(workers, initializer=_ignore_interrupt))
             done = pool.imap(record, jobs_list, chunksize=1)
         for entry in done:
             entries.append(entry)

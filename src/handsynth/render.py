@@ -10,19 +10,19 @@ and plain Lambertian RGB.
 Everything here is pure numpy over immutable inputs; per-frame renders
 are deterministic functions of (scene, camera, seed, frame index).
 
-Per-frame work is limited to the gesturing arm: traced on top of a static
-base buffer, a frame is traced only over its dirty window, the union of the
-arm capsules' screen rectangles (plus, for depth, the reach of the noise
-model).  The tracer composites only ray parameters and the index of the
-winning primitive, and derives depth, tag and (for RGB and infrared) normals
-once, at the pixels the arm wins.  Depth frames are sensed over the window;
-RGB and infrared frames shade only the arm's pixels.  Everything else comes
-from what the sensor makes of the static base (``sensor_background``): for
-depth one frame per flipbook tile, for RGB one frame, for infrared the
-image, Fresnel factors and validity before the panned blur, which then runs
-over the whole frame.  The output is byte-identical to tracing and sensing
-the whole frame.  Depth cameras trace no normals, which no depth sensor
-reads.
+There is one tracing and one sensing path.  Every traced buffer covers a
+window of the frame: the whole frame for a trace without a base (an empty
+base) and for scenes with boxes or planes, else the dirty window of a
+trace on a base, the union of the arm capsules' screen rectangles (plus,
+for depth, the reach of the noise model).  The tracer composites only ray
+parameters and the index of the winning primitive, and derives depth, tag
+and (for RGB and infrared) normals once, at the pixels the new primitives
+win.  The sensor writes a buffer's window into a background, what the
+sensor makes of the base (``sensor_background``, itself the same step over
+an empty background): depth is sensed over the window, RGB and infrared
+shade only the changed pixels, and infrared then blurs the whole frame.
+The output is byte-identical to tracing and sensing the whole scene.
+Depth cameras trace no normals, which no depth sensor reads.
 """
 
 from __future__ import annotations
@@ -77,24 +77,24 @@ LIGHT_DIR = LIGHT_DIR / np.linalg.norm(LIGHT_DIR)
 
 @dataclass
 class DepthBuffer:
-    """Nearest-hit result per pixel: camera-Z depth (inf = miss), hit tag,
-    world-space surface normal, and the ray directions used.
+    """Nearest-hit result over the pixel rectangle ``window`` = (u0, u1,
+    v0, v1) of a frame, columns u0:u1 and rows v0:v1 ((0, w, 0, h) for the
+    whole frame): camera-Z depth (inf = miss), hit tag and the ray
+    directions used, per pixel of the window.
 
-    A buffer covers the whole frame, or only the pixel rectangle ``window``
-    = (u0, u1, v0, v1) of it: columns u0:u1, rows v0:v1 (``trace_depth``
-    with a base).  ``changed`` marks the pixels that a primitive traced into
-    this buffer won, over the base if there is one.  A whole-frame buffer
-    carries a normal for every pixel; a windowed one only for its changed
-    pixels, as rows in the row-major order of ``changed``.  Buffers of depth
-    cameras carry no normals: no depth sensor model reads them.
+    ``changed`` marks the pixels that a primitive traced into this buffer
+    won, over the base if there is one.  The world-space surface normals
+    are those of the changed pixels, as rows in the row-major order of
+    ``changed``.  Buffers of depth cameras carry no normals: no depth
+    sensor model reads them.
     """
 
-    depth: np.ndarray  # (h, w) float64, np.inf where no hit
+    depth: np.ndarray  # (h, w) float64 over the window, np.inf where no hit
     tag: np.ndarray  # (h, w) uint8
-    normal: np.ndarray | None  # (h, w, 3), or (changed count, 3) if windowed; None for depth cameras
+    normal: np.ndarray | None  # (changed count, 3) float64; None for depth cameras
     ray_dir: np.ndarray  # (h, w, 3) float64, unit world-space directions
     changed: np.ndarray  # (h, w) bool
-    window: tuple[int, int, int, int] | None = None  # None: the whole frame
+    window: tuple[int, int, int, int]
 
     @property
     def valid(self) -> np.ndarray:
@@ -321,20 +321,19 @@ def _capsule_screen_bounds(cam: CameraSpec, scene: Scene) -> list:
 
 def _dirty_window(bounds, margin: int, w: int, h: int):
     """Union of the capsules' screen rectangles grown by ``margin`` px and
-    clipped to the frame, as (u0, u1, v0, v1); None when that is the whole
-    frame or a capsule has no bound."""
+    clipped to the frame, as (u0, u1, v0, v1); the whole frame when a
+    capsule has no bound."""
     if any(b is None for b in bounds):
-        return None
+        return (0, w, 0, h)
     drawn = [b for b in bounds if b != (0, 0, 0, 0)]
     if not drawn:
         return (0, 0, 0, 0)
-    window = (
+    return (
         max(min(b[0] for b in drawn) - margin, 0),
         min(max(b[1] for b in drawn) + margin, w),
         max(min(b[2] for b in drawn) - margin, 0),
         min(max(b[3] for b in drawn) + margin, h),
     )
-    return None if window == (0, w, 0, h) else window
 
 
 def _keep_nearer(t_best, winner, sl, t, index: int) -> None:
@@ -384,21 +383,22 @@ def trace_depth(scene: Scene, cam: CameraSpec, base: DepthBuffer | None = None) 
 
     ``base`` seeds the result with an already-traced whole-frame buffer
     (the static part of a scene); tracing the remainder on top is exact
-    because nearest-hit composition is an elementwise minimum.  With a
-    base, the buffer covers only the scene's dirty window: the union of its
-    capsules' screen rectangles, grown by the pixels the sensor model reads
-    around them (``_WINDOW_MARGIN``), and its normals only the pixels the
-    arm wins.  The frame outside the window is ``base``.  Scenes with boxes
-    or planes, and capsules with no screen bound, give whole-frame buffers.
-    Depth cameras' buffers carry no normals.
+    because nearest-hit composition is an elementwise minimum.  No base is
+    an empty one, and gives a whole-frame buffer.  On a base, the buffer
+    covers the scene's dirty window: the union of its capsules' screen
+    rectangles, grown by the pixels the sensor model reads around them
+    (``_WINDOW_MARGIN``).  The frame outside the window is ``base``.  Scenes
+    with boxes or planes, and capsules with no screen bound, get the whole
+    frame as their window.  Normals are those of the pixels the scene's
+    primitives win; depth cameras' buffers carry none.
     """
     origin, dirs, z_scale = _cached_rays(cam)
     w, h = cam.resolution
     bounds = _capsule_screen_bounds(cam, scene)
-    window = None
+    window = (0, w, 0, h)
     if base is not None and not (len(scene.box_tag) or len(scene.plane_tag)):
         window = _dirty_window(bounds, _WINDOW_MARGIN[cam.kind], w, h)
-    wu0, wu1, wv0, wv1 = window or (0, w, 0, h)
+    wu0, wu1, wv0, wv1 = window
     win = np.s_[wv0:wv1, wu0:wu1]
     dirs, z_scale = dirs[win], z_scale[win]
 
@@ -437,10 +437,6 @@ def trace_depth(scene: Scene, cam: CameraSpec, base: DepthBuffer | None = None) 
     normal = None
     if cam.kind != CameraKind.DEPTH:
         normal = _won_normals(scene, origin, dirs[changed], t_won, won_by)
-        if window is None:
-            whole = np.zeros((h, w, 3)) if base is None else base.normal.copy()
-            whole[changed] = normal
-            normal = whole
     return DepthBuffer(depth=depth, tag=tag, normal=normal, ray_dir=dirs, changed=changed, window=window)
 
 
@@ -567,12 +563,12 @@ def apply_depth_noise(
     A pixel drops out when I*n exceeds the threshold (equivalently, its
     alpha 1 - I*n falls below 1 - tau); survivors get jittered by
     sigma_d * I * (2n - 1).  ``intensity`` is ``noise_intensity(buf, sp)``
-    when the caller already has it.  A windowed buffer gets the noise of
-    its window; its outer ring is exact only where it is a frame border, as
+    when the caller already has it.  A buffer gets the noise of its window;
+    the window's outer ring is exact only where it is a frame border, as
     ``noise_intensity`` edge-pads the window.
     """
     h, w = buf.depth.shape
-    u0, _, v0, _ = buf.window or (0, w, 0, h)
+    u0, _, v0, _ = buf.window
     n = noise.field(frame_index, h, w, top=v0, left=u0)
     if intensity is None:
         intensity = noise_intensity(buf, sp)
@@ -583,8 +579,7 @@ def apply_depth_noise(
     depth[drop] = np.inf
     tag = buf.tag.copy()
     tag[drop] = TAG_NONE
-    normal = None if buf.normal is None else np.where(drop[..., None], 0.0, buf.normal)
-    return replace(buf, depth=depth, tag=tag, normal=normal)
+    return replace(buf, depth=depth, tag=tag)
 
 
 # ---------------------------------------------------------------------------
@@ -643,24 +638,6 @@ def _infrared_pixels(layers: InfraredLayers, noise: FlipbookNoise, sp: SensorPar
     return np.clip(np.rint(img), 0, 255).astype(np.uint8)
 
 
-def _whole_infrared_layers(buf: DepthBuffer, sp: SensorParams) -> InfraredLayers:
-    return InfraredLayers(*_infrared_shading(buf.normal, buf.ray_dir, buf.tag, sp), valid=buf.valid)
-
-
-def shade_infrared(
-    buf: DepthBuffer, noise: FlipbookNoise, sp: SensorParams, frame_index: int, camera_id: str = ""
-) -> Frame:
-    """Infrared look of a whole-frame buffer: body orange fading to green
-    toward silhouettes, environment dark blue, plus panned-noise UV blur on
-    strong rims."""
-    return Frame(
-        kind=FRAME_KIND[CameraKind.INFRARED],
-        pixels=_infrared_pixels(_whole_infrared_layers(buf, sp), noise, sp, frame_index),
-        frame_index=frame_index,
-        camera_id=camera_id,
-    )
-
-
 def _rgb_pixels(normal, tag, sp: SensorParams):
     """8-bit colour (..., 3) of pixels with normals (..., 3) and tags (...),
     a channel at a time, as numpy broadcasts slowly over a length-3 axis."""
@@ -672,17 +649,6 @@ def _rgb_pixels(normal, tag, sp: SensorParams):
         albedo = np.where(body, BODY_ALBEDO[c], np.where(env, ENV_ALBEDO[c], 0.0))
         pixels[..., c] = np.clip(np.rint(albedo * intensity * 255.0), 0, 255)
     return pixels
-
-
-def shade_rgb(buf: DepthBuffer, sp: SensorParams, frame_index: int = 0, camera_id: str = "") -> Frame:
-    """Lambertian shading of a whole-frame buffer under one directional
-    light plus an ambient term."""
-    return Frame(
-        kind=FRAME_KIND[CameraKind.RGB],
-        pixels=_rgb_pixels(buf.normal, buf.tag, sp),
-        frame_index=frame_index,
-        camera_id=camera_id,
-    )
 
 
 def _patch(background: np.ndarray, pixels: np.ndarray, window, trim: int) -> np.ndarray:
@@ -700,10 +666,43 @@ def _patch(background: np.ndarray, pixels: np.ndarray, window, trim: int) -> np.
     return out
 
 
-def _sense_depth(buf: DepthBuffer, sp, noise, frame_index, noise_enabled, intensity=None) -> np.ndarray:
-    if noise_enabled:
-        buf = apply_depth_noise(buf, noise, sp, frame_index, intensity)
-    return encode_depth16(buf, sp)
+def _empty_background(cam: CameraSpec):
+    """What the sensor makes of a frame with nothing in it: depth codes 0,
+    black RGB, or infrared layers with a black image and no valid pixel
+    (whose Fresnel factors are never read)."""
+    w, h = cam.resolution
+    if cam.kind == CameraKind.DEPTH:
+        return np.full((h, w), INVALID_DEPTH_CODE, dtype=np.uint16)
+    if cam.kind == CameraKind.RGB:
+        return np.zeros((h, w, 3), dtype=np.uint8)
+    return InfraredLayers(np.zeros((h, w, 3)), np.zeros((h, w)), np.zeros((h, w), dtype=bool))
+
+
+def _sense_window(buf: DepthBuffer, cam: CameraSpec, sp, noise, frame_index, noise_enabled, background, intensity):
+    """A copy of ``background`` with what the sensor makes of ``buf``
+    written over its window.  Depth: the window sensed, less the ring
+    ``_patch`` trims; ``intensity`` is ``noise_intensity(buf, sp)`` or None.
+    RGB: the changed pixels shaded.  Infrared: the changed pixels' colour
+    and Fresnel factor, and the window's validity, written into the layers
+    before the blur."""
+    u0, u1, v0, v1 = buf.window
+    arm = np.s_[v0:v1, u0:u1]
+    if cam.kind == CameraKind.DEPTH:
+        if not buf.depth.size:
+            return background.copy()  # no capsule on screen
+        if noise_enabled:
+            buf = apply_depth_noise(buf, noise, sp, frame_index, intensity)
+        return _patch(background, encode_depth16(buf, sp), buf.window, _NOISE_REACH)
+    if cam.kind == CameraKind.RGB:
+        pixels = background.copy()
+        pixels[arm][buf.changed] = _rgb_pixels(buf.normal, buf.tag[buf.changed], sp)
+        return pixels
+    layers = InfraredLayers(background.image.copy(), background.fresnel.copy(), background.valid.copy())
+    layers.image[arm][buf.changed], layers.fresnel[arm][buf.changed] = _infrared_shading(
+        buf.normal, buf.ray_dir[buf.changed], buf.tag[buf.changed], sp
+    )
+    layers.valid[arm] = buf.valid
+    return layers
 
 
 def sensor_background(
@@ -716,16 +715,13 @@ def sensor_background(
     intensity: np.ndarray | None = None,
 ):
     """``sensor_frame``'s ``background`` for buffers traced on the whole-frame
-    static ``base``.  Depth: the frame the sensor makes of ``base``, which
-    changes with the flipbook tile only; ``intensity`` is
-    ``noise_intensity(base, sp)`` when the caller already has it.  RGB: the
-    frame, the same at every frame index.  Infrared: ``base``'s
-    ``InfraredLayers``, the same at every frame index."""
-    if cam.kind == CameraKind.DEPTH:
-        return _sense_depth(base, sp, noise, frame_index, noise_enabled, intensity)
-    if cam.kind == CameraKind.RGB:
-        return shade_rgb(base, sp).pixels
-    return _whole_infrared_layers(base, sp)
+    static ``base``: the sensor's step over an empty background.  Depth: the
+    frame the sensor makes of ``base``, which changes with the flipbook tile
+    only; ``intensity`` is ``noise_intensity(base, sp)`` when the caller
+    already has it.  RGB: the frame, the same at every frame index.
+    Infrared: the ``InfraredLayers`` before the blur, the same at every
+    frame index."""
+    return _sense_window(base, cam, sp, noise, frame_index, noise_enabled, _empty_background(cam), intensity)
 
 
 def sensor_frame(
@@ -739,39 +735,23 @@ def sensor_frame(
 ) -> Frame:
     """Run the camera-kind-specific sensor pipeline on a clean buffer.
 
-    A windowed buffer (``trace_depth`` with a base) needs ``background``,
-    ``sensor_background`` of that base at this frame, for the rest of the
-    frame.  Depth is sensed over the window; RGB and infrared shade only the
-    buffer's changed pixels, and infrared then blurs the whole frame.
+    The buffer's window is written into ``background``, ``sensor_background``
+    of the base it was traced on at this frame: depth is sensed over the
+    window, RGB and infrared shade only the buffer's changed pixels, and
+    infrared then blurs the whole frame.  Without a background the buffer
+    is sensed over an empty one, which is allowed only where no base can
+    show through: the window is the whole frame and every valid pixel is
+    changed, as for a trace without a base.  Any other buffer is refused.
     """
-    window = buf.window
-    if window is None:
-        if cam.kind == CameraKind.DEPTH:
-            pixels = _sense_depth(buf, sp, noise, frame_index, noise_enabled)
-        elif cam.kind == CameraKind.RGB:
-            pixels = shade_rgb(buf, sp).pixels
-        else:
-            pixels = shade_infrared(buf, noise, sp, frame_index).pixels
-    elif background is None:
-        raise ValueError(
-            f"buffer windowed to (u0, u1, v0, v1) = {window}: sensing it needs the background, "
-            "what the sensor makes of the static base"
-        )
-    else:
-        u0, u1, v0, v1 = window
-        arm = np.s_[v0:v1, u0:u1]
-        if cam.kind == CameraKind.INFRARED:
-            layers = InfraredLayers(background.image.copy(), background.fresnel.copy(), background.valid.copy())
-            layers.image[arm][buf.changed], layers.fresnel[arm][buf.changed] = _infrared_shading(
-                buf.normal, buf.ray_dir[buf.changed], buf.tag[buf.changed], sp
+    if background is None:
+        w, h = cam.resolution
+        if buf.window != (0, w, 0, h) or np.any(buf.valid & ~buf.changed):
+            raise ValueError(
+                f"buffer windowed to (u0, u1, v0, v1) = {buf.window}: sensing it needs the background, "
+                "what the sensor makes of the static base"
             )
-            layers.valid[arm] = buf.valid
-            pixels = _infrared_pixels(layers, noise, sp, frame_index)
-        elif cam.kind == CameraKind.RGB:
-            pixels = background.copy()
-            pixels[arm][buf.changed] = _rgb_pixels(buf.normal, buf.tag[buf.changed], sp)
-        elif buf.depth.size:
-            pixels = _patch(background, _sense_depth(buf, sp, noise, frame_index, noise_enabled), window, _NOISE_REACH)
-        else:
-            pixels = background.copy()  # no capsule on screen
+        background = _empty_background(cam)
+    pixels = _sense_window(buf, cam, sp, noise, frame_index, noise_enabled, background, None)
+    if cam.kind == CameraKind.INFRARED:
+        pixels = _infrared_pixels(pixels, noise, sp, frame_index)
     return Frame(kind=FRAME_KIND[cam.kind], pixels=pixels, frame_index=frame_index, camera_id=cam.camera_id)

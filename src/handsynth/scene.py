@@ -341,8 +341,9 @@ def static_scene(rig: ArmRig) -> Scene:
     """Everything except the gesturing arm; the pipeline traces it once per
     camera and caches the buffer (``pipeline._static_buffer``).  Each
     recording also keeps what its sensor makes of that buffer, one frame per
-    flipbook tile for depth and one for RGB, as the part of every frame
-    outside the arm's dirty window (``pipeline._RecordingSetup.background``)."""
+    flipbook tile for depth, one frame for RGB and the pre-blur layers for
+    infrared, as the part of every frame the arm does not change
+    (``pipeline._RecordingSetup.background``)."""
     return scene_from_primitives(
         capsules=_static_body_capsules(rig),
         boxes=_environment_boxes(),

@@ -10,6 +10,14 @@ from handsynth.scene import CameraKind, gesture_anchor, preset_camera
 from handsynth.skeleton import default_rig
 
 
+def normal_map(buf):
+    """A traced buffer's normals as an (h, w, 3) map over its window: the
+    rows of its changed pixels scattered into place, zero elsewhere."""
+    normals = np.zeros(buf.changed.shape + (3,))
+    normals[buf.changed] = buf.normal
+    return normals
+
+
 @pytest.fixture(scope="session")
 def rig():
     return default_rig()

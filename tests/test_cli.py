@@ -5,13 +5,14 @@ import shutil
 import signal
 import subprocess
 import sys
+import time
 import types
 
 import numpy as np
 import pytest
 
 from handsynth import pipeline
-from handsynth.cli import EXIT_CONFIG, EXIT_DATA, EXIT_IO, EXIT_OK, main
+from handsynth.cli import EXIT_CONFIG, EXIT_DATA, EXIT_INTERRUPTED, EXIT_IO, EXIT_OK, main
 from handsynth.config import apply_overrides, config_digest, parse_config_full
 from handsynth.output import read_frame, read_manifest
 
@@ -314,6 +315,46 @@ def test_script_changed_after_parse_leaves_run_undisturbed(tmp_path, disturbance
     assert _tree_bytes(tmp_path / "out") == _tree_bytes(tmp_path / "undisturbed")
 
 
+def _first_frame(out, proc, timeout=60.0):
+    """Wait until ``proc`` has written a frame file under ``out``."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline and proc.poll() is None:
+        if any(files for _, _, files in os.walk(out)):
+            return True
+        time.sleep(0.01)
+    return False
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_interrupted_generate_names_its_partial_output(tmp_path, jobs):
+    """SIGINT to the whole process group (parent and workers) ends the run
+    with exit 130 and one line naming the directory, and no traceback."""
+    path = _small_config(tmp_path, variants=40)
+    out = tmp_path / "out"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "handsynth.cli", "generate", "--config", path, "--jobs", jobs],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        start_new_session=True,
+    )
+    try:
+        assert _first_frame(out, proc), "no frame was written"
+        os.killpg(proc.pid, signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+    except (AssertionError, subprocess.TimeoutExpired):
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        raise
+    assert proc.returncode == EXIT_INTERRUPTED, err
+    assert "Traceback" not in err
+    lines = [line for line in err.splitlines() if "recordings" not in line]  # progress lines
+    assert lines == [f"interrupted: {out} holds a partial dataset with no manifest; rerun with --force to replace it"]
+    assert not (out / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_generate_jobs_below_one_exit_2(tmp_path, capsys, jobs):
     path = _small_config(tmp_path)
@@ -326,7 +367,7 @@ def test_pool_has_at_most_one_worker_per_recording(tmp_path, monkeypatch):
     sizes = []
 
     class InProcessPool:
-        def __init__(self, processes):
+        def __init__(self, processes, initializer=None):
             sizes.append(processes)
 
         def __enter__(self):

@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from conftest import normal_map
 
 from handsynth.geom import vec
 from handsynth.render import (
@@ -16,8 +17,6 @@ from handsynth.render import (
     make_flipbook,
     sensor_background,
     sensor_frame,
-    shade_infrared,
-    shade_rgb,
     trace_depth,
     BODY_CENTER_COLOR,
     BODY_EDGE_COLOR,
@@ -62,7 +61,7 @@ def test_sphere_center_pixel_depth_exact():
     assert abs(buf.depth[h // 2, w // 2] - 68.0) < 1e-9
     assert buf.tag[h // 2, w // 2] == TAG_BODY
     # normal at the center pixel faces the camera
-    assert np.linalg.norm(buf.normal[h // 2, w // 2] - vec(0, 0, 1)) < 1e-6
+    assert np.linalg.norm(normal_map(buf)[h // 2, w // 2] - vec(0, 0, 1)) < 1e-6
 
 
 def test_empty_scene_all_invalid():
@@ -79,7 +78,7 @@ def test_box_front_face_depth():
     buf = trace_depth(scene, cam)
     w, h = cam.resolution
     assert abs(buf.depth[h // 2, w // 2] - 70.0) < 1e-9
-    assert np.linalg.norm(buf.normal[h // 2, w // 2] - vec(0, 0, 1)) < 1e-9
+    assert np.linalg.norm(normal_map(buf)[h // 2, w // 2] - vec(0, 0, 1)) < 1e-9
 
 
 def test_plane_depth_is_perpendicular_distance():
@@ -340,13 +339,13 @@ def test_infrared_center_and_edge_colors():
     sp = SensorParams(blur_radius=0.0)
     scene = _sphere_scene((0.0, 0.0, -80.0), 20.0)
     buf = trace_depth(scene, cam)
-    frame = shade_infrared(buf, make_flipbook(sp, 3), sp, 0, camera_id="t")
+    frame = sensor_frame(buf, cam, sp, make_flipbook(sp, 3), 0)
     w, h = cam.resolution
     center = frame.pixels[h // 2, w // 2]
     assert np.array_equal(center, BODY_CENTER_COLOR.astype(np.uint8))
     # grazing pixels blend toward green; background is black
     assert np.array_equal(frame.pixels[0, 0], [0, 0, 0])
-    cos_nv = np.einsum("...i,...i->...", buf.normal, -buf.ray_dir)
+    cos_nv = np.einsum("...i,...i->...", normal_map(buf), -buf.ray_dir)
     grazing = buf.valid & (cos_nv < 0.05)
     if np.any(grazing):
         sample = frame.pixels[grazing][0].astype(float)
@@ -358,7 +357,7 @@ def test_infrared_environment_dark_blue():
     sp = SensorParams(blur_radius=0.0)
     scene = scene_from_primitives(planes=[(vec(0, 0, -100.0), vec(0, 0, 1.0))])
     buf = trace_depth(scene, cam)
-    frame = shade_infrared(buf, make_flipbook(sp, 3), sp, 0)
+    frame = sensor_frame(buf, cam, sp, make_flipbook(sp, 3), 0)
     w, h = cam.resolution
     b, g, r = frame.pixels[h // 2, w // 2][2], frame.pixels[h // 2, w // 2][1], frame.pixels[h // 2, w // 2][0]
     assert b > g and b > r  # dark blue dominates
@@ -372,16 +371,16 @@ def test_rgb_lambert_anchor_cases():
 
     # facing the light exactly: intensity 1 regardless of ambient 0
     sp0 = SensorParams(ambient=0.0)
-    frame = shade_rgb(buf, sp0)
+    frame = sensor_frame(buf, cam, sp0, make_flipbook(sp0, 0), 0)
     # pick the pixel whose normal is closest to -light
-    cos = np.einsum("...i,i->...", buf.normal, -LIGHT_DIR)
+    cos = np.einsum("...i,i->...", normal_map(buf), -LIGHT_DIR)
     v, u = np.unravel_index(np.argmax(np.where(buf.valid, cos, -np.inf)), cos.shape)
     expected = np.rint(BODY_ALBEDO * float(np.clip(cos[v, u], 0, 1)) * 255)
     assert np.abs(frame.pixels[v, u].astype(float) - expected).max() <= 1.0
 
     # ambient 1.0: image independent of the light direction
     sp1 = SensorParams(ambient=1.0)
-    frame1 = shade_rgb(buf, sp1)
+    frame1 = sensor_frame(buf, cam, sp1, make_flipbook(sp1, 0), 0)
     lit = frame1.pixels[buf.valid]
     assert np.all(lit == lit[0])
 
@@ -393,8 +392,8 @@ def test_rgb_perpendicular_gets_ambient_only():
     scene = _sphere_scene((0.0, 0.0, -80.0), 15.0)
     buf = trace_depth(scene, cam)
     sp = SensorParams(ambient=0.2)
-    frame = shade_rgb(buf, sp)
-    cos = np.einsum("...i,i->...", buf.normal, -LIGHT_DIR)
+    frame = sensor_frame(buf, cam, sp, make_flipbook(sp, 0), 0)
+    cos = np.einsum("...i,i->...", normal_map(buf), -LIGHT_DIR)
     perp = buf.valid & (np.abs(cos) < 0.01)
     if np.any(perp):
         got = frame.pixels[perp][0].astype(float)
@@ -522,6 +521,7 @@ def test_windowed_frames_equal_full_frame_render(monkeypatch, case):
     from handsynth.config import VariationConfig
 
     cam = _window_camera(case)
+    w, h = cam.resolution
     noise_enabled = case != "depth_noise_off"
     variant = sample_variant(VariationConfig(), {}, derive_seed(5, "swipe_right", 0, cam.camera_id), 0)
     setup = pipeline._setup_recording(builtin_scripts()["swipe_right"], cam, variant, False)
@@ -539,15 +539,14 @@ def test_windowed_frames_equal_full_frame_render(monkeypatch, case):
         frame = pipeline._render_frame(setup, cam, i, WarningCounters(), noise_enabled)
         wrist, aim, pose = evaluate_frame(setup.timeline, i, WarningCounters())
         full = trace_depth(build_scene(setup.rig, pose_hand(setup.rig, wrist, aim, pose)), cam)
-        assert full.window is None
+        assert full.window == (0, w, 0, h)
         reference = sensor_frame(full, cam, setup.sensor, setup.noise, i, noise_enabled=noise_enabled)
         assert frame.kind == reference.kind
         assert np.array_equal(frame.pixels, reference.pixels), f"frame {i}"
 
-    w, _ = cam.resolution
-    windowed = [win for win in windows if win is not None]
+    windowed = [win for win in windows if win != (0, w, 0, h)]
     if case.endswith("camera_plane"):
-        assert None in windows and windowed
+        assert (0, w, 0, h) in windows and windowed
     elif case.endswith("border"):  # every window reaches the bottom row; these reach a side or the top too
         assert any(win[0] == 0 or win[1] == w or win[2] == 0 for win in windowed)
     else:
@@ -621,12 +620,34 @@ def test_capsules_off_screen_give_the_background(kind):
     assert np.array_equal(frame.pixels, static)
 
 
-@pytest.mark.parametrize("kind", [CameraKind.DEPTH, CameraKind.RGB, CameraKind.INFRARED])
-def test_windowed_buffer_without_background_is_refused(kind):
+@pytest.mark.parametrize(
+    "kind, case",
+    [
+        pytest.param(kind, case, id=kind if case == "dirty_window" else f"{kind}-{case}")
+        for case in ("dirty_window", "camera_plane")
+        for kind in (CameraKind.DEPTH, CameraKind.RGB, CameraKind.INFRARED)
+    ],
+)
+def test_windowed_buffer_without_background_is_refused(kind, case):
+    """A buffer traced on a base needs the background, whether its window is
+    the arm's rectangle or, for a capsule reaching the camera plane, the
+    whole frame; the same scene traced without a base needs none."""
     cam = _cam(resolution=(48, 36), kind=kind)
+    w, h = cam.resolution
     sp = SensorParams()
+    noise = make_flipbook(sp, 2)
     base = trace_depth(scene_from_primitives(planes=[(vec(0, 0, -100.0), vec(0, 0, 1.0))]), cam)
-    buf = trace_depth(_sphere_scene((0.0, 0.0, -80.0), 6.0), cam, base=base)
-    assert buf.window not in (None, (0, 0, 0, 0))
+    if case == "dirty_window":
+        scene = _sphere_scene((0.0, 0.0, -80.0), 6.0)
+    else:  # its near end sphere reaches behind the camera; the far end is on screen, off centre
+        scene = scene_from_primitives(capsules=[(vec(5.0, 0, -2.0), vec(5.0, 0, -60.0), 2.5)])
+    buf = trace_depth(scene, cam, base=base)
+    if case == "dirty_window":
+        assert buf.window not in ((0, w, 0, h), (0, 0, 0, 0))
+    else:
+        assert buf.window == (0, w, 0, h) and buf.changed.any() and not buf.changed.all()
     with pytest.raises(ValueError, match=re.escape(f"windowed to (u0, u1, v0, v1) = {buf.window}")):
-        sensor_frame(buf, cam, sp, make_flipbook(sp, 2), 0)
+        sensor_frame(buf, cam, sp, noise, 0)
+    alone = trace_depth(scene, cam)
+    assert alone.window == (0, w, 0, h)
+    assert sensor_frame(alone, cam, sp, noise, 0).pixels.shape[:2] == (h, w)

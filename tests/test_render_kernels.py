@@ -6,7 +6,9 @@ two bit for bit on inputs that reach every branch: zero-length capsule
 axes, a camera inside an end sphere, grazing rays, rays parallel to a box
 slab, an origin on a slab plane, capsules reaching the camera plane and
 capsules fully off screen.  The normals and the RGB and infrared shading,
-rewritten to run a column at a time, are compared the same way.
+rewritten to run a column at a time, are compared the same way, and so
+is what the sensor makes of each preset's static base, which was shaded
+from a whole-frame normal map before buffers carried normals as rows.
 """
 
 import math
@@ -14,6 +16,7 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import normal_map
 
 from handsynth import render
 from handsynth.geom import vec
@@ -24,8 +27,12 @@ from handsynth.scene import (
     CameraSpec,
     SensorParams,
     camera_rays,
+    gesture_anchor,
+    preset_camera,
     scene_from_primitives,
+    static_scene,
 )
+from handsynth.skeleton import default_rig
 
 _T_EPS = render._T_EPS
 
@@ -380,3 +387,26 @@ def test_infrared_blur_matches_reference(rng):
         want = _reference_infrared_pixels(render.InfraredLayers(image.copy(), fresnel, valid), noise, sp, frame_index)
         got = _strict(render._infrared_pixels, render.InfraredLayers(image, fresnel, valid), noise, sp, frame_index)
         _assert_same_bytes(got, want)
+
+
+@pytest.mark.parametrize("preset", ["infotainment", "top", "wheel"])
+def test_static_base_senses_as_the_whole_frame_shaders_did(preset):
+    """The static base's normal rows, scattered into a whole-frame map that
+    is zero where nothing was hit, shaded by the frozen RGB and infrared
+    kernels and blurred by the frozen blur, give the bytes of the RGB
+    background and of the blurred infrared frame."""
+    rig = default_rig()
+    sp = SensorParams()
+    noise = render.make_flipbook(sp, 3)
+    rgb_cam = preset_camera(preset, "k", CameraKind.RGB, gesture_anchor(rig), resolution=(640, 480))
+    base = render.trace_depth(static_scene(rig), rgb_cam)
+    got = _strict(render.sensor_background, base, rgb_cam, sp, noise, 0)
+    _assert_same_bytes(got, _reference_rgb_pixels(normal_map(base), base.tag, sp))
+
+    ir_cam = preset_camera(preset, "k", CameraKind.INFRARED, gesture_anchor(rig), resolution=(640, 480))
+    base = render.trace_depth(static_scene(rig), ir_cam)
+    assert np.array_equal(base.changed, base.valid)
+    for frame_index in (0, 7, noise.tile_px + 5):
+        image, fresnel = _reference_infrared_shading(normal_map(base), base.ray_dir, base.tag, sp)
+        want = _reference_infrared_pixels(render.InfraredLayers(image, fresnel, base.valid), noise, sp, frame_index)
+        _assert_same_bytes(_strict(render.sensor_frame, base, ir_cam, sp, noise, frame_index).pixels, want)
