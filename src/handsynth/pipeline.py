@@ -14,17 +14,27 @@ RGB and infrared frames shade only the pixels the arm wins.  That
 background is one frame per flipbook tile for depth, one frame for RGB and
 one pre-blur image for infrared, each computed once per recording and kept
 on its ``_RecordingSetup``.
+
+A recording is rendered one frame at a time (``_frames``), and generation
+writes each frame before the next is rendered, so a worker holds one frame
+of a recording, not the whole of it.  The ablation (``render_trajectory_set``)
+feeds the same stream to ``extract_trajectory`` and stops after the label
+span's last frame.  ``render_recording`` collects the stream into a list for
+callers that index frames or read them twice: the tests, and
+``gesturebench``'s tracer, which wraps it.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 import multiprocessing
 import os
 import shutil
 import signal
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,6 +89,11 @@ def _static_buffer(cam: CameraSpec, is_left: bool) -> DepthBuffer:
 
 @dataclass(frozen=True)
 class RenderedRecording:
+    """A whole recording in memory, as ``render_recording`` returns it.
+    Generation never builds one: it writes each frame as it is rendered.
+    Tests use it to index and compare frames, and ``gesturebench``'s tracer
+    wraps ``render_recording``."""
+
     frames: list[Frame]
     timeline: Timeline
     sensor: SensorParams
@@ -177,6 +192,15 @@ def _render_frame(
     )
 
 
+def _frames(
+    setup: _RecordingSetup, cam: CameraSpec, counters: WarningCounters, noise_enabled: bool
+) -> Iterator[Frame]:
+    """The frames of one recording in order, each rendered when it is asked
+    for; ``counters`` gathers the warnings of the frames rendered so far."""
+    for frame_index in range(setup.timeline.total_frames):
+        yield _render_frame(setup, cam, frame_index, counters, noise_enabled)
+
+
 def render_recording(
     script: GestureScript,
     cam: CameraSpec,
@@ -187,31 +211,19 @@ def render_recording(
     """All frames of one recording, deterministic in (script, cam, variant)."""
     setup = _setup_recording(script, cam, variant, default_left_hand)
     counters = WarningCounters()
-    frames = [
-        _render_frame(setup, cam, frame_index, counters, noise_enabled)
-        for frame_index in range(setup.timeline.total_frames)
-    ]
-    return RenderedRecording(
-        frames=frames,
-        timeline=setup.timeline,
-        sensor=setup.sensor,
-        warnings=counters,
-    )
+    frames = list(_frames(setup, cam, counters, noise_enabled))
+    return RenderedRecording(frames=frames, timeline=setup.timeline, sensor=setup.sensor, warnings=counters)
 
 
 def _record_one(parsed: ParsedConfig, out_dir: str, job: Job) -> RecordingEntry:
-    """Render one recording, write its frames under ``out_dir`` and return
-    its manifest entry."""
+    """Render one recording, writing each frame under ``out_dir`` before the
+    next is rendered, and return its manifest entry."""
     cam, gesture_name, variant_index = job
     variant = _variant(parsed.settings.master_seed, parsed.variation, *job)
-    rendered = render_recording(
-        parsed.scripts[gesture_name],
-        cam,
-        variant,
-        default_left_hand=parsed.settings.default_left_hand,
-    )
+    setup = _setup_recording(parsed.scripts[gesture_name], cam, variant, parsed.settings.default_left_hand)
+    counters = WarningCounters()
     rel_dir = recording_dir(cam.camera_id, gesture_name, variant_index)
-    for frame in rendered.frames:
+    for frame in _frames(setup, cam, counters, noise_enabled=True):
         write_frame(frame, os.path.join(out_dir, frame_path(rel_dir, frame.frame_index, frame.kind)))
     return RecordingEntry(
         gesture_label=gesture_name,
@@ -219,13 +231,13 @@ def _record_one(parsed: ParsedConfig, out_dir: str, job: Job) -> RecordingEntry:
         camera_id=cam.camera_id,
         kind=cam.kind,
         frame_dir=rel_dir,
-        frame_count=rendered.timeline.total_frames,
+        frame_count=setup.timeline.total_frames,
         fps=cam.fps,
         resolution=cam.resolution,
-        label_span=rendered.timeline.label_span,
+        label_span=setup.timeline.label_span,
         variant_params=variant,
         seed=variant.seed,
-        warnings=rendered.warnings.as_dict(),
+        warnings=counters.as_dict(),
     )
 
 
@@ -380,7 +392,9 @@ def render_trajectory_set(
 ) -> list[Trajectory]:
     """Render n variants of one built-in gesture in memory, under the
     variation's ranges and range conditions, and extract trajectories, seen
-    by the infotainment depth camera."""
+    by the infotainment depth camera.  Of each recording, frame 0 (the
+    background) and the label span reach ``extract_trajectory`` as they
+    are rendered, and no frame after the span is rendered."""
     registry = builtin_scripts()
     if gesture_name not in registry:
         raise ValueError(f"unknown gesture {gesture_name!r}")
@@ -396,10 +410,14 @@ def render_trajectory_set(
     trajectories = []
     for v in range(n_variants):
         variant = _variant(master_seed, variation, camera, gesture_name, v)
-        rendered = render_recording(script, camera, variant, noise_enabled=noise_enabled)
-        first, last = rendered.timeline.label_span
-        span = (f.pixels for f in rendered.frames[first : last + 1])
-        trajectories.append(extract_trajectory(rendered.frames[0].pixels, span, camera, rendered.sensor))
+        setup = _setup_recording(script, camera, variant, default_left_hand=False)
+        first, last = setup.timeline.label_span
+        frames = (f.pixels for f in _frames(setup, camera, WarningCounters(), noise_enabled))
+        background = next(frames)
+        span = itertools.islice(frames, max(first - 1, 0), last)  # frames max(first, 1)..last
+        if first == 0:
+            span = itertools.chain((background,), span)
+        trajectories.append(extract_trajectory(background, span, camera, setup.sensor))
     return trajectories
 
 

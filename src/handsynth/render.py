@@ -21,7 +21,10 @@ win.  The sensor writes a buffer's window into a background, what the
 sensor makes of the base (``sensor_background``, itself the same step over
 an empty background): depth is sensed over the window, RGB and infrared
 shade only the changed pixels, and infrared then blurs the whole frame.
-The output is byte-identical to tracing and sensing the whole scene.
+Normals and shading are computed over the changed pixels at most
+RENDER_CHUNK_PIXELS at a time, so a whole-frame trace needs no whole-frame
+temporaries for them.  The output is byte-identical to tracing and sensing
+the whole scene.
 Depth cameras trace no normals, which no depth sensor reads.
 """
 
@@ -46,6 +49,11 @@ from .scene import (
 )
 
 _T_EPS = 1e-6  # minimum ray parameter accepted as a hit
+
+# changed pixels whose normals or shading are computed at a time: bounds the
+# per-pixel temporaries of a whole-frame trace and of its background, and is
+# more than a dynamic frame changes, so a frame of the arm runs one chunk
+RENDER_CHUNK_PIXELS = 1 << 15
 
 # per-camera ray grids are pose/intrinsics functions only; cache them
 _RAY_CACHE: dict = {}
@@ -358,23 +366,49 @@ def _primitive_normals(scene: Scene, index: int, points, rays):
     return np.where((rays @ normal)[:, None] > 0, -normal, normal)
 
 
-def _won_normals(scene: Scene, origin, rays, t, winner):
-    """Normals where ``rays`` (n, 3) hit primitives ``winner`` (n,) at ray
-    parameters ``t`` (n,).  The rows are sorted by primitive, so that each
-    primitive's normals come from its own contiguous (k, 3) rows: a dot
-    product over those gives the bytes it gives over a pixel rectangle,
-    which a per-pixel elementwise dot does not."""
+def _normal_chunks(winner: np.ndarray):
+    """(lo, hi) ranges of the rows, sorted by primitive ``winner``, that
+    ``_won_normals`` takes at a time: RENDER_CHUNK_PIXELS rows or the rest,
+    each edge moved on while it would leave a single row of a primitive on
+    either side.  numpy takes a one-row matrix-vector product through a dot
+    product, whose last bit can differ from that row's in a longer product,
+    so a primitive with more rows is never given one alone."""
+    n, lo = len(winner), 0
+    while lo < n:
+        hi = min(lo + RENDER_CHUNK_PIXELS, n)
+        while hi < n and winner[hi - 1] == winner[hi]:  # a primitive's rows cut
+            if hi - 2 >= lo and winner[hi - 2] == winner[hi] and hi + 1 < n and winner[hi + 1] == winner[hi]:
+                break  # two rows or more on each side
+            hi += 1
+        yield lo, hi
+        lo = hi
+
+
+def _won_normals(scene: Scene, origin, dirs, changed, t, winner):
+    """Normals of the ``changed`` pixels of a window, as rows in row-major
+    order, where the window's rays ``dirs`` (h, w, 3) hit primitives
+    ``winner`` (n,) at ray parameters ``t`` (n,).  The rows are sorted by
+    primitive, so that each primitive's normals come from its own
+    contiguous (k, 3) rows: a dot product over those gives the bytes it
+    gives over a pixel rectangle, which a per-pixel elementwise dot does
+    not.  The sorted rows are taken in ``_normal_chunks``, each gathering
+    its own rays."""
     order = np.argsort(winner.astype(np.int16), kind="stable")  # a radix sort
-    winner, rays, t = winner[order], rays[order], t[order]
-    points = np.empty_like(rays)
-    for k in range(3):  # origin + t * rays, a column at a time
-        np.add(origin[k], t * rays[:, k], out=points[:, k])
-    grouped = np.empty_like(points)
-    starts = np.flatnonzero(np.diff(winner, prepend=-1)).tolist()  # first row of each primitive
-    for lo, hi in zip(starts, [*starts[1:], len(winner)]):
-        grouped[lo:hi] = _primitive_normals(scene, int(winner[lo]), points[lo:hi], rays[lo:hi])
-    normal = np.empty_like(grouped)
-    normal[order] = grouped
+    winner = winner[order]
+    pixels = np.flatnonzero(changed)  # of each row, its pixel in the window
+    normal = np.empty((len(order), 3))
+    for lo, hi in _normal_chunks(winner):
+        rows = order[lo:hi]
+        rays = dirs[np.unravel_index(pixels[rows], changed.shape)]
+        points = np.empty_like(rays)
+        for k in range(3):  # origin + t * rays, a column at a time
+            np.add(origin[k], t[rows] * rays[:, k], out=points[:, k])
+        grouped = np.empty_like(points)
+        chunk = winner[lo:hi]
+        starts = np.flatnonzero(np.diff(chunk, prepend=-1)).tolist()  # first row of each primitive
+        for a, b in zip(starts, [*starts[1:], len(chunk)]):
+            grouped[a:b] = _primitive_normals(scene, int(chunk[a]), points[a:b], rays[a:b])
+        normal[rows] = grouped
     return normal
 
 
@@ -390,10 +424,17 @@ def trace_depth(scene: Scene, cam: CameraSpec, base: DepthBuffer | None = None) 
     (``_WINDOW_MARGIN``).  The frame outside the window is ``base``.  Scenes
     with boxes or planes, and capsules with no screen bound, get the whole
     frame as their window.  Normals are those of the pixels the scene's
-    primitives win; depth cameras' buffers carry none.
+    primitives win, computed RENDER_CHUNK_PIXELS at a time; depth cameras'
+    buffers carry none.  A base that does not cover the whole frame is
+    refused with ValueError.
     """
     origin, dirs, z_scale = _cached_rays(cam)
     w, h = cam.resolution
+    if base is not None and base.window != (0, w, 0, h):
+        raise ValueError(
+            f"base buffer windowed to (u0, u1, v0, v1) = {base.window}: a base must cover "
+            f"the whole frame, (0, {w}, 0, {h})"
+        )
     bounds = _capsule_screen_bounds(cam, scene)
     window = (0, w, 0, h)
     if base is not None and not (len(scene.box_tag) or len(scene.plane_tag)):
@@ -436,7 +477,7 @@ def trace_depth(scene: Scene, cam: CameraSpec, base: DepthBuffer | None = None) 
     tag[changed] = np.concatenate([scene.capsule_tag, scene.box_tag, scene.plane_tag])[won_by]
     normal = None
     if cam.kind != CameraKind.DEPTH:
-        normal = _won_normals(scene, origin, dirs[changed], t_won, won_by)
+        normal = _won_normals(scene, origin, dirs, changed, t_won, won_by)
     return DepthBuffer(depth=depth, tag=tag, normal=normal, ray_dir=dirs, changed=changed, window=window)
 
 
@@ -651,6 +692,16 @@ def _rgb_pixels(normal, tag, sp: SensorParams):
     return pixels
 
 
+def _chunks(changed: np.ndarray):
+    """The ``changed`` pixels of a window in row-major order, at most
+    RENDER_CHUNK_PIXELS at a time: per chunk, the slice of their rows among
+    all changed pixels' rows, and their (row, column) indices in the window."""
+    vs, us = np.nonzero(changed)
+    for lo in range(0, len(vs), RENDER_CHUNK_PIXELS):
+        rows = slice(lo, lo + RENDER_CHUNK_PIXELS)
+        yield rows, (vs[rows], us[rows])
+
+
 def _patch(background: np.ndarray, pixels: np.ndarray, window, trim: int) -> np.ndarray:
     """A copy of the whole frame ``background`` with ``pixels``, sensed over
     ``window``, written in, less a ``trim``-px ring on each side of the
@@ -684,7 +735,8 @@ def _sense_window(buf: DepthBuffer, cam: CameraSpec, sp, noise, frame_index, noi
     ``_patch`` trims; ``intensity`` is ``noise_intensity(buf, sp)`` or None.
     RGB: the changed pixels shaded.  Infrared: the changed pixels' colour
     and Fresnel factor, and the window's validity, written into the layers
-    before the blur."""
+    before the blur.  Both shade RENDER_CHUNK_PIXELS changed pixels at a
+    time."""
     u0, u1, v0, v1 = buf.window
     arm = np.s_[v0:v1, u0:u1]
     if cam.kind == CameraKind.DEPTH:
@@ -695,12 +747,14 @@ def _sense_window(buf: DepthBuffer, cam: CameraSpec, sp, noise, frame_index, noi
         return _patch(background, encode_depth16(buf, sp), buf.window, _NOISE_REACH)
     if cam.kind == CameraKind.RGB:
         pixels = background.copy()
-        pixels[arm][buf.changed] = _rgb_pixels(buf.normal, buf.tag[buf.changed], sp)
+        arm_pixels = pixels[arm]
+        for rows, index in _chunks(buf.changed):
+            arm_pixels[index] = _rgb_pixels(buf.normal[rows], buf.tag[index], sp)
         return pixels
     layers = InfraredLayers(background.image.copy(), background.fresnel.copy(), background.valid.copy())
-    layers.image[arm][buf.changed], layers.fresnel[arm][buf.changed] = _infrared_shading(
-        buf.normal, buf.ray_dir[buf.changed], buf.tag[buf.changed], sp
-    )
+    image, fresnel = layers.image[arm], layers.fresnel[arm]
+    for rows, index in _chunks(buf.changed):
+        image[index], fresnel[index] = _infrared_shading(buf.normal[rows], buf.ray_dir[index], buf.tag[index], sp)
     layers.valid[arm] = buf.valid
     return layers
 

@@ -225,6 +225,33 @@ def test_generated_tree_matches_golden_digest(tmp_path, jobs):
     assert digest.hexdigest() == GOLDEN_TREE_SHA256
 
 
+def test_generate_writes_each_frame_before_rendering_the_next(tmp_path, monkeypatch):
+    """With one worker, frame i of a recording is written before frame i + 1
+    is rendered, recording after recording, so no recording is held whole."""
+    events = []
+    render_frame, write_frame = pipeline._render_frame, pipeline.write_frame
+
+    def spy_render(setup, cam, frame_index, *args, **kwargs):
+        events.append(("render", cam.camera_id, frame_index))
+        return render_frame(setup, cam, frame_index, *args, **kwargs)
+
+    def spy_write(frame, path):
+        events.append(("write", frame.camera_id, frame.frame_index))
+        return write_frame(frame, path)
+
+    monkeypatch.setattr(pipeline, "_render_frame", spy_render)
+    monkeypatch.setattr(pipeline, "write_frame", spy_write)
+    assert main(["generate", "--config", _golden_config(tmp_path), "--jobs", "1"]) == EXIT_OK
+    manifest = read_manifest(str(tmp_path / "out" / "manifest.json"))
+    expected = [
+        (step, entry.camera_id, i)
+        for entry in manifest.entries
+        for i in range(entry.frame_count)
+        for step in ("render", "write")
+    ]
+    assert len(manifest.entries) == 6 and events == expected
+
+
 def test_config_digest_ignores_output_path_not_seed(tmp_path):
     with open(_small_config(tmp_path)) as fh:
         parsed = parse_config_full(fh.read())

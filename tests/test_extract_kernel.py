@@ -14,6 +14,7 @@ turned into an error.
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -133,6 +134,74 @@ def test_rendered_recordings_of_every_gesture(resolution, noise_enabled):
         rendered = pipeline.render_recording(script, cam, variant, noise_enabled=noise_enabled)
         frames = [f.pixels for f in rendered.frames]
         assert _assert_same(frames, cam, rendered.sensor, rendered.timeline.label_span) is not None, name
+
+
+@pytest.mark.parametrize("noise_enabled", [True, False], ids=["noise", "clean"])
+@pytest.mark.parametrize("gesture_name", ["swipe_up", "peace_sign"])
+def test_trajectory_set_streams_the_bytes_of_whole_recordings(monkeypatch, gesture_name, noise_enabled):
+    """``render_trajectory_set`` takes frame 0 and the label span from the
+    frame stream and renders nothing after the span; its trajectories are
+    those of whole recordings, rendered as a list and sliced."""
+    resolution, fps, seed = (96, 72), 15.0, 3
+    rendered = []
+    render_frame = pipeline._render_frame
+
+    def spy(setup, cam, frame_index, *args, **kwargs):
+        rendered.append(frame_index)
+        return render_frame(setup, cam, frame_index, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "_render_frame", spy)
+    streamed = pipeline.render_trajectory_set(
+        gesture_name, VariationConfig(), 2, seed, resolution=resolution, fps=fps, noise_enabled=noise_enabled
+    )
+    monkeypatch.undo()
+    cam = preset_camera(
+        "infotainment",
+        camera_id="eval-depth",
+        kind=CameraKind.DEPTH,
+        anchor=gesture_anchor(default_rig()),
+        resolution=resolution,
+        fps=fps,
+    )
+    expected_renders = []
+    for v, trajectory in enumerate(streamed):
+        variant = pipeline._variant(seed, VariationConfig(), cam, gesture_name, v)
+        whole = pipeline.render_recording(builtin_scripts()[gesture_name], cam, variant, noise_enabled=noise_enabled)
+        first, last = whole.timeline.label_span
+        assert last + 1 < len(whole.frames)  # frames after the span exist, and are not rendered
+        expected_renders += range(last + 1)
+        span = (f.pixels for f in whole.frames[first : last + 1])
+        want = extract_trajectory(whole.frames[0].pixels, span, cam, whole.sensor)
+        assert trajectory.points.tobytes() == want.points.tobytes() and len(want) == last - first + 1
+        assert trajectory.confidence == want.confidence
+    assert rendered == expected_renders
+
+
+def test_trajectory_set_with_a_label_span_from_frame_0(monkeypatch):
+    """Frame 0 is the background and, when the span starts there, its first
+    frame too."""
+    resolution, fps = (96, 72), 15.0
+    setup_recording = pipeline._setup_recording
+
+    def span_from_0(*args, **kwargs):
+        setup = setup_recording(*args, **kwargs)
+        return replace(setup, timeline=replace(setup.timeline, label_span=(0, 4)))
+
+    monkeypatch.setattr(pipeline, "_setup_recording", span_from_0)
+    (streamed,) = pipeline.render_trajectory_set("swipe_up", VariationConfig(), 1, resolution=resolution, fps=fps)
+    cam = preset_camera(
+        "infotainment",
+        camera_id="eval-depth",
+        kind=CameraKind.DEPTH,
+        anchor=gesture_anchor(default_rig()),
+        resolution=resolution,
+        fps=fps,
+    )
+    variant = pipeline._variant(0, VariationConfig(), cam, "swipe_up", 0)
+    whole = pipeline.render_recording(builtin_scripts()["swipe_up"], cam, variant)
+    assert whole.timeline.label_span == (0, 4)
+    want = extract_trajectory(whole.frames[0].pixels, (f.pixels for f in whole.frames[:5]), cam, whole.sensor)
+    assert streamed.points.tobytes() == want.points.tobytes() and len(want) == 5
 
 
 def test_rendered_span_from_frame_0_over_many_chunks(monkeypatch):

@@ -651,3 +651,15 @@ def test_windowed_buffer_without_background_is_refused(kind, case):
     alone = trace_depth(scene, cam)
     assert alone.window == (0, w, 0, h)
     assert sensor_frame(alone, cam, sp, noise, 0).pixels.shape[:2] == (h, w)
+
+
+def test_windowed_base_is_refused():
+    """A base must cover the whole frame: a buffer windowed to a sphere,
+    used as the base of a second sphere, is refused, and the message names
+    its window."""
+    cam = _cam(resolution=(48, 36), kind=CameraKind.RGB)
+    base = trace_depth(scene_from_primitives(planes=[(vec(0, 0, -100.0), vec(0, 0, 1.0))]), cam)
+    first = trace_depth(_sphere_scene((0.0, 0.0, -80.0), 6.0), cam, base=base)
+    assert first.window not in ((0, 48, 0, 36), (0, 0, 0, 0))
+    with pytest.raises(ValueError, match=re.escape(f"base buffer windowed to (u0, u1, v0, v1) = {first.window}")):
+        trace_depth(_sphere_scene((5.0, 2.0, -70.0), 4.0), cam, base=first)

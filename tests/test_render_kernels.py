@@ -9,6 +9,8 @@ capsules fully off screen.  The normals and the RGB and infrared shading,
 rewritten to run a column at a time, are compared the same way, and so
 is what the sensor makes of each preset's static base, which was shaded
 from a whole-frame normal map before buffers carried normals as rows.
+That static base's normal rows, RGB background and infrared frame are
+also compared, chunk size by chunk size, with their unchunked forms.
 """
 
 import math
@@ -177,6 +179,24 @@ def _reference_rgb_pixels(normal, tag, sp):
     img[body] = (render.BODY_ALBEDO * intensity[..., None])[body]
     img[env] = (render.ENV_ALBEDO * intensity[..., None])[env]
     return np.clip(np.rint(img * 255.0), 0, 255).astype(np.uint8)
+
+
+def _reference_won_normals(scene, origin, rays, t, winner):
+    """``render._won_normals`` before it took the changed pixels in chunks:
+    every changed pixel's ray gathered at once, the rows sorted by
+    primitive and one ``_primitive_normals`` call per primitive."""
+    order = np.argsort(winner.astype(np.int16), kind="stable")
+    winner, rays, t = winner[order], rays[order], t[order]
+    points = np.empty_like(rays)
+    for k in range(3):
+        np.add(origin[k], t * rays[:, k], out=points[:, k])
+    grouped = np.empty_like(points)
+    starts = np.flatnonzero(np.diff(winner, prepend=-1)).tolist()
+    for lo, hi in zip(starts, [*starts[1:], len(winner)]):
+        grouped[lo:hi] = render._primitive_normals(scene, int(winner[lo]), points[lo:hi], rays[lo:hi])
+    normal = np.empty_like(grouped)
+    normal[order] = grouped
+    return normal
 
 
 def _camera(rotation=(12.0, -20.0, 5.0), position=(3.0, -2.0, 1.0), resolution=(96, 72), fov=70.0):
@@ -389,24 +409,58 @@ def test_infrared_blur_matches_reference(rng):
         _assert_same_bytes(got, want)
 
 
-@pytest.mark.parametrize("preset", ["infotainment", "top", "wheel"])
-def test_static_base_senses_as_the_whole_frame_shaders_did(preset):
-    """The static base's normal rows, scattered into a whole-frame map that
-    is zero where nothing was hit, shaded by the frozen RGB and infrared
-    kernels and blurred by the frozen blur, give the bytes of the RGB
-    background and of the blurred infrared frame."""
+def _check_static_base(monkeypatch, preset, resolution):
+    """The static base's normal rows are those of the frozen
+    ``_reference_won_normals`` on the trace's own winners and ray
+    parameters.  Scattered into a whole-frame map that is zero where
+    nothing was hit, shaded by the frozen RGB and infrared kernels and
+    blurred by the frozen blur, they give the bytes of the RGB background
+    and of the blurred infrared frame.  Returns the primitive each changed
+    pixel of the infrared base shows."""
     rig = default_rig()
+    scene = static_scene(rig)
     sp = SensorParams()
     noise = render.make_flipbook(sp, 3)
-    rgb_cam = preset_camera(preset, "k", CameraKind.RGB, gesture_anchor(rig), resolution=(640, 480))
-    base = render.trace_depth(static_scene(rig), rgb_cam)
-    got = _strict(render.sensor_background, base, rgb_cam, sp, noise, 0)
-    _assert_same_bytes(got, _reference_rgb_pixels(normal_map(base), base.tag, sp))
+    calls = []
+    won_normals = render._won_normals
 
-    ir_cam = preset_camera(preset, "k", CameraKind.INFRARED, gesture_anchor(rig), resolution=(640, 480))
-    base = render.trace_depth(static_scene(rig), ir_cam)
-    assert np.array_equal(base.changed, base.valid)
-    for frame_index in (0, 7, noise.tile_px + 5):
-        image, fresnel = _reference_infrared_shading(normal_map(base), base.ray_dir, base.tag, sp)
-        want = _reference_infrared_pixels(render.InfraredLayers(image, fresnel, base.valid), noise, sp, frame_index)
-        _assert_same_bytes(_strict(render.sensor_frame, base, ir_cam, sp, noise, frame_index).pixels, want)
+    def spy(scene, origin, dirs, changed, t, winner):
+        calls.append((origin, dirs[changed], t, winner))
+        return won_normals(scene, origin, dirs, changed, t, winner)
+
+    monkeypatch.setattr(render, "_won_normals", spy)
+    for kind in (CameraKind.RGB, CameraKind.INFRARED):
+        cam = preset_camera(preset, "k", kind, gesture_anchor(rig), resolution=resolution)
+        base = render.trace_depth(scene, cam)
+        ((origin, rays, t, winner),) = calls
+        calls.clear()
+        _assert_same_bytes(base.normal, _reference_won_normals(scene, origin, rays, t, winner))
+        if kind == CameraKind.RGB:
+            got = _strict(render.sensor_background, base, cam, sp, noise, 0)
+            _assert_same_bytes(got, _reference_rgb_pixels(normal_map(base), base.tag, sp))
+            continue
+        assert np.array_equal(base.changed, base.valid)
+        for frame_index in (0, 7, noise.tile_px + 5):
+            image, fresnel = _reference_infrared_shading(normal_map(base), base.ray_dir, base.tag, sp)
+            layers = render.InfraredLayers(image, fresnel, base.valid)
+            want = _reference_infrared_pixels(layers, noise, sp, frame_index)
+            _assert_same_bytes(_strict(render.sensor_frame, base, cam, sp, noise, frame_index).pixels, want)
+    return winner
+
+
+@pytest.mark.parametrize("preset", ["infotainment", "top", "wheel"])
+def test_static_base_senses_as_the_whole_frame_shaders_did(monkeypatch, preset):
+    _check_static_base(monkeypatch, preset, (640, 480))
+
+
+@pytest.mark.parametrize("preset", ["infotainment", "top", "wheel"])
+@pytest.mark.parametrize("chunk, resolution", [(1, (64, 48)), (7, (64, 48)), (4096, (640, 480))], ids=["1", "7", "4096"])
+def test_chunked_static_base_gives_the_unchunked_bytes(monkeypatch, preset, chunk, resolution):
+    """Normals and shading taken ``chunk`` changed pixels at a time give the
+    bytes of one pass over all of them, including where a chunk edge cuts
+    one primitive's rows in two.  Chunks of 1 and 7 pixels run at 64x48:
+    at 640x480 they would take seconds per frame."""
+    monkeypatch.setattr(render, "RENDER_CHUNK_PIXELS", chunk)
+    by_primitive = np.sort(_check_static_base(monkeypatch, preset, resolution))
+    edges = [hi for _, hi in render._normal_chunks(by_primitive)][:-1]
+    assert any(by_primitive[hi - 1] == by_primitive[hi] for hi in edges)
