@@ -1,4 +1,5 @@
-"""Run configuration: parsing, validation, defaulting and range scaling.
+"""Run configuration: parsing, validation, defaulting and range scaling,
+and the one typed JSON form of the program's dataclasses.
 
 The JSON schema is strict — unknown keys anywhere are rejected so a
 misspelled variation name cannot silently fall back to its default and
@@ -7,9 +8,17 @@ dataclass field it fills, and used as written or refused with its path
 (``cameras[0].resolution[0]``): integers only where the field is an
 integer (``2.0`` is refused there), finite numbers only (no ``NaN`` or
 ``Infinity``), booleans only as ``true``/``false``, strings only as
-strings, and lists of the field's length.  All lengths are centimeters
-and all angles degrees at this surface; radians stay internal to the
-math modules.
+strings, enum members only as their values, lists of the field's length,
+and every key a field without a default needs.  All lengths are
+centimeters and all angles degrees at this surface; radians stay
+internal to the math modules.
+
+The same strict reader, ``from_json``, reads the recipe, the gesture
+scripts it names (``gesture.parse_scripts``) and a dataset's manifest
+(``output.read_manifest``); ``dataclasses.asdict`` gives the form it
+reads back, which ``canonical_json`` writes.  Only the recipe keeps a
+hand-written layout (``config_to_dict``), because its key names and its
+omitted empty ``conditions`` are part of the config digest.
 """
 
 from __future__ import annotations
@@ -18,15 +27,15 @@ import functools
 import hashlib
 import json
 import sys
+import types
 import typing
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from enum import Enum
 
 from .scene import (
     CameraKind,
     CameraSpec,
     SensorParams,
-    camera_to_dict,
     gesture_anchor,
     preset_camera,
 )
@@ -235,7 +244,7 @@ def _build(make, path: str, *args, **kwargs):
 
 def _read_fields(data, cls, path: str, own: tuple[str, ...] = ()) -> dict:
     """Constructor arguments of dataclass ``cls`` for the keys ``data``
-    sets, each value checked by ``_read``.  ``own`` names the keys the
+    sets, each value checked by ``from_json``.  ``own`` names the keys the
     caller reads itself; any other key that is not a field is rejected."""
     where = path or "top level"
     if not isinstance(data, dict):
@@ -246,37 +255,58 @@ def _read_fields(data, cls, path: str, own: tuple[str, ...] = ()) -> dict:
         raise ConfigError(f"unknown keys {sorted(unknown)}", where)
     prefix = f"{path}." if path else ""
     return {
-        schema[key][0]: _read(value, schema[key][1], prefix + key)
+        schema[key][0]: from_json(value, schema[key][1], prefix + key)
         for key, value in data.items()
         if key not in own
     }
 
 
-def _read(value, annotation, path: str):
-    """``value`` as a field of type ``annotation`` holds it, or a
-    ConfigError naming ``path`` (and showing the value as JSON) when its
-    JSON type does not fit."""
+def from_json(value, annotation, path: str = ""):
+    """``value``, the JSON form of a field of type ``annotation``, as the
+    field holds it, or a ConfigError naming ``path`` (and showing the value
+    as JSON) when it does not fit.  A dataclass's JSON form is the object
+    of its fields that ``dataclasses.asdict`` gives (an enum member written
+    as its value), so a manifest written as ``canonical_json(asdict(m))``
+    reads back equal to ``m``."""
     if annotation in _SCALARS:
         expected, fits = _SCALARS[annotation]
         if not fits(value):
             raise ConfigError(f"expected {expected}, got {json.dumps(value)}", path)
         return float(value) if annotation is float else value
-    if typing.get_origin(annotation) is tuple:
+    origin = typing.get_origin(annotation)
+    if origin in (typing.Union, types.UnionType):  # X | None
+        (item,) = [arg for arg in typing.get_args(annotation) if arg is not type(None)]
+        return None if value is None else from_json(value, item, path)
+    if origin is tuple:
         items = typing.get_args(annotation)  # one element type throughout
         length = None if items[-1] is Ellipsis else len(items)
         if not isinstance(value, list) or length not in (None, len(value)):
             expected = "a list" if length is None else f"a list of {length} values"
             raise ConfigError(f"expected {expected}, got {json.dumps(value)}", path)
-        return tuple(_read(v, items[0], f"{path}[{i}]") for i, v in enumerate(value))
+        return tuple(from_json(v, items[0], f"{path}[{i}]") for i, v in enumerate(value))
+    if isinstance(annotation, type) and issubclass(annotation, Enum):  # string-valued
+        values = [member.value for member in annotation]
+        if not (isinstance(value, str) and value in values):
+            raise ConfigError(f"expected one of {'/'.join(values)}, got {json.dumps(value)}", path)
+        return annotation(value)
     if annotation is ParamRange:
-        return _build(ParamRange, path, *_read(value, tuple[float, float], path))
+        return _build(ParamRange, path, *from_json(value, tuple[float, float], path))
     if annotation == dict[str, RangeCondition]:
         return _parse_conditions(value, path)
-    # what is left is a nested dataclass: a camera's sensor
-    _read_fields(value, annotation, path)
-    # its numbers stay as written (``2`` stays an integer), as a manifest's
-    # cameras are read back, so a recipe keeps its canonical form and digest
-    return _build(annotation, path, **value)
+    if origin is dict:  # string keys, as in JSON
+        if not isinstance(value, dict):
+            raise ConfigError(f"expected an object, got {json.dumps(value)}", path)
+        item = typing.get_args(annotation)[1]
+        return {key: from_json(v, item, f"{path}.{key}") for key, v in value.items()}
+    # what is left is a dataclass
+    kwargs = _read_fields(value, annotation, path)
+    for f in fields(annotation):
+        if f.name not in kwargs and f.default is MISSING and f.default_factory is MISSING:
+            key = _JSON_KEYS.get(f.name, f.name)
+            raise ConfigError("required key is missing", f"{path}.{key}" if path else key)
+    # a sensor's numbers stay as written (``2`` stays an integer), so a
+    # recipe keeps its canonical form and digest
+    return _build(annotation, path, **(value if annotation is SensorParams else kwargs))
 
 
 def _parse_conditions(values: dict, where: str) -> dict[str, RangeCondition]:
@@ -310,7 +340,7 @@ def _parse_camera(data, index: int, settings: GeneralSettings) -> CameraSpec:
     if "preset" in data or not posed:
         if posed:
             raise ConfigError("preset and explicit pose are mutually exclusive", where)
-        preset = _read(data.get("preset", "infotainment"), str, f"{where}.preset")
+        preset = from_json(data.get("preset", "infotainment"), str, f"{where}.preset")
         anchor = gesture_anchor(default_rig(is_left=settings.default_left_hand))
         return _build(preset_camera, where, preset, anchor=anchor, **spec)
     if len(posed) < 2:
@@ -357,7 +387,7 @@ def parse_config_full(text: str) -> ParsedConfig:
     if len(set(ids)) != len(ids):
         raise ConfigError(f"camera ids must be unique, got {ids}", "cameras")
 
-    script_paths = _read(data.get("gesture_script_paths", []), tuple[str, ...], "gesture_script_paths")
+    script_paths = from_json(data.get("gesture_script_paths", []), tuple[str, ...], "gesture_script_paths")
     scripts, script_digests = _load_scripts(script_paths)
     settings.validate(set(scripts))
     variation.validate()
@@ -388,7 +418,7 @@ def config_to_dict(parsed: ParsedConfig) -> dict:
         "master_seed": s.master_seed,
         "gestures": list(s.gesture_names),
         "variation": {name: v.median_range(name).as_list() for name in PARAM_NAMES},
-        "cameras": [camera_to_dict(c) for c in parsed.cameras],
+        "cameras": [asdict(c) for c in parsed.cameras],
     }
     if v.condition_overrides:
         doc["variation"]["conditions"] = {

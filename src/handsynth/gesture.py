@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
+from .config import ConfigError, from_json
 from .geom import Vec3
 from .skeleton import HAND_POSE_PRESETS, HandPose
 from .variation import VariantParams
@@ -280,35 +281,28 @@ def builtin_scripts() -> dict[str, GestureScript]:
     }
 
 
-def script_from_dict(data: dict, name: str | None = None) -> GestureScript:
-    """Build a GestureScript from JSON-shaped data (same field names)."""
-    unknown = set(data) - {f.name for f in fields(GestureScript)}
-    if unknown:
-        raise ValueError(f"unknown gesture script keys: {sorted(unknown)}")
-    kwargs = dict(data)
-    if name is not None:
-        kwargs.setdefault("name", name)
-    if "control_points" in kwargs:
-        kwargs["control_points"] = tuple(tuple(float(c) for c in p) for p in kwargs["control_points"])
-    if "pose_track" in kwargs:
-        kwargs["pose_track"] = tuple(tuple(float(c) for c in k) for k in kwargs["pose_track"])
-    if "arm_part" in kwargs:
-        kwargs["arm_part"] = ArmPart(kwargs["arm_part"])
-    if "default_aim" in kwargs:
-        kwargs["default_aim"] = tuple(float(c) for c in kwargs["default_aim"])
-    return GestureScript(**kwargs)
-
-
 def parse_scripts(text: str, source: str) -> dict[str, GestureScript]:
     """One script (object) or several (name -> object) from the text of a
-    JSON file; ``source`` names the file in errors."""
-    data = json.loads(text)
+    JSON file, each read strictly by ``config.from_json`` (a script in the
+    name -> object form takes its name from its key unless it gives one).
+    ``source`` names the file in errors, which give the path of the field
+    at fault (``wave.base_speed``)."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{source}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
     if not isinstance(data, dict):
         raise ValueError(f"{source}: expected a JSON object")
-    if "control_points" in data:
-        script = script_from_dict(data)
-        return {script.name: script}
-    return {name: script_from_dict(obj, name=name) for name, obj in data.items()}
+    try:
+        if "control_points" in data:
+            script = from_json(data, GestureScript)
+            return {script.name: script}
+        return {
+            name: from_json({"name": name, **obj} if isinstance(obj, dict) else obj, GestureScript, name)
+            for name, obj in data.items()
+        }
+    except ConfigError as exc:
+        raise ValueError(f"{source}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,11 @@ depth, PPM for RGB / infrared) under
 ``<out>/<camera_id>/<gesture>/<variant_index>/frame_%05d.{pgm,ppm}``.
 The manifest is canonical JSON (sorted keys) listing one entry per
 recording with the full sampled parameters, seeds and warning counters.
-Its ``config_digest`` identifies the generation recipe, not the output
+It is the JSON form of ``DatasetManifest``: ``dataclasses.asdict``
+written by ``config.canonical_json``, and read back by the recipe's
+strict reader, ``config.from_json``, so a malformed manifest is refused
+with the path of the field at fault (``entries[3].resolution``).  Its
+``config_digest`` identifies the generation recipe, not the output
 directory, and every ``frame_dir`` is relative to the manifest's
 directory, so a dataset does not depend on where it was written.
 """
@@ -15,12 +19,13 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .config import canonical_json, from_json
 from .render import Frame
-from .scene import CameraSpec, camera_from_dict, camera_to_dict
+from .scene import CameraSpec
 from .variation import VariantParams
 
 TOOL_VERSION = "handsynth-0.1.0"
@@ -68,7 +73,7 @@ def write_frame(frame: Frame, path: str) -> None:
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         with open(path, "wb") as fh:
             fh.write(_netpbm_header(frame.kind, w, h))
-            fh.write(frame.pixels.astype(_NETPBM[frame.kind][2]).tobytes())
+            fh.write(np.ascontiguousarray(frame.pixels, dtype=_NETPBM[frame.kind][2]))
     except OSError as exc:
         raise OSError(f"writing frame {path}: {exc}") from exc
 
@@ -135,39 +140,6 @@ class RecordingEntry:
     def key(self) -> tuple[str, int, str]:
         return (self.gesture_label, self.variant_index, self.camera_id)
 
-    def to_dict(self) -> dict:
-        return {
-            "gesture_label": self.gesture_label,
-            "variant_index": self.variant_index,
-            "camera_id": self.camera_id,
-            "kind": self.kind,
-            "frame_dir": self.frame_dir,
-            "frame_count": self.frame_count,
-            "fps": self.fps,
-            "resolution": list(self.resolution),
-            "label_span": list(self.label_span),
-            "variant_params": self.variant_params.to_dict(),
-            "seed": self.seed,
-            "warnings": dict(sorted(self.warnings.items())),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RecordingEntry":
-        return cls(
-            gesture_label=data["gesture_label"],
-            variant_index=int(data["variant_index"]),
-            camera_id=data["camera_id"],
-            kind=data["kind"],
-            frame_dir=data["frame_dir"],
-            frame_count=int(data["frame_count"]),
-            fps=float(data["fps"]),
-            resolution=tuple(int(v) for v in data["resolution"]),
-            label_span=tuple(int(v) for v in data["label_span"]),
-            variant_params=VariantParams.from_dict(data["variant_params"]),
-            seed=int(data["seed"]),
-            warnings={k: int(v) for k, v in data.get("warnings", {}).items()},
-        )
-
 
 @dataclass(frozen=True)
 class DatasetManifest:
@@ -197,14 +169,6 @@ class DatasetManifest:
                 return cam
         raise KeyError(f"camera {camera_id!r} not in manifest")
 
-    def to_dict(self) -> dict:
-        return {
-            "tool_version": self.tool_version,
-            "config_digest": self.config_digest,
-            "cameras": [camera_to_dict(c) for c in self.cameras],
-            "entries": [e.to_dict() for e in self.entries],
-        }
-
 
 def recording_dir(camera_id: str, gesture: str, variant_index: int) -> str:
     return os.path.join(camera_id, gesture, str(variant_index))
@@ -218,7 +182,7 @@ def write_manifest(manifest: DatasetManifest, path: str) -> None:
     """Write the manifest atomically: a temporary file in the same
     directory, then a rename, so a manifest on disk is always complete."""
     manifest.validate()
-    payload = json.dumps(manifest.to_dict(), sort_keys=True, indent=2) + "\n"
+    payload = canonical_json(asdict(manifest))
     tmp = f"{path}.tmp-{os.getpid()}"
     try:
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
@@ -243,14 +207,9 @@ def read_manifest(path: str) -> DatasetManifest:
     except ValueError as exc:
         raise DataError(f"{path}: invalid manifest JSON: {exc}") from None
     try:
-        manifest = DatasetManifest(
-            config_digest=data["config_digest"],
-            entries=tuple(RecordingEntry.from_dict(e) for e in data["entries"]),
-            cameras=tuple(camera_from_dict(c) for c in data.get("cameras", [])),
-            tool_version=data["tool_version"],
-        )
+        manifest = from_json(data, DatasetManifest)
         manifest.validate()
-    except (KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise DataError(f"{path}: malformed manifest: {exc}") from None
     return manifest
 

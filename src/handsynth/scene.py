@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -140,32 +140,6 @@ class CameraSpec:
         return x_ndc, y_ndc
 
 
-def camera_to_dict(cam: CameraSpec) -> dict:
-    return {
-        "camera_id": cam.camera_id,
-        "kind": cam.kind,
-        "position": list(cam.position),
-        "rotation": list(cam.rotation),
-        "fov_deg": cam.fov_deg,
-        "resolution": list(cam.resolution),
-        "fps": cam.fps,
-        "sensor": asdict(cam.sensor),
-    }
-
-
-def camera_from_dict(data: dict) -> CameraSpec:
-    return CameraSpec(
-        camera_id=data["camera_id"],
-        kind=data["kind"],
-        position=tuple(float(v) for v in data["position"]),
-        rotation=tuple(float(v) for v in data["rotation"]),
-        fov_deg=float(data["fov_deg"]),
-        resolution=tuple(int(v) for v in data["resolution"]),
-        fps=float(data["fps"]),
-        sensor=SensorParams(**data["sensor"]),
-    )
-
-
 # documented preset positions; rotation is resolved to aim at the active
 # gesture anchor when the config is parsed.  The infotainment and top views
 # keep the resting hand clearly deeper than the gesture volume, which the
@@ -211,9 +185,7 @@ def preset_camera(
 def camera_rays(cam: CameraSpec) -> tuple[np.ndarray, np.ndarray]:
     """Rays for every pixel center: origin (3,), unit directions (h, w, 3)."""
     w, h = cam.resolution
-    tan_half = math.tan(math.radians(cam.fov_deg) / 2.0)
-    xs = ((np.arange(w) + 0.5) / w * 2.0 - 1.0) * tan_half
-    ys = -((np.arange(h) + 0.5) / h * 2.0 - 1.0) * tan_half * (h / w)
+    xs, ys = _ndc_axes(cam)
     dirs = np.empty((h, w, 3), dtype=np.float64)
     dirs[..., 0] = xs[None, :]
     dirs[..., 1] = ys[:, None]

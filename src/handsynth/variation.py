@@ -42,35 +42,6 @@ class VariantParams:
     depth_min: float
     depth_max: float
 
-    def to_dict(self) -> dict:
-        return {
-            "variant_index": self.variant_index,
-            "seed": self.seed,
-            "speed_offset": self.speed_offset,
-            "position_offset": list(self.position_offset),
-            "finger_spacing_offsets": list(self.finger_spacing_offsets),
-            "finger_rotation_offsets": list(self.finger_rotation_offsets),
-            "hand_orientation_offset": list(self.hand_orientation_offset),
-            "chromaticity_coeff": self.chromaticity_coeff,
-            "depth_min": self.depth_min,
-            "depth_max": self.depth_max,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "VariantParams":
-        return cls(
-            variant_index=int(data["variant_index"]),
-            seed=int(data["seed"]),
-            speed_offset=float(data["speed_offset"]),
-            position_offset=tuple(float(v) for v in data["position_offset"]),
-            finger_spacing_offsets=tuple(float(v) for v in data["finger_spacing_offsets"]),
-            finger_rotation_offsets=tuple(float(v) for v in data["finger_rotation_offsets"]),
-            hand_orientation_offset=tuple(float(v) for v in data["hand_orientation_offset"]),
-            chromaticity_coeff=float(data["chromaticity_coeff"]),
-            depth_min=float(data["depth_min"]),
-            depth_max=float(data["depth_max"]),
-        )
-
     @classmethod
     def neutral(cls, variant_index: int = 0, seed: int = 0) -> "VariantParams":
         """All-zero offsets with default camera values: a fixed variant for tests."""

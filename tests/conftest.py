@@ -1,4 +1,6 @@
+import json
 import os
+from dataclasses import asdict
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
@@ -8,6 +10,12 @@ import pytest
 
 from handsynth.scene import CameraKind, gesture_anchor, preset_camera
 from handsynth.skeleton import default_rig
+
+
+def json_form(obj):
+    """The JSON form of dataclass ``obj`` as the manifest writer gives it,
+    ``asdict`` through JSON, with an enum member written as its value."""
+    return json.loads(json.dumps(asdict(obj), default=lambda member: member.value))
 
 
 def normal_map(buf):

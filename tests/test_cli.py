@@ -645,6 +645,28 @@ def test_eval_manifest_entry_with_a_non_positive_coefficient(_eval_dataset, tmp_
     assert err.startswith(f"data error: recording {out / entry.frame_dir}: chromaticity_coeff")
 
 
+@pytest.mark.parametrize(
+    "spoil, field_path",
+    [
+        (lambda entry: entry.update(resolution=[64]), "entries[1].resolution"),
+        (lambda entry: entry["variant_params"].update(depth_min="20"), "entries[1].variant_params.depth_min"),
+        (lambda entry: entry.pop("seed"), "entries[1].seed"),
+    ],
+    ids=["one_element_resolution", "string_depth_min", "missing_seed"],
+)
+def test_eval_malformed_manifest_names_the_field(_eval_dataset, tmp_path, capsys, spoil, field_path):
+    out, _ = _spoilable(_eval_dataset, tmp_path)
+    manifest = out / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    spoil(doc["entries"][1])
+    manifest.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["eval", "--manifest", str(manifest)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {manifest}: malformed manifest: {field_path}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_eval_reads_background_and_span_only(_eval_dataset, monkeypatch):
     from handsynth import output
 

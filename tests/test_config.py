@@ -245,7 +245,8 @@ _JSON_VALUES = {
     "list": [],
     "object": {},
 }
-_DEFAULT_DOC = config_to_dict(parse_config_full("{}"))
+# the fully defaulted document as ``handsynth validate`` prints it
+_DEFAULT_DOC = json.loads(canonical_json(config_to_dict(parse_config_full("{}"))))
 
 
 def _validate(tmp_path, capsys, doc) -> tuple[int, str, str]:
@@ -323,6 +324,28 @@ def test_repeated_gesture_override_is_refused_before_any_frame(tmp_path, capsys)
     assert main(args) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error: --gestures: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value, field_path",
+    [
+        ("base_speed", "fast", "wave.base_speed"),
+        ("turns", None, "wave.turns"),
+        ("closed", "no", "wave.closed"),
+        ("control_points", [[0, 0, 0], [8, 4]], "wave.control_points[1]"),
+        ("arm_part", "elbow", "wave.arm_part"),
+    ],
+    ids=["string_speed", "null_turns", "string_closed", "two_coordinate_point", "unknown_arm_part"],
+)
+def test_malformed_gesture_script_names_file_and_field(tmp_path, capsys, key, value, field_path):
+    from handsynth.cli import EXIT_CONFIG
+
+    script = tmp_path / "wave.json"
+    script.write_text(json.dumps({"wave": {"control_points": [[0, 0, 0], [8, 4, 0]], key: value}}))
+    code, _, err = _validate(tmp_path, capsys, {"gesture_script_paths": [str(script)]})
+    assert code == EXIT_CONFIG
+    assert err.startswith(f"config error: gesture_script_paths: {script}: {field_path}: expected ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 _POSED_DOC = {

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from conftest import json_form
 
+from handsynth.config import from_json
 from handsynth.gesture import (
     ArmPart,
     GestureScript,
@@ -16,7 +18,6 @@ from handsynth.gesture import (
     parse_scripts,
     plan_timeline,
     position_at_arclength,
-    script_from_dict,
 )
 from handsynth.variation import VariantParams
 
@@ -321,5 +322,26 @@ def test_script_json_round_trip(tmp_path):
     scripts = parse_scripts(path.read_text(), str(path))
     assert scripts["wave"].arm_part == ArmPart.HAND
     assert scripts["wave"].base_speed == 22.5
-    with pytest.raises(ValueError, match="unknown gesture script keys"):
-        script_from_dict({"name": "x", "control_points": [[0, 0, 0], [1, 1, 1]], "speedy": 1})
+    with pytest.raises(ValueError, match=r"top level: unknown keys \['speedy'\]"):
+        parse_scripts('{"name": "x", "control_points": [[0, 0, 0], [1, 1, 1]], "speedy": 1}', "x.json")
+    with pytest.raises(ValueError, match="x.json: invalid JSON at line 1, column 2"):
+        parse_scripts("{x", "x.json")
+
+
+@pytest.mark.parametrize(
+    "script",
+    [
+        *builtin_scripts().values(),
+        GestureScript(
+            name="wave",
+            control_points=((0.0, 0.0, 0.0), (8.0, 4.0, 0.0)),
+            pose_track=((0.0, 5.0, -2.0), (1.0, 0.0, 3.0)),
+            arm_part=ArmPart.FINGER,
+            use_left_hand=True,
+            default_aim=(0.0, 0.0, -1.0),
+        ),
+    ],
+    ids=lambda script: script.name,
+)
+def test_script_reads_back_from_its_json_form(script):
+    assert from_json(json_form(script), GestureScript) == script

@@ -3,7 +3,9 @@ import os
 
 import numpy as np
 import pytest
+from conftest import json_form
 
+from handsynth.config import from_json
 from handsynth.output import (
     DatasetManifest,
     RecordingEntry,
@@ -16,6 +18,8 @@ from handsynth.output import (
     write_manifest,
 )
 from handsynth.render import Frame
+from handsynth.scene import CameraKind, CameraSpec, SensorParams, gesture_anchor, preset_camera
+from handsynth.skeleton import default_rig
 from handsynth.variation import VariantParams
 
 
@@ -86,6 +90,17 @@ def test_manifest_round_trip(tmp_path):
     data = open(path).read()
     parsed = json.loads(data)
     assert list(parsed) == sorted(parsed)
+
+
+def test_entry_and_manifest_read_back_from_their_json_form():
+    cameras = (
+        preset_camera("top", "ir0", CameraKind.INFRARED, gesture_anchor(default_rig()), resolution=(64, 48)),
+        CameraSpec("d1", position=(1.0, 2.5, -80.0), sensor=SensorParams(depth_jitter=2, flipbook_tile_px=32)),
+    )
+    entry = _entry("peace_sign", 2)
+    manifest = DatasetManifest(config_digest="cd" * 32, entries=(entry, _entry()), cameras=cameras)
+    assert from_json(json_form(entry), RecordingEntry) == entry
+    assert from_json(json_form(manifest), DatasetManifest) == manifest
 
 
 def test_failed_manifest_write_leaves_no_manifest(tmp_path, monkeypatch):

@@ -3,8 +3,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import normal_map
+from conftest import json_form, normal_map
 
+from handsynth.config import from_json
 from handsynth.geom import look_at_euler_deg, vec
 from handsynth.scene import (
     CAMERA_PRESET_POSITIONS,
@@ -14,9 +15,7 @@ from handsynth.scene import (
     TAG_BODY,
     TAG_ENVIRONMENT,
     build_scene,
-    camera_from_dict,
     camera_rays,
-    camera_to_dict,
     dynamic_scene,
     gesture_anchor,
     preset_camera,
@@ -168,7 +167,7 @@ def test_camera_serialization_round_trip():
     cam = preset_camera(
         "top", "t0", CameraKind.INFRARED, gesture_anchor(default_rig()), resolution=(64, 48)
     )
-    assert camera_from_dict(camera_to_dict(cam)) == cam
+    assert from_json(json_form(cam), CameraSpec) == cam
 
 
 def test_sensor_validation():

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from conftest import json_form
 
-from handsynth.config import ParamRange, RangeCondition, VariationConfig
+from handsynth.config import ParamRange, RangeCondition, VariationConfig, from_json
 from handsynth.rng import SplitMix64, fnv1a64, splitmix64
 from handsynth.variation import DRAW_ORDER, VariantParams, derive_seed, sample_variant
 
@@ -182,7 +183,7 @@ def test_depth_span_guard():
 
 def test_variant_round_trip():
     v = sample_variant(VariationConfig(), {}, 777, 5)
-    assert VariantParams.from_dict(v.to_dict()) == v
+    assert from_json(json_form(v), VariantParams) == v
 
 
 def test_draw_order_documented():
