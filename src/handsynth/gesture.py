@@ -285,8 +285,10 @@ def parse_scripts(text: str, source: str) -> dict[str, GestureScript]:
     """One script (object) or several (name -> object) from the text of a
     JSON file, each read strictly by ``config.from_json`` (a script in the
     name -> object form takes its name from its key unless it gives one).
-    ``source`` names the file in errors, which give the path of the field
-    at fault (``wave.base_speed``)."""
+    The text is the name -> object form when every value is an object, and
+    one script otherwise: a script's own fields include values that are not
+    objects (``name``, ``base_speed``).  ``source`` names the file in
+    errors, which give the path of the field at fault (``wave.base_speed``)."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -294,13 +296,10 @@ def parse_scripts(text: str, source: str) -> dict[str, GestureScript]:
     if not isinstance(data, dict):
         raise ValueError(f"{source}: expected a JSON object")
     try:
-        if "control_points" in data:
+        if not all(isinstance(obj, dict) for obj in data.values()):
             script = from_json(data, GestureScript)
             return {script.name: script}
-        return {
-            name: from_json({"name": name, **obj} if isinstance(obj, dict) else obj, GestureScript, name)
-            for name, obj in data.items()
-        }
+        return {name: from_json({"name": name, **obj}, GestureScript, name) for name, obj in data.items()}
     except ConfigError as exc:
         raise ValueError(f"{source}: {exc}") from None
 

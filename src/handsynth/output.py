@@ -199,6 +199,11 @@ def write_manifest(manifest: DatasetManifest, path: str) -> None:
 
 
 def read_manifest(path: str) -> DatasetManifest:
+    """The manifest at ``path``, read strictly.  It must name the version
+    that wrote it, and that must be this one, ``TOOL_VERSION``: the
+    dataclass default fills a missing ``tool_version``, so it is checked
+    before the reader runs.  Raises DataError naming the file and the
+    field at fault."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -207,7 +212,11 @@ def read_manifest(path: str) -> DatasetManifest:
     except ValueError as exc:
         raise DataError(f"{path}: invalid manifest JSON: {exc}") from None
     try:
+        if isinstance(data, dict) and "tool_version" not in data:
+            raise ValueError("tool_version: required key is missing")
         manifest = from_json(data, DatasetManifest)
+        if manifest.tool_version != TOOL_VERSION:
+            raise ValueError(f"tool_version: written by {manifest.tool_version!r}, this is {TOOL_VERSION!r}")
         manifest.validate()
     except ValueError as exc:
         raise DataError(f"{path}: malformed manifest: {exc}") from None

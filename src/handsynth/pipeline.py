@@ -11,9 +11,10 @@ retraced per frame, inside its dirty window (``render.trace_depth``).  Each
 frame's window is written into what the sensor makes of the static base
 (``render.sensor_background``): depth frames are sensed over the window,
 RGB and infrared frames shade only the pixels the arm wins.  That
-background is one frame per flipbook tile for depth, one frame for RGB and
-one pre-blur image for infrared, each computed once per recording and kept
-on its ``_RecordingSetup``.
+background is one frame for RGB and one pre-blur image for infrared,
+computed once per camera beside its base (``_Static``), as it reads no
+sampled parameter of a recording; for depth it is one frame per flipbook
+tile, computed once per recording and kept on its ``_RecordingSetup``.
 
 A recording is rendered one frame at a time (``_frames``), and generation
 writes each frame before the next is rendered, so a worker holds one frame
@@ -35,7 +36,7 @@ import shutil
 import signal
 import time
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -75,16 +76,31 @@ from .scene import (
 from .skeleton import ArmRig, default_rig, pose_hand, target_clamped
 from .variation import VariantParams, derive_seed, sample_variant
 
-_STATIC_BUFFER_CACHE: dict = {}
+_STATIC_BUFFER_CACHE: dict = {}  # (camera, left hand) -> _Static
 
 
-def _static_buffer(cam: CameraSpec, is_left: bool) -> DepthBuffer:
-    key = (cam.camera_id, cam.kind, cam.position, cam.rotation, cam.fov_deg, cam.resolution, is_left)
-    buf = _STATIC_BUFFER_CACHE.get(key)
-    if buf is None:
-        buf = trace_depth(static_scene(default_rig(is_left=is_left)), cam)
-        _STATIC_BUFFER_CACHE[key] = buf
-    return buf
+@dataclass(frozen=True)
+class _Static:
+    """What every recording of one camera shares: the static base buffer,
+    its depth, tag and changed mask, and for RGB and infrared what the
+    sensor makes of it (``render.sensor_background``), which reads only
+    sensor parameters that ``SensorParams.with_variant`` leaves alone."""
+
+    base: DepthBuffer
+    background: object  # an RGB frame or infrared layers; None for depth
+
+
+def _static(cam: CameraSpec, is_left: bool) -> _Static:
+    key = (cam, is_left)
+    static = _STATIC_BUFFER_CACHE.get(key)
+    if static is None:
+        base = trace_depth(static_scene(default_rig(is_left=is_left)), cam)
+        background = None
+        if cam.kind != CameraKind.DEPTH:
+            background = render.sensor_background(base, cam, cam.sensor, None, 0)
+        static = _Static(base=replace(base, won_by=None, t_won=None), background=background)
+        _STATIC_BUFFER_CACHE[key] = static
+    return static
 
 
 @dataclass(frozen=True)
@@ -108,36 +124,38 @@ class _RecordingSetup:
     timeline: Timeline
     sensor: SensorParams
     noise: FlipbookNoise
-    base: DepthBuffer
-    backgrounds: dict = field(default_factory=dict)  # see background()
+    static: _Static
+    depth_backgrounds: dict = field(default_factory=dict)  # see background()
 
     @functools.cached_property
     def static_intensity(self) -> np.ndarray:
         """The depth noise intensity of the static base, which no flipbook
         tile changes."""
-        return render.noise_intensity(self.base, self.sensor)
+        return render.noise_intensity(self.static.base, self.sensor)
 
     def background(self, cam: CameraSpec, frame_index: int, noise_enabled: bool):
         """What the sensor makes of the static base at a frame, for the part
-        of the frame the arm does not change.  Depth output changes with the
-        flipbook tile only (noise off counts as one more tile), RGB and
-        infrared not at all; each is computed on first use.  It is not a
-        frame of the recording, so it is sensed through ``render``, not
+        of the frame the arm does not change.  RGB and infrared: the
+        camera's, the same for every frame and recording.  Depth output
+        changes with the recording's sensor and flipbook tile (noise off
+        counts as one more tile), and is computed on first use.  It is not
+        a frame of the recording, so it is sensed through ``render``, not
         through this module's per-frame ``sensor_frame``."""
-        depth_noise = cam.kind == CameraKind.DEPTH and noise_enabled
-        key = self.noise.tile_index(frame_index) if depth_noise else self.noise.tile_count
-        background = self.backgrounds.get(key)
+        if cam.kind != CameraKind.DEPTH:
+            return self.static.background
+        key = self.noise.tile_index(frame_index) if noise_enabled else self.noise.tile_count
+        background = self.depth_backgrounds.get(key)
         if background is None:
             background = render.sensor_background(
-                self.base,
+                self.static.base,
                 cam,
                 self.sensor,
                 self.noise,
                 frame_index,
                 noise_enabled,
-                intensity=self.static_intensity if depth_noise else None,
+                intensity=self.static_intensity if noise_enabled else None,
             )
-            self.backgrounds[key] = background
+            self.depth_backgrounds[key] = background
         return background
 
 
@@ -169,7 +187,7 @@ def _setup_recording(
         timeline=timeline,
         sensor=sensor,
         noise=make_flipbook(sensor, variant.seed),
-        base=_static_buffer(cam, rig.is_left),
+        static=_static(cam, rig.is_left),
     )
 
 
@@ -185,7 +203,7 @@ def _render_frame(
     if target_clamped(setup.rig, wrist_target):
         counters.ik_clamps += 1
     posed = pose_hand(setup.rig, wrist_target, aim_dir, pose)
-    buf = trace_depth(dynamic_scene(posed), cam, base=setup.base)
+    buf = trace_depth(dynamic_scene(posed), cam, base=setup.static.base)
     background = setup.background(cam, frame_index, noise_enabled)
     return sensor_frame(
         buf, cam, setup.sensor, setup.noise, frame_index, noise_enabled=noise_enabled, background=background

@@ -15,17 +15,22 @@ window of the frame: the whole frame for a trace without a base (an empty
 base) and for scenes with boxes or planes, else the dirty window of a
 trace on a base, the union of the arm capsules' screen rectangles (plus,
 for depth, the reach of the noise model).  The tracer composites only ray
-parameters and the index of the winning primitive, and derives depth, tag
-and (for RGB and infrared) normals once, at the pixels the new primitives
-win.  The sensor writes a buffer's window into a background, what the
-sensor makes of the base (``sensor_background``, itself the same step over
-an empty background): depth is sensed over the window, RGB and infrared
-shade only the changed pixels, and infrared then blurs the whole frame.
-Normals and shading are computed over the changed pixels at most
-RENDER_CHUNK_PIXELS at a time, so a whole-frame trace needs no whole-frame
-temporaries for them.  The output is byte-identical to tracing and sensing
-the whole scene.
-Depth cameras trace no normals, which no depth sensor reads.
+parameters and the index of the winning primitive, and derives depth and
+tag once, at the pixels the new primitives win; for RGB and infrared it
+keeps each such pixel's primitive and ray parameter, what its normal is
+computed from.  The sensor writes a buffer's window into a background,
+what the sensor makes of the base (``sensor_background``, itself the same
+step over an empty background): depth is sensed over the window, RGB and
+infrared shade only the changed pixels, and infrared then blurs the whole
+frame.  The output is byte-identical to tracing and sensing the whole
+scene.
+
+No step of a whole-frame trace holds whole-frame temporaries: boxes and
+planes are intersected in bands of whole image rows, a capsule at most
+RENDER_CHUNK_PIXELS rays at a time, and the normals are computed and
+shaded RENDER_CHUNK_PIXELS changed pixels at a time, each chunk shaded as
+it is made, so no buffer holds a normal array.
+Depth cameras keep no normal inputs, which no depth sensor reads.
 """
 
 from __future__ import annotations
@@ -50,9 +55,11 @@ from .scene import (
 
 _T_EPS = 1e-6  # minimum ray parameter accepted as a hit
 
-# changed pixels whose normals or shading are computed at a time: bounds the
-# per-pixel temporaries of a whole-frame trace and of its background, and is
-# more than a dynamic frame changes, so a frame of the arm runs one chunk
+# pixels a kernel takes at a time: the changed pixels whose normals are
+# computed and shaded, the rays of one capsule intersection, and (in whole
+# image rows) the rays of a box or plane intersection.  Bounds the per-pixel
+# temporaries of a whole-frame trace and of its background, and is more than
+# a dynamic frame changes, so a frame of the arm runs one chunk
 RENDER_CHUNK_PIXELS = 1 << 15
 
 # per-camera ray grids are pose/intrinsics functions only; cache them
@@ -91,22 +98,40 @@ class DepthBuffer:
     directions used, per pixel of the window.
 
     ``changed`` marks the pixels that a primitive traced into this buffer
-    won, over the base if there is one.  The world-space surface normals
-    are those of the changed pixels, as rows in the row-major order of
-    ``changed``.  Buffers of depth cameras carry no normals: no depth
-    sensor model reads them.
+    won, over the base if there is one.  ``won_by`` and ``t_won`` give,
+    per changed pixel in the row-major order of ``changed``, the primitive
+    of ``scene`` that won it and the ray parameter of the hit from
+    ``origin``: what the sensor computes its surface normal from, a chunk
+    at a time (``_won_normal_chunks``).  Buffers of depth cameras keep
+    neither: no depth sensor model reads normals.
     """
 
     depth: np.ndarray  # (h, w) float64 over the window, np.inf where no hit
     tag: np.ndarray  # (h, w) uint8
-    normal: np.ndarray | None  # (changed count, 3) float64; None for depth cameras
     ray_dir: np.ndarray  # (h, w, 3) float64, unit world-space directions
     changed: np.ndarray  # (h, w) bool
     window: tuple[int, int, int, int]
+    scene: Scene  # the primitives traced into this buffer
+    origin: np.ndarray  # (3,) world-space ray origin
+    won_by: np.ndarray | None  # (changed count,) int32 primitive index; None for depth cameras
+    t_won: np.ndarray | None  # (changed count,) float64 ray parameter; None for depth cameras
 
     @property
     def valid(self) -> np.ndarray:
         return np.isfinite(self.depth)
+
+    @property
+    def normal(self) -> np.ndarray | None:
+        """The world-space surface normals of the changed pixels, as rows in
+        the row-major order of ``changed``; None without ``won_by``.  Made
+        anew on each read: the sensor shades the chunks of
+        ``_won_normal_chunks`` as they are made and never reads this."""
+        if self.won_by is None:
+            return None
+        normal = np.empty((len(self.won_by), 3))
+        for rows, _, _, normals in _won_normal_chunks(self):
+            normal[rows] = normals
+        return normal
 
 
 @dataclass(frozen=True)
@@ -198,6 +223,35 @@ def _intersect_capsule(origin, dirs, a, b, radius):
                 in_cap = p_axis <= 0.0 if cap_center is a else p_axis >= axis_len2
             np.minimum(t_best, t_sph, out=t_best, where=in_cap)
     return t_best.reshape(h, w)
+
+
+def _spans(lo: int, hi: int, step: int):
+    """(a, b) ranges cutting lo:hi into ranges of ``step``, the edge before
+    a last single element moved back by one where the range before it
+    keeps two or more."""
+    spans = []
+    while lo < hi:
+        b = min(lo + step, hi)
+        if hi - b == 1 and b - lo > 2:
+            b -= 1
+        spans.append((lo, b))
+        lo = b
+    return spans
+
+
+def _ray_blocks(v0: int, v1: int, u0: int, u1: int) -> list:
+    """Slices cutting the rays of rows v0:v1 and columns u0:u1 of a window
+    into blocks of at most RENDER_CHUNK_PIXELS rays (three when it is
+    smaller): bands of whole rows, or where one row is more, one row cut
+    into column ranges.  Each kernel gives a ray the bytes it gives it in
+    any block but one of a single ray: numpy takes a one-row matrix-vector
+    product through a dot product, whose last bit can differ from that
+    row's in a longer product.  So no block is a single ray, unless the
+    rays are one."""
+    step = max(RENDER_CHUNK_PIXELS, 3)
+    if u1 - u0 > step:
+        return [np.s_[v : v + 1, a:b] for v in range(v0, v1) for a, b in _spans(u0, u1, step)]
+    return [np.s_[a:b, u0:u1] for a, b in _spans(v0, v1, step // (u1 - u0))]
 
 
 def _capsule_normal(points, a, b):
@@ -368,9 +422,9 @@ def _primitive_normals(scene: Scene, index: int, points, rays):
 
 def _normal_chunks(winner: np.ndarray):
     """(lo, hi) ranges of the rows, sorted by primitive ``winner``, that
-    ``_won_normals`` takes at a time: RENDER_CHUNK_PIXELS rows or the rest,
-    each edge moved on while it would leave a single row of a primitive on
-    either side.  numpy takes a one-row matrix-vector product through a dot
+    ``_won_normal_chunks`` takes at a time: RENDER_CHUNK_PIXELS rows or the
+    rest, each edge moved on while it would leave a single row of a
+    primitive on either side.  numpy takes a one-row matrix-vector product through a dot
     product, whose last bit can differ from that row's in a longer product,
     so a primitive with more rows is never given one alone."""
     n, lo = len(winner), 0
@@ -384,32 +438,35 @@ def _normal_chunks(winner: np.ndarray):
         lo = hi
 
 
-def _won_normals(scene: Scene, origin, dirs, changed, t, winner):
-    """Normals of the ``changed`` pixels of a window, as rows in row-major
-    order, where the window's rays ``dirs`` (h, w, 3) hit primitives
-    ``winner`` (n,) at ray parameters ``t`` (n,).  The rows are sorted by
-    primitive, so that each primitive's normals come from its own
-    contiguous (k, 3) rows: a dot product over those gives the bytes it
-    gives over a pixel rectangle, which a per-pixel elementwise dot does
-    not.  The sorted rows are taken in ``_normal_chunks``, each gathering
-    its own rays."""
-    order = np.argsort(winner.astype(np.int16), kind="stable")  # a radix sort
-    winner = winner[order]
-    pixels = np.flatnonzero(changed)  # of each row, its pixel in the window
-    normal = np.empty((len(order), 3))
+def _won_normal_chunks(buf: DepthBuffer):
+    """The normals of the changed pixels of ``buf``, a chunk at a time: per
+    chunk, the positions of its pixels among the changed pixels in
+    row-major order, their (row, column) indices in the window, their rays
+    and their normals.  The pixels are sorted by the primitive that won
+    them, so that each primitive's normals come from its own contiguous
+    (k, 3) rows: a dot product over those gives the bytes it gives over a
+    pixel rectangle, which a per-pixel elementwise dot does not.  The
+    sorted pixels are taken in ``_normal_chunks``, each chunk gathering its
+    own rays."""
+    # held while the chunks run, so int32: a frame has fewer pixels
+    order = np.argsort(buf.won_by.astype(np.int16), kind="stable").astype(np.int32)  # a radix sort
+    winner = buf.won_by[order]
+    pixels = np.flatnonzero(buf.changed).astype(np.int32)  # of each changed pixel, its place in the window
+    origin = buf.origin
     for lo, hi in _normal_chunks(winner):
         rows = order[lo:hi]
-        rays = dirs[np.unravel_index(pixels[rows], changed.shape)]
+        index = np.unravel_index(pixels[rows], buf.changed.shape)
+        rays = buf.ray_dir[index]
+        t = buf.t_won[rows]
         points = np.empty_like(rays)
         for k in range(3):  # origin + t * rays, a column at a time
-            np.add(origin[k], t[rows] * rays[:, k], out=points[:, k])
-        grouped = np.empty_like(points)
+            np.add(origin[k], t * rays[:, k], out=points[:, k])
+        normals = np.empty_like(points)
         chunk = winner[lo:hi]
         starts = np.flatnonzero(np.diff(chunk, prepend=-1)).tolist()  # first row of each primitive
         for a, b in zip(starts, [*starts[1:], len(chunk)]):
-            grouped[a:b] = _primitive_normals(scene, int(chunk[a]), points[a:b], rays[a:b])
-        normal[rows] = grouped
-    return normal
+            normals[a:b] = _primitive_normals(buf.scene, int(chunk[a]), points[a:b], rays[a:b])
+        yield rows, index, rays, normals
 
 
 def trace_depth(scene: Scene, cam: CameraSpec, base: DepthBuffer | None = None) -> DepthBuffer:
@@ -423,10 +480,15 @@ def trace_depth(scene: Scene, cam: CameraSpec, base: DepthBuffer | None = None) 
     rectangles, grown by the pixels the sensor model reads around them
     (``_WINDOW_MARGIN``).  The frame outside the window is ``base``.  Scenes
     with boxes or planes, and capsules with no screen bound, get the whole
-    frame as their window.  Normals are those of the pixels the scene's
-    primitives win, computed RENDER_CHUNK_PIXELS at a time; depth cameras'
-    buffers carry none.  A base that does not cover the whole frame is
-    refused with ValueError.
+    frame as their window.  Each primitive is intersected in the blocks of
+    ``_ray_blocks``, bands of whole image rows of its rectangle (of the
+    whole frame for boxes and planes), which give the bytes of one pass:
+    the box test is elementwise, and the capsule's and the plane's dot
+    products are matrix-vector products, whose rows do not depend on the
+    rows beside them.  RGB and infrared buffers keep each changed pixel's
+    primitive and ray parameter, what the sensor computes normals from;
+    depth cameras' buffers keep neither.  A base that does not cover the
+    whole frame is refused with ValueError.
     """
     origin, dirs, z_scale = _cached_rays(cam)
     w, h = cam.resolution
@@ -436,8 +498,9 @@ def trace_depth(scene: Scene, cam: CameraSpec, base: DepthBuffer | None = None) 
             f"the whole frame, (0, {w}, 0, {h})"
         )
     bounds = _capsule_screen_bounds(cam, scene)
+    n_boxes, n_planes = len(scene.box_tag), len(scene.plane_tag)
     window = (0, w, 0, h)
-    if base is not None and not (len(scene.box_tag) or len(scene.plane_tag)):
+    if base is not None and not (n_boxes or n_planes):
         window = _dirty_window(bounds, _WINDOW_MARGIN[cam.kind], w, h)
     wu0, wu1, wv0, wv1 = window
     win = np.s_[wv0:wv1, wu0:wu1]
@@ -451,34 +514,41 @@ def trace_depth(scene: Scene, cam: CameraSpec, base: DepthBuffer | None = None) 
     t_best = np.where(np.isfinite(depth), depth / z_scale, np.inf)
     winner = np.full(depth.shape, -1, dtype=np.int32)  # primitive index; -1: the base
 
-    full = np.s_[:, :]
     for i, rect in enumerate(bounds):
         if rect == (0, 0, 0, 0):
             continue
-        if rect is None:
-            sl = full
-        else:
-            u0, u1, v0, v1 = rect
-            sl = np.s_[v0 - wv0 : v1 - wv0, u0 - wu0 : u1 - wu0]
-        t = _intersect_capsule(origin, dirs[sl], scene.capsule_a[i], scene.capsule_b[i], float(scene.capsule_r[i]))
-        _keep_nearer(t_best, winner, sl, t, i)
-    first = len(bounds)
-    for i in range(len(scene.box_tag)):
-        t = _intersect_box(origin, dirs, scene.box_min[i], scene.box_max[i])
-        _keep_nearer(t_best, winner, full, t, first + i)
-    first += len(scene.box_tag)
-    for i in range(len(scene.plane_tag)):
-        t = _intersect_plane(origin, dirs, scene.plane_point[i], scene.plane_normal[i])
-        _keep_nearer(t_best, winner, full, t, first + i)
+        u0, u1, v0, v1 = (wu0, wu1, wv0, wv1) if rect is None else rect
+        a, b, r = scene.capsule_a[i], scene.capsule_b[i], float(scene.capsule_r[i])
+        for block in _ray_blocks(v0 - wv0, v1 - wv0, u0 - wu0, u1 - wu0):
+            _keep_nearer(t_best, winner, block, _intersect_capsule(origin, dirs[block], a, b, r), i)
+    blocks = _ray_blocks(0, h, 0, w) if n_boxes or n_planes else []  # only whole-frame windows have them
+    for block in blocks:
+        first = len(bounds)
+        for i in range(n_boxes):
+            t = _intersect_box(origin, dirs[block], scene.box_min[i], scene.box_max[i])
+            _keep_nearer(t_best, winner, block, t, first + i)
+        first += n_boxes
+        for i in range(n_planes):
+            t = _intersect_plane(origin, dirs[block], scene.plane_point[i], scene.plane_normal[i])
+            _keep_nearer(t_best, winner, block, t, first + i)
 
     changed = winner >= 0
     won_by, t_won = winner[changed], t_best[changed]
     depth[changed] = t_won * z_scale[changed]
     tag[changed] = np.concatenate([scene.capsule_tag, scene.box_tag, scene.plane_tag])[won_by]
-    normal = None
-    if cam.kind != CameraKind.DEPTH:
-        normal = _won_normals(scene, origin, dirs, changed, t_won, won_by)
-    return DepthBuffer(depth=depth, tag=tag, normal=normal, ray_dir=dirs, changed=changed, window=window)
+    if cam.kind == CameraKind.DEPTH:
+        won_by = t_won = None
+    return DepthBuffer(
+        depth=depth,
+        tag=tag,
+        ray_dir=dirs,
+        changed=changed,
+        window=window,
+        scene=scene,
+        origin=origin,
+        won_by=won_by,
+        t_won=t_won,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -692,16 +762,6 @@ def _rgb_pixels(normal, tag, sp: SensorParams):
     return pixels
 
 
-def _chunks(changed: np.ndarray):
-    """The ``changed`` pixels of a window in row-major order, at most
-    RENDER_CHUNK_PIXELS at a time: per chunk, the slice of their rows among
-    all changed pixels' rows, and their (row, column) indices in the window."""
-    vs, us = np.nonzero(changed)
-    for lo in range(0, len(vs), RENDER_CHUNK_PIXELS):
-        rows = slice(lo, lo + RENDER_CHUNK_PIXELS)
-        yield rows, (vs[rows], us[rows])
-
-
 def _patch(background: np.ndarray, pixels: np.ndarray, window, trim: int) -> np.ndarray:
     """A copy of the whole frame ``background`` with ``pixels``, sensed over
     ``window``, written in, less a ``trim``-px ring on each side of the
@@ -735,8 +795,8 @@ def _sense_window(buf: DepthBuffer, cam: CameraSpec, sp, noise, frame_index, noi
     ``_patch`` trims; ``intensity`` is ``noise_intensity(buf, sp)`` or None.
     RGB: the changed pixels shaded.  Infrared: the changed pixels' colour
     and Fresnel factor, and the window's validity, written into the layers
-    before the blur.  Both shade RENDER_CHUNK_PIXELS changed pixels at a
-    time."""
+    before the blur.  Both shade each chunk of ``_won_normal_chunks`` as
+    it is made, RENDER_CHUNK_PIXELS changed pixels at a time."""
     u0, u1, v0, v1 = buf.window
     arm = np.s_[v0:v1, u0:u1]
     if cam.kind == CameraKind.DEPTH:
@@ -748,13 +808,13 @@ def _sense_window(buf: DepthBuffer, cam: CameraSpec, sp, noise, frame_index, noi
     if cam.kind == CameraKind.RGB:
         pixels = background.copy()
         arm_pixels = pixels[arm]
-        for rows, index in _chunks(buf.changed):
-            arm_pixels[index] = _rgb_pixels(buf.normal[rows], buf.tag[index], sp)
+        for _, index, _, normals in _won_normal_chunks(buf):
+            arm_pixels[index] = _rgb_pixels(normals, buf.tag[index], sp)
         return pixels
     layers = InfraredLayers(background.image.copy(), background.fresnel.copy(), background.valid.copy())
     image, fresnel = layers.image[arm], layers.fresnel[arm]
-    for rows, index in _chunks(buf.changed):
-        image[index], fresnel[index] = _infrared_shading(buf.normal[rows], buf.ray_dir[index], buf.tag[index], sp)
+    for _, index, rays, normals in _won_normal_chunks(buf):
+        image[index], fresnel[index] = _infrared_shading(normals, rays, buf.tag[index], sp)
     layers.valid[arm] = buf.valid
     return layers
 
@@ -774,7 +834,8 @@ def sensor_background(
     only; ``intensity`` is ``noise_intensity(base, sp)`` when the caller
     already has it.  RGB: the frame, the same at every frame index.
     Infrared: the ``InfraredLayers`` before the blur, the same at every
-    frame index."""
+    frame index.  RGB and infrared read only ``sp.ambient`` and
+    ``sp.fresnel_exponent``, and no ``noise``."""
     return _sense_window(base, cam, sp, noise, frame_index, noise_enabled, _empty_background(cam), intensity)
 
 

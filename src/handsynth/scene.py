@@ -311,10 +311,11 @@ def build_scene(rig: ArmRig, posed: PosedSkeleton) -> Scene:
 
 def static_scene(rig: ArmRig) -> Scene:
     """Everything except the gesturing arm; the pipeline traces it once per
-    camera and caches the buffer (``pipeline._static_buffer``).  Each
-    recording also keeps what its sensor makes of that buffer, one frame per
-    flipbook tile for depth, one frame for RGB and the pre-blur layers for
-    infrared, as the part of every frame the arm does not change
+    camera and caches the buffer (``pipeline._static``) with, for RGB and
+    infrared, what the sensor makes of it: one frame for RGB and the
+    pre-blur layers for infrared, shared by every recording of the camera.
+    For depth each recording keeps one frame per flipbook tile.  That is
+    the part of every frame the arm does not change
     (``pipeline._RecordingSetup.background``)."""
     return scene_from_primitives(
         capsules=_static_body_capsules(rig),

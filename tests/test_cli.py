@@ -611,6 +611,31 @@ def _spoilable(dataset, tmp_path):
     return out, entry
 
 
+@pytest.mark.parametrize(
+    "version, message",
+    [
+        (None, "tool_version: required key is missing"),
+        ("handsynth-0.0.9", "tool_version: written by 'handsynth-0.0.9', this is 'handsynth-0.1.0'"),
+    ],
+    ids=["missing", "other"],
+)
+def test_eval_refuses_a_manifest_of_another_version(_eval_dataset, tmp_path, capsys, version, message):
+    """A manifest without ``tool_version``, or written by another version,
+    is a data error that names the key or both versions."""
+    out, _ = _spoilable(_eval_dataset, tmp_path)
+    path = out / "manifest.json"
+    doc = json.loads(path.read_text())
+    if version is None:
+        del doc["tool_version"]
+    else:
+        doc["tool_version"] = version
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["eval", "--manifest", str(path)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and str(path) in err and message in err
+
+
 @pytest.mark.parametrize("where", ["before_span", "in_span", "after_span"])
 @pytest.mark.parametrize(
     "spoil, code",

@@ -328,6 +328,18 @@ def test_script_json_round_trip(tmp_path):
         parse_scripts("{x", "x.json")
 
 
+def test_one_script_without_control_points_names_the_missing_key():
+    """A file is the name -> script form only when every value is an object:
+    one script that leaves out ``control_points`` is refused for that key,
+    not read as scripts named after its fields."""
+    with pytest.raises(ValueError, match="^w.json: control_points: required key is missing$"):
+        parse_scripts('{"name": "wave", "base_speed": 20}', "w.json")
+    two = '{"wave": {"control_points": [[0, 0, 0], [1, 1, 1]]}, "tap": {"control_points": [[0, 0, 0], [0, 1, 0]]}}'
+    assert sorted(parse_scripts(two, "w.json")) == ["tap", "wave"]
+    with pytest.raises(ValueError, match=r"^w.json: tap.base_speed: expected a finite number"):
+        parse_scripts('{"tap": {"control_points": [[0, 0, 0], [0, 1, 0]], "base_speed": "fast"}}', "w.json")
+
+
 @pytest.mark.parametrize(
     "script",
     [

@@ -9,6 +9,7 @@ import json
 import tracemalloc
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from handsynth import pipeline, render
@@ -27,10 +28,13 @@ def _peak_bytes(fn, *args):
         tracemalloc.stop()
 
 
-# Measured: 30.1 MB (wheel) to 31.3 MB (top).  The base it keeps, depth, tag,
-# normal rows and changed mask, and the background take 11.4 MB of that.
-# Before the normals and shading were chunked the peak was 48.6 MB.
-STATIC_RGB_PEAK_BOUND = 33e6
+# Measured: 18.5 MB (wheel) to 20.1 MB (top).  The base it returns (depth,
+# tag, changed mask, and each changed pixel's primitive and ray parameter)
+# and the background take 7.7 MB of that.
+STATIC_RGB_PEAK_BOUND = 22e6
+
+# Measured: 8.5 MB.
+DYNAMIC_RGB_PEAK_BOUND = 9.5e6
 
 
 @pytest.mark.parametrize("preset", ["infotainment", "top", "wheel"])
@@ -50,6 +54,86 @@ def test_static_rgb_trace_and_background_peak(preset):
         return base, render.sensor_background(base, cam, sp, noise, 0)
 
     assert _peak_bytes(static_frame) < STATIC_RGB_PEAK_BOUND
+
+
+def test_large_window_rgb_frame_peak(monkeypatch):
+    """A 640x480 RGB frame whose largest capsule rectangle holds more rays
+    than one block, traced and sensed over its window, stays under a fixed
+    bound.  The frame is the one of ``swipe_up`` seen from the top with the
+    largest capsule rectangle; its static base and background are made
+    before the measurement, as every recording of a worker has them."""
+    from handsynth.gesture import WarningCounters, builtin_scripts, evaluate_frame
+    from handsynth.scene import dynamic_scene
+    from handsynth.skeleton import pose_hand
+    from handsynth.variation import VariantParams
+
+    rig = default_rig()
+    cam = preset_camera("top", "rgb0", CameraKind.RGB, gesture_anchor(rig), resolution=(640, 480), fps=15.0)
+    monkeypatch.setattr(pipeline, "_STATIC_BUFFER_CACHE", {})
+    setup = pipeline._setup_recording(builtin_scripts()["swipe_up"], cam, VariantParams.neutral(), False)
+
+    def largest_rect(i):
+        wrist, aim, pose = evaluate_frame(setup.timeline, i, WarningCounters())
+        rects = render._capsule_screen_bounds(cam, dynamic_scene(pose_hand(setup.rig, wrist, aim, pose)))
+        return max((u1 - u0) * (v1 - v0) for u0, u1, v0, v1 in rects)
+
+    frame = max(range(setup.timeline.total_frames), key=largest_rect)
+    assert largest_rect(frame) > render.RENDER_CHUNK_PIXELS
+    peak = _peak_bytes(pipeline._render_frame, setup, cam, frame, WarningCounters(), True)
+    assert peak < DYNAMIC_RGB_PEAK_BOUND
+
+
+def _small_multicam(tmp_path, gestures=("swipe_up", "peace_sign"), variants=2):
+    cfg = {
+        "output_path": str(tmp_path),
+        "recordings_per_gesture": variants,
+        "resolution": [64, 48],
+        "fps": 10,
+        "gestures": list(gestures),
+        "cameras": [
+            {"camera_id": "rgb0", "kind": "rgb", "preset": "top"},
+            {"camera_id": "ir0", "kind": "infrared", "preset": "wheel"},
+            {"camera_id": "depth0", "kind": "depth", "preset": "infotainment"},
+        ],
+    }
+    return parse_config_full(json.dumps(cfg))
+
+
+def test_rgb_and_infrared_backgrounds_are_made_once_per_camera(tmp_path, monkeypatch):
+    """Every recording of an RGB or infrared camera shares the camera's
+    background: ``sensor_background`` runs once for each across four
+    recordings, and for depth once per recording and flipbook tile."""
+    from collections import Counter
+
+    parsed = _small_multicam(tmp_path)
+    calls = Counter()
+    sensor_background = render.sensor_background
+
+    def spy(base, cam, *args, **kwargs):
+        calls[cam.kind] += 1
+        return sensor_background(base, cam, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "_STATIC_BUFFER_CACHE", {})
+    monkeypatch.setattr(render, "sensor_background", spy)
+    pipeline.generate_dataset(parsed)
+    assert calls[CameraKind.RGB] == calls[CameraKind.INFRARED] == 1
+    assert calls[CameraKind.DEPTH] >= 4  # one per recording at least
+    assert len(pipeline._STATIC_BUFFER_CACHE) == 3
+
+
+def test_cameras_differing_only_in_ambient_get_their_own_background(monkeypatch):
+    """The static cache is keyed on the whole camera: a second camera that
+    differs only in ``sensor.ambient`` shares no background with the first,
+    though the two trace the same base."""
+    rig = default_rig()
+    cam = preset_camera("top", "rgb0", CameraKind.RGB, gesture_anchor(rig), resolution=(64, 48))
+    brighter = replace(cam, sensor=replace(cam.sensor, ambient=0.6))
+    monkeypatch.setattr(pipeline, "_STATIC_BUFFER_CACHE", {})
+    dim, bright = pipeline._static(cam, False), pipeline._static(brighter, False)
+    assert dim is not bright and len(pipeline._STATIC_BUFFER_CACHE) == 2
+    assert np.array_equal(dim.base.depth, bright.base.depth)
+    assert not np.array_equal(dim.background, bright.background)
+    assert dim.base.won_by is None and dim.base.t_won is None  # the cached base keeps no normal inputs
 
 
 def test_record_one_peak_does_not_grow_with_the_recording(tmp_path, monkeypatch):

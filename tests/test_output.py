@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from conftest import json_form
 
 from handsynth.config import from_json
 from handsynth.output import (
+    TOOL_VERSION,
+    DataError,
     DatasetManifest,
     RecordingEntry,
     frame_path,
@@ -90,6 +93,28 @@ def test_manifest_round_trip(tmp_path):
     data = open(path).read()
     parsed = json.loads(data)
     assert list(parsed) == sorted(parsed)
+
+
+@pytest.mark.parametrize(
+    "version, message",
+    [
+        (None, "malformed manifest: tool_version: required key is missing"),
+        ("handsynth-9", "malformed manifest: tool_version: written by 'handsynth-9', this is 'handsynth-0.1.0'"),
+    ],
+    ids=["missing", "other"],
+)
+def test_manifest_of_another_version_is_refused(tmp_path, version, message):
+    path = tmp_path / "manifest.json"
+    write_manifest(DatasetManifest(config_digest="ab" * 32, entries=(_entry(),)), str(path))
+    doc = json.loads(path.read_text())
+    assert doc["tool_version"] == TOOL_VERSION
+    if version is None:
+        del doc["tool_version"]
+    else:
+        doc["tool_version"] = version
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match=re.escape(f"{path}: {message}")):
+        read_manifest(str(path))
 
 
 def test_entry_and_manifest_read_back_from_their_json_form():

@@ -10,11 +10,14 @@ rewritten to run a column at a time, are compared the same way, and so
 is what the sensor makes of each preset's static base, which was shaded
 from a whole-frame normal map before buffers carried normals as rows.
 That static base's normal rows, RGB background and infrared frame are
-also compared, chunk size by chunk size, with their unchunked forms.
+also compared, chunk size by chunk size, with their unchunked forms, and
+the capsule, box and plane kernels taken in the tracer's blocks of rays
+with one pass over the whole frame.
 """
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -182,7 +185,7 @@ def _reference_rgb_pixels(normal, tag, sp):
 
 
 def _reference_won_normals(scene, origin, rays, t, winner):
-    """``render._won_normals`` before it took the changed pixels in chunks:
+    """The normals of a buffer's changed pixels before they were taken in chunks:
     every changed pixel's ray gathered at once, the rows sorted by
     primitive and one ``_primitive_normals`` call per primitive."""
     order = np.argsort(winner.astype(np.int16), kind="stable")
@@ -297,6 +300,83 @@ def test_capsule_kernel_does_not_depend_on_the_block(rng):
             _assert_same_bytes(render._intersect_capsule(origin, dirs[block], a, b, radius), whole[block])
 
 
+def _blocked(kernel, origin, dirs, *primitive):
+    """``kernel`` over the rays ``dirs`` (h, w, 3) taken in the blocks of
+    ``render._ray_blocks``, as the tracer takes them; each block at most
+    RENDER_CHUNK_PIXELS rays (three when it is smaller), none one ray alone,
+    and every ray in exactly one."""
+    h, w = dirs.shape[:2]
+    t = np.full((h, w), np.nan)
+    covered = np.zeros((h, w), dtype=int)
+    for block in render._ray_blocks(0, h, 0, w):
+        n = covered[block].size
+        assert 2 <= n <= max(render.RENDER_CHUNK_PIXELS, 3) or h * w == 1
+        covered[block] += 1
+        t[block] = kernel(origin, dirs[block], *primitive)
+    assert (covered == 1).all()
+    return t
+
+
+# blocks of rays: a row of 2 * 7 + 1 rays, a column of as many, rows of 7 + 1
+# rays (a remainder of one ray at 7 per block), a few rows of 3, a strided
+# rectangle and a whole frame
+_BLOCK_SHAPES = [np.s_[20:21, 10:25], np.s_[10:25, 40:41], np.s_[30:39, 50:58], np.s_[5:10, 3:6], np.s_[10:50, 7:61]]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 6911, 1 << 15])
+def test_blocked_capsule_calls_match_reference(monkeypatch, rng, chunk):
+    """Capsule intersections taken ``chunk`` rays at a time give the bytes
+    of the frozen kernel over the whole frame; at 6911 the 96x72 frame's
+    6912 rays leave a remainder of one ray."""
+    monkeypatch.setattr(render, "RENDER_CHUNK_PIXELS", chunk)
+    origin, dirs = camera_rays(_camera())
+    for k in range(12):
+        a = origin + rng.uniform(-40, 40, size=3) + vec(0, 0, -rng.uniform(20, 120))
+        b = a + rng.uniform(-25, 25, size=3) * (k % 4 != 0)  # every fourth: a zero-length axis
+        radius = float(rng.uniform(0.5, 15.0))
+        whole = _reference_intersect_capsule(origin, dirs, a, b, radius)
+        for block in [*_BLOCK_SHAPES, np.s_[:, :]]:
+            want = whole[block]  # not the reference over one column: see _ray_blocks in this file
+            _assert_same_bytes(_strict(_blocked, render._intersect_capsule, origin, dirs[block], a, b, radius), want)
+
+
+def test_ray_blocks_leave_no_single_ray():
+    """A remainder of one ray moves the edge before it back by one."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(render, "RENDER_CHUNK_PIXELS", 7)
+        assert render._ray_blocks(0, 1, 0, 15) == [np.s_[0:1, 0:7], np.s_[0:1, 7:13], np.s_[0:1, 13:15]]
+        assert render._ray_blocks(0, 15, 0, 1) == [np.s_[0:7, 0:1], np.s_[7:13, 0:1], np.s_[13:15, 0:1]]
+        assert render._ray_blocks(2, 5, 4, 6) == [np.s_[2:5, 4:6]]  # three rows of two: 6 rays
+        assert render._ray_blocks(0, 1, 0, 1) == [np.s_[0:1, 0:1]]  # one ray is one block
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 3 * 97 + 5])
+def test_banded_box_and_plane_match_one_whole_frame_pass(monkeypatch, rng, chunk):
+    """Boxes and planes intersected in bands of whole image rows (at 7 and
+    1 per block, in parts of a row) give the bytes of one pass over the
+    whole frame, and so does a trace of a scene with boxes and planes."""
+    cam = _camera(rotation=(0.0, 0.0, 0.0), position=(0.0, 0.0, 0.0), resolution=(97, 73))
+    origin, dirs = camera_rays(cam)
+    boxes = [tuple(np.sort(rng.uniform(-60, 60, size=(2, 3)), axis=0) + vec(0, 0, -80)) for _ in range(6)]
+    boxes.append((vec(-20, -20, -90), vec(20, 20, -70)))  # rays parallel to its slabs
+    tilted = vec(0.1, 1.0, 0.2) / np.linalg.norm([0.1, 1.0, 0.2])
+    planes = [(vec(0, 0, -160.0), vec(0, 0, 1.0)), (vec(0, -30, 0), tilted)]
+    scene = scene_from_primitives(capsules=[(vec(-10, 5, -60), vec(15, -5, -75), 6.0)], boxes=boxes, planes=planes)
+    whole = {kind: render.trace_depth(scene, replace(cam, kind=kind)) for kind in (CameraKind.DEPTH, CameraKind.RGB)}
+    monkeypatch.setattr(render, "RENDER_CHUNK_PIXELS", chunk)
+    for bmin, bmax in boxes:
+        want = render._intersect_box(origin, dirs, bmin, bmax)
+        _assert_same_bytes(_strict(_blocked, render._intersect_box, origin, dirs, bmin, bmax), want)
+    for point, normal in planes:
+        want = render._intersect_plane(origin, dirs, point, normal)
+        _assert_same_bytes(_strict(_blocked, render._intersect_plane, origin, dirs, point, normal), want)
+    for kind, want in whole.items():
+        got = render.trace_depth(scene, replace(cam, kind=kind))
+        fields = ("depth", "tag", "changed") if kind == CameraKind.DEPTH else ("won_by", "t_won", "normal")
+        for field in fields:
+            _assert_same_bytes(getattr(got, field), getattr(want, field))
+
+
 def _unit_rays_with_zero_components(rng):
     rays = rng.normal(size=(40, 3))
     rays[0:10, 0] = 0.0  # parallel to the x slabs
@@ -409,7 +489,7 @@ def test_infrared_blur_matches_reference(rng):
         _assert_same_bytes(got, want)
 
 
-def _check_static_base(monkeypatch, preset, resolution):
+def _check_static_base(preset, resolution):
     """The static base's normal rows are those of the frozen
     ``_reference_won_normals`` on the trace's own winners and ray
     parameters.  Scattered into a whole-frame map that is zero where
@@ -421,19 +501,10 @@ def _check_static_base(monkeypatch, preset, resolution):
     scene = static_scene(rig)
     sp = SensorParams()
     noise = render.make_flipbook(sp, 3)
-    calls = []
-    won_normals = render._won_normals
-
-    def spy(scene, origin, dirs, changed, t, winner):
-        calls.append((origin, dirs[changed], t, winner))
-        return won_normals(scene, origin, dirs, changed, t, winner)
-
-    monkeypatch.setattr(render, "_won_normals", spy)
     for kind in (CameraKind.RGB, CameraKind.INFRARED):
         cam = preset_camera(preset, "k", kind, gesture_anchor(rig), resolution=resolution)
         base = render.trace_depth(scene, cam)
-        ((origin, rays, t, winner),) = calls
-        calls.clear()
+        origin, rays, t, winner = base.origin, base.ray_dir[base.changed], base.t_won, base.won_by
         _assert_same_bytes(base.normal, _reference_won_normals(scene, origin, rays, t, winner))
         if kind == CameraKind.RGB:
             got = _strict(render.sensor_background, base, cam, sp, noise, 0)
@@ -449,8 +520,8 @@ def _check_static_base(monkeypatch, preset, resolution):
 
 
 @pytest.mark.parametrize("preset", ["infotainment", "top", "wheel"])
-def test_static_base_senses_as_the_whole_frame_shaders_did(monkeypatch, preset):
-    _check_static_base(monkeypatch, preset, (640, 480))
+def test_static_base_senses_as_the_whole_frame_shaders_did(preset):
+    _check_static_base(preset, (640, 480))
 
 
 @pytest.mark.parametrize("preset", ["infotainment", "top", "wheel"])
@@ -461,6 +532,6 @@ def test_chunked_static_base_gives_the_unchunked_bytes(monkeypatch, preset, chun
     one primitive's rows in two.  Chunks of 1 and 7 pixels run at 64x48:
     at 640x480 they would take seconds per frame."""
     monkeypatch.setattr(render, "RENDER_CHUNK_PIXELS", chunk)
-    by_primitive = np.sort(_check_static_base(monkeypatch, preset, resolution))
+    by_primitive = np.sort(_check_static_base(preset, resolution))
     edges = [hi for _, hi in render._normal_chunks(by_primitive)][:-1]
     assert any(by_primitive[hi - 1] == by_primitive[hi] for hi in edges)
