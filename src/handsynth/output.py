@@ -19,6 +19,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import re
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -91,7 +92,14 @@ def read_frame(path: str) -> np.ndarray:
         raise DataError(f"{path}: unreadable frame: {exc}") from None
 
 
-def _parse_netpbm(data: bytes) -> np.ndarray:
+# a netpbm header without comments: magic, width, height and maxval, and the
+# single whitespace byte before the pixels
+_HEADER = re.compile(rb"(P[56])\s+(\d+)\s+(\d+)\s+(\d+)\s")
+
+
+def _header_tokens(data: bytes) -> tuple[list[bytes], int]:
+    """The four header tokens of a netpbm file that may hold ``#`` comments,
+    read a byte at a time, and the offset of its pixels."""
     tokens = []
     pos = 0
     while len(tokens) < 4:
@@ -104,8 +112,18 @@ def _parse_netpbm(data: bytes) -> np.ndarray:
         start = pos
         while pos < len(data) and not data[pos : pos + 1].isspace():
             pos += 1
+        if start == pos:
+            raise ValueError("truncated netpbm header")
         tokens.append(data[start:pos])
-    pos += 1  # single whitespace after maxval
+    return tokens, pos + 1  # single whitespace after maxval
+
+
+def _parse_netpbm(data: bytes) -> np.ndarray:
+    header = _HEADER.match(data)
+    if header is not None:
+        tokens, pos = header.groups(), header.end()
+    else:  # comments, or a header that does not parse
+        tokens, pos = _header_tokens(data)
     magic, w, h, maxval = tokens[0], int(tokens[1]), int(tokens[2]), int(tokens[3])
     body = data[pos:]
     if magic == b"P5" and maxval == 65535:

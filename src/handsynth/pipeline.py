@@ -11,7 +11,8 @@ retraced per frame, inside its dirty window (``render.trace_depth``).  Each
 frame's window is written into what the sensor makes of the static base
 (``render.sensor_background``): depth frames are sensed over the window,
 RGB and infrared frames shade only the pixels the arm wins.  That
-background is one frame for RGB and one pre-blur image for infrared,
+background is one frame for RGB and, for infrared, the 8-bit frame before
+the blur with the coordinates of its rim pixels (``render.InfraredLayers``),
 computed once per camera beside its base (``_Static``), as it reads no
 sampled parameter of a recording; for depth it is one frame per flipbook
 tile, computed once per recording and kept on its ``_RecordingSetup``.
@@ -87,7 +88,7 @@ class _Static:
     sensor parameters that ``SensorParams.with_variant`` leaves alone."""
 
     base: DepthBuffer
-    background: object  # an RGB frame or infrared layers; None for depth
+    background: object  # an RGB frame or render.InfraredLayers; None for depth
 
 
 def _static(cam: CameraSpec, is_left: bool) -> _Static:

@@ -21,9 +21,11 @@ keeps each such pixel's primitive and ray parameter, what its normal is
 computed from.  The sensor writes a buffer's window into a background,
 what the sensor makes of the base (``sensor_background``, itself the same
 step over an empty background): depth is sensed over the window, RGB and
-infrared shade only the changed pixels, and infrared then blurs the whole
-frame.  The output is byte-identical to tracing and sensing the whole
-scene.
+infrared shade only the changed pixels, gathering their rays and tags and
+writing their 8-bit colours by flat pixel index.  Infrared then blurs its
+rim pixels, the base's less those the arm changed plus the arm's own, by
+copying 8-bit pixels.  The output is byte-identical to tracing and sensing
+the whole scene.
 
 No step of a whole-frame trace holds whole-frame temporaries: boxes and
 planes are intersected in bands of whole image rows, a capsule at most
@@ -94,8 +96,8 @@ LIGHT_DIR = LIGHT_DIR / np.linalg.norm(LIGHT_DIR)
 class DepthBuffer:
     """Nearest-hit result over the pixel rectangle ``window`` = (u0, u1,
     v0, v1) of a frame, columns u0:u1 and rows v0:v1 ((0, w, 0, h) for the
-    whole frame): camera-Z depth (inf = miss), hit tag and the ray
-    directions used, per pixel of the window.
+    whole frame): camera-Z depth (inf = miss) and hit tag per pixel of the
+    window, and the camera's ray grid, whose window is ``ray_dir``.
 
     ``changed`` marks the pixels that a primitive traced into this buffer
     won, over the base if there is one.  ``won_by`` and ``t_won`` give,
@@ -108,7 +110,7 @@ class DepthBuffer:
 
     depth: np.ndarray  # (h, w) float64 over the window, np.inf where no hit
     tag: np.ndarray  # (h, w) uint8
-    ray_dir: np.ndarray  # (h, w, 3) float64, unit world-space directions
+    rays: np.ndarray  # (H, W, 3) float64 unit world-space directions of the whole frame, C-contiguous
     changed: np.ndarray  # (h, w) bool
     window: tuple[int, int, int, int]
     scene: Scene  # the primitives traced into this buffer
@@ -121,6 +123,12 @@ class DepthBuffer:
         return np.isfinite(self.depth)
 
     @property
+    def ray_dir(self) -> np.ndarray:
+        """The (h, w, 3) rays of the window, a view of ``rays``."""
+        u0, u1, v0, v1 = self.window
+        return self.rays[v0:v1, u0:u1]
+
+    @property
     def normal(self) -> np.ndarray | None:
         """The world-space surface normals of the changed pixels, as rows in
         the row-major order of ``changed``; None without ``won_by``.  Made
@@ -129,7 +137,7 @@ class DepthBuffer:
         if self.won_by is None:
             return None
         normal = np.empty((len(self.won_by), 3))
-        for rows, _, _, normals in _won_normal_chunks(self):
+        for rows, _, _, _, normals in _won_normal_chunks(self):
             normal[rows] = normals
         return normal
 
@@ -325,8 +333,8 @@ _NOISE_REACH = 1
 # camera kind.  Depth: a changed depth changes the output _NOISE_REACH px
 # around it, and sensing a window edge-pads it, so the window's outer
 # _NOISE_REACH ring is wrong and dropped (``_patch``).  RGB and infrared
-# shade per pixel; the infrared blur, which moves pixels, runs over the whole
-# frame after the arm's pixels are written in.
+# shade per pixel; the infrared blur, which moves pixels, runs over the rim
+# pixels of the whole frame after the arm's pixels are written in.
 _WINDOW_MARGIN = {CameraKind.DEPTH: 2 * _NOISE_REACH, CameraKind.RGB: 0, CameraKind.INFRARED: 0}
 
 
@@ -441,23 +449,33 @@ def _normal_chunks(winner: np.ndarray):
 def _won_normal_chunks(buf: DepthBuffer):
     """The normals of the changed pixels of ``buf``, a chunk at a time: per
     chunk, the positions of its pixels among the changed pixels in
-    row-major order, their (row, column) indices in the window, their rays
+    row-major order, their tags, their flat indices in the frame, their rays
     and their normals.  The pixels are sorted by the primitive that won
     them, so that each primitive's normals come from its own contiguous
     (k, 3) rows: a dot product over those gives the bytes it gives over a
     pixel rectangle, which a per-pixel elementwise dot does not.  The
-    sorted pixels are taken in ``_normal_chunks``, each chunk gathering its
-    own rays."""
-    # held while the chunks run, so int32: a frame has fewer pixels
+    sorted pixels are taken in ``_normal_chunks``, each chunk taking its
+    tags by flat index into the window and its rays by flat index into the
+    frame's (H * W, 3) ray grid."""
+    # held while the chunks run, so int32: a frame has fewer pixels.  They
+    # index through np.take, as indexing would first convert them to intp
     order = np.argsort(buf.won_by.astype(np.int16), kind="stable").astype(np.int32)  # a radix sort
-    winner = buf.won_by[order]
+    winner = np.take(buf.won_by, order)
     pixels = np.flatnonzero(buf.changed).astype(np.int32)  # of each changed pixel, its place in the window
+    u0, u1, v0, _ = buf.window
+    width = buf.rays.shape[1]
+    grid = buf.rays.reshape(-1, 3)
     origin = buf.origin
     for lo, hi in _normal_chunks(winner):
         rows = order[lo:hi]
-        index = np.unravel_index(pixels[rows], buf.changed.shape)
-        rays = buf.ray_dir[index]
-        t = buf.t_won[rows]
+        at = np.take(pixels, rows)
+        flat = at // (u1 - u0)  # the row in the window
+        flat *= width - (u1 - u0)
+        flat += at
+        flat += v0 * width + u0
+        tags = np.take(buf.tag, at)
+        rays = np.take(grid, flat, axis=0)
+        t = np.take(buf.t_won, rows)
         points = np.empty_like(rays)
         for k in range(3):  # origin + t * rays, a column at a time
             np.add(origin[k], t * rays[:, k], out=points[:, k])
@@ -466,7 +484,7 @@ def _won_normal_chunks(buf: DepthBuffer):
         starts = np.flatnonzero(np.diff(chunk, prepend=-1)).tolist()  # first row of each primitive
         for a, b in zip(starts, [*starts[1:], len(chunk)]):
             normals[a:b] = _primitive_normals(buf.scene, int(chunk[a]), points[a:b], rays[a:b])
-        yield rows, index, rays, normals
+        yield rows, tags, flat, rays, normals
 
 
 def trace_depth(scene: Scene, cam: CameraSpec, base: DepthBuffer | None = None) -> DepthBuffer:
@@ -504,14 +522,14 @@ def trace_depth(scene: Scene, cam: CameraSpec, base: DepthBuffer | None = None) 
         window = _dirty_window(bounds, _WINDOW_MARGIN[cam.kind], w, h)
     wu0, wu1, wv0, wv1 = window
     win = np.s_[wv0:wv1, wu0:wu1]
-    dirs, z_scale = dirs[win], z_scale[win]
+    grid, dirs, z_scale = dirs, dirs[win], z_scale[win]
 
     if base is None:
         depth = np.full((h, w), np.inf)
         tag = np.full((h, w), TAG_NONE, dtype=np.uint8)
     else:
         depth, tag = base.depth[win].copy(), base.tag[win].copy()
-    t_best = np.where(np.isfinite(depth), depth / z_scale, np.inf)
+    t_best = depth / z_scale  # inf where no hit: z_scale is positive and finite
     winner = np.full(depth.shape, -1, dtype=np.int32)  # primitive index; -1: the base
 
     for i, rect in enumerate(bounds):
@@ -541,7 +559,7 @@ def trace_depth(scene: Scene, cam: CameraSpec, base: DepthBuffer | None = None) 
     return DepthBuffer(
         depth=depth,
         tag=tag,
-        ray_dir=dirs,
+        rays=grid,
         changed=changed,
         window=window,
         scene=scene,
@@ -705,11 +723,15 @@ def fresnel_factor(cos_nv, exponent: float):
 
 @dataclass(frozen=True)
 class InfraredLayers:
-    """An infrared frame before its panned blur."""
+    """An infrared frame before its panned blur: its 8-bit pixels, each
+    the rounded and clipped colour of ``_infrared_shading``, and the (row,
+    column) coordinates of its rim pixels, the hit pixels whose Fresnel
+    factor is above 0.6, in no set order.  The blur only copies pixels,
+    and the 8-bit conversion works pixel by pixel, so converting before
+    the blur gives the bytes of converting after it."""
 
-    image: np.ndarray  # (h, w, 3) float64 colour
-    fresnel: np.ndarray  # (h, w) float64 Fresnel factor
-    valid: np.ndarray  # (h, w) bool, a surface was hit
+    pixels: np.ndarray  # (h, w, 3) uint8
+    rim: tuple[np.ndarray, np.ndarray]  # (k,) intp rows and (k,) intp columns
 
 
 def _infrared_shading(normal, ray_dir, tag, sp: SensorParams):
@@ -731,22 +753,32 @@ def _infrared_shading(normal, ray_dir, tag, sp: SensorParams):
     return img, fr
 
 
+def _pixel_items(pixels: np.ndarray) -> np.ndarray:
+    """The C-contiguous 8-bit colour ``pixels`` (..., 3) as a flat view with
+    one 3-byte item per pixel, which numpy takes and puts by index a few
+    times faster than (n, 3) rows."""
+    return pixels.reshape(-1).view(np.dtype((np.void, 3)))
+
+
 def _infrared_pixels(layers: InfraredLayers, noise: FlipbookNoise, sp: SensorParams, frame_index: int):
-    """The 8-bit infrared frame: panned-noise UV blur on strong rims, run
-    over the whole frame in place on ``layers.image``.  The noise is the
-    first flipbook tile panned by (frame, frame) pixels, read only at the
-    rim pixels that move."""
-    img, fr = layers.image, layers.fresnel
-    h, w = fr.shape
+    """The 8-bit infrared frame: panned-noise UV blur on strong rims, run in
+    place on ``layers.pixels``.  Each rim pixel takes the pre-blur pixel
+    ``offset`` rows and columns away, clipped to the frame.  The noise is
+    the first flipbook tile panned by (frame, frame) pixels, read only at
+    the rim pixels."""
+    pixels = layers.pixels
+    h, w = pixels.shape[:2]
     if sp.blur_radius > 0:
-        vs, us = np.nonzero((fr > 0.6) & layers.valid)
+        vs, us = layers.rim
         tp = noise.tile_px
         n = noise.tiles[0][(vs + frame_index) % tp, (us + frame_index) % tp]
-        offset = np.rint(sp.blur_radius * (2.0 * n - 1.0)).astype(np.int64)
-        sv = np.clip(vs + offset, 0, h - 1)
-        su = np.clip(us + offset, 0, w - 1)
-        img[vs, us] = img[sv, su]
-    return np.clip(np.rint(img), 0, 255).astype(np.uint8)
+        offset = np.rint(sp.blur_radius * (2.0 * n - 1.0)).astype(np.intp)
+        source = np.clip(vs + offset, 0, h - 1)
+        source *= w
+        source += np.clip(us + offset, 0, w - 1)
+        items = _pixel_items(pixels)
+        np.put(items, vs * w + us, np.take(items, source))
+    return pixels
 
 
 def _rgb_pixels(normal, tag, sp: SensorParams):
@@ -779,26 +811,28 @@ def _patch(background: np.ndarray, pixels: np.ndarray, window, trim: int) -> np.
 
 def _empty_background(cam: CameraSpec):
     """What the sensor makes of a frame with nothing in it: depth codes 0,
-    black RGB, or infrared layers with a black image and no valid pixel
-    (whose Fresnel factors are never read)."""
+    black RGB, or infrared layers with black pixels and no rim."""
     w, h = cam.resolution
     if cam.kind == CameraKind.DEPTH:
         return np.full((h, w), INVALID_DEPTH_CODE, dtype=np.uint16)
     if cam.kind == CameraKind.RGB:
         return np.zeros((h, w, 3), dtype=np.uint8)
-    return InfraredLayers(np.zeros((h, w, 3)), np.zeros((h, w)), np.zeros((h, w), dtype=bool))
+    no_rim = np.zeros(0, dtype=np.intp)
+    return InfraredLayers(np.zeros((h, w, 3), dtype=np.uint8), (no_rim, no_rim))
 
 
 def _sense_window(buf: DepthBuffer, cam: CameraSpec, sp, noise, frame_index, noise_enabled, background, intensity):
     """A copy of ``background`` with what the sensor makes of ``buf``
     written over its window.  Depth: the window sensed, less the ring
     ``_patch`` trims; ``intensity`` is ``noise_intensity(buf, sp)`` or None.
-    RGB: the changed pixels shaded.  Infrared: the changed pixels' colour
-    and Fresnel factor, and the window's validity, written into the layers
-    before the blur.  Both shade each chunk of ``_won_normal_chunks`` as
-    it is made, RENDER_CHUNK_PIXELS changed pixels at a time."""
+    RGB: the changed pixels shaded.  Infrared: the changed pixels shaded
+    and converted to 8 bits, and the rim of the background less the
+    changed pixels, plus the changed pixels whose Fresnel factor is above
+    0.6: the layers before the blur.  Both shade each chunk of
+    ``_won_normal_chunks`` as it is made, RENDER_CHUNK_PIXELS changed
+    pixels at a time, and write it into a copy of the background by flat
+    pixel index."""
     u0, u1, v0, v1 = buf.window
-    arm = np.s_[v0:v1, u0:u1]
     if cam.kind == CameraKind.DEPTH:
         if not buf.depth.size:
             return background.copy()  # no capsule on screen
@@ -807,16 +841,23 @@ def _sense_window(buf: DepthBuffer, cam: CameraSpec, sp, noise, frame_index, noi
         return _patch(background, encode_depth16(buf, sp), buf.window, _NOISE_REACH)
     if cam.kind == CameraKind.RGB:
         pixels = background.copy()
-        arm_pixels = pixels[arm]
-        for _, index, _, normals in _won_normal_chunks(buf):
-            arm_pixels[index] = _rgb_pixels(normals, buf.tag[index], sp)
+        items = _pixel_items(pixels)
+        for _, tags, flat, _, normals in _won_normal_chunks(buf):
+            np.put(items, flat, _pixel_items(_rgb_pixels(normals, tags, sp)))
         return pixels
-    layers = InfraredLayers(background.image.copy(), background.fresnel.copy(), background.valid.copy())
-    image, fresnel = layers.image[arm], layers.fresnel[arm]
-    for _, index, rays, normals in _won_normal_chunks(buf):
-        image[index], fresnel[index] = _infrared_shading(normals, rays, buf.tag[index], sp)
-    layers.valid[arm] = buf.valid
-    return layers
+    pixels = background.pixels.copy()
+    items = _pixel_items(pixels)
+    vs, us = background.rim
+    covered = (vs >= v0) & (vs < v1) & (us >= u0) & (us < u1)  # in the window, so far
+    covered[covered] = buf.changed[vs[covered] - v0, us[covered] - u0]  # changed by the arm
+    rim_vs, rim_us = [vs[~covered]], [us[~covered]]
+    for _, tags, flat, rays, normals in _won_normal_chunks(buf):
+        image, fresnel = _infrared_shading(normals, rays, tags, sp)
+        np.put(items, flat, _pixel_items(np.clip(np.rint(image), 0, 255).astype(np.uint8)))
+        v, u = np.divmod(flat[fresnel > 0.6], pixels.shape[1])
+        rim_vs.append(v)
+        rim_us.append(u)
+    return InfraredLayers(pixels, (np.concatenate(rim_vs), np.concatenate(rim_us)))
 
 
 def sensor_background(
@@ -833,9 +874,9 @@ def sensor_background(
     frame the sensor makes of ``base``, which changes with the flipbook tile
     only; ``intensity`` is ``noise_intensity(base, sp)`` when the caller
     already has it.  RGB: the frame, the same at every frame index.
-    Infrared: the ``InfraredLayers`` before the blur, the same at every
-    frame index.  RGB and infrared read only ``sp.ambient`` and
-    ``sp.fresnel_exponent``, and no ``noise``."""
+    Infrared: the ``InfraredLayers`` before the blur, the 8-bit frame and
+    its rim, the same at every frame index.  RGB and infrared read only
+    ``sp.ambient`` and ``sp.fresnel_exponent``, and no ``noise``."""
     return _sense_window(base, cam, sp, noise, frame_index, noise_enabled, _empty_background(cam), intensity)
 
 
@@ -853,10 +894,11 @@ def sensor_frame(
     The buffer's window is written into ``background``, ``sensor_background``
     of the base it was traced on at this frame: depth is sensed over the
     window, RGB and infrared shade only the buffer's changed pixels, and
-    infrared then blurs the whole frame.  Without a background the buffer
-    is sensed over an empty one, which is allowed only where no base can
-    show through: the window is the whole frame and every valid pixel is
-    changed, as for a trace without a base.  Any other buffer is refused.
+    infrared then blurs the rim pixels of the whole frame.  Without a
+    background the buffer is sensed over an empty one, which is allowed
+    only where no base can show through: the window is the whole frame and
+    every valid pixel is changed, as for a trace without a base.  Any other
+    buffer is refused.
     """
     if background is None:
         w, h = cam.resolution

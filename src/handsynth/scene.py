@@ -312,8 +312,9 @@ def build_scene(rig: ArmRig, posed: PosedSkeleton) -> Scene:
 def static_scene(rig: ArmRig) -> Scene:
     """Everything except the gesturing arm; the pipeline traces it once per
     camera and caches the buffer (``pipeline._static``) with, for RGB and
-    infrared, what the sensor makes of it: one frame for RGB and the
-    pre-blur layers for infrared, shared by every recording of the camera.
+    infrared, what the sensor makes of it: one frame for RGB and the 8-bit
+    pre-blur frame and its rim for infrared, shared by every recording of
+    the camera.
     For depth each recording keeps one frame per flipbook tile.  That is
     the part of every frame the arm does not change
     (``pipeline._RecordingSetup.background``)."""

@@ -36,6 +36,15 @@ STATIC_RGB_PEAK_BOUND = 22e6
 # Measured: 8.5 MB.
 DYNAMIC_RGB_PEAK_BOUND = 9.5e6
 
+# Measured: 383,568 bytes, the 230,400 of the 8-bit frame and 153,168 of
+# the coordinates of 9,573 rim pixels.  The float layers it replaced (colour,
+# Fresnel factor and validity per pixel) took 2,534,400.
+INFRARED_BACKGROUND_BOUND = 0.45e6
+
+# Measured: 3.2 MB.  Sensing the same frame over the float layers peaked at
+# 6.7 MB.
+INFRARED_FRAME_PEAK_BOUND = 3.6e6
+
 
 @pytest.mark.parametrize("preset", ["infotainment", "top", "wheel"])
 def test_static_rgb_trace_and_background_peak(preset):
@@ -81,6 +90,46 @@ def test_large_window_rgb_frame_peak(monkeypatch):
     assert largest_rect(frame) > render.RENDER_CHUNK_PIXELS
     peak = _peak_bytes(pipeline._render_frame, setup, cam, frame, WarningCounters(), True)
     assert peak < DYNAMIC_RGB_PEAK_BOUND
+
+
+def _infrared_wheel_setup(monkeypatch, gesture):
+    from handsynth.gesture import builtin_scripts
+    from handsynth.variation import VariantParams
+
+    rig = default_rig()
+    cam = preset_camera("wheel", "ir0", CameraKind.INFRARED, gesture_anchor(rig), resolution=(320, 240), fps=15.0)
+    monkeypatch.setattr(pipeline, "_STATIC_BUFFER_CACHE", {})
+    return cam, pipeline._setup_recording(builtin_scripts()[gesture], cam, VariantParams.neutral(), False)
+
+
+def test_infrared_background_is_8_bit_pixels_and_rim_coordinates(monkeypatch):
+    """The background every recording of a 320x240 infrared camera shares
+    holds the 8-bit frame before the blur and its rim pixels' coordinates."""
+    _, setup = _infrared_wheel_setup(monkeypatch, "swipe_up")
+    background = setup.static.background
+    assert background.pixels.dtype == np.uint8 and background.pixels.shape == (240, 320, 3)
+    size = background.pixels.nbytes + sum(coords.nbytes for coords in background.rim)
+    assert size < INFRARED_BACKGROUND_BOUND
+
+
+def test_infrared_frame_sensing_peak(monkeypatch):
+    """Sensing the frame of ``swipe_right`` seen from the wheel at 320x240
+    in which the arm changes the most pixels, over the camera's background,
+    stays under a fixed bound."""
+    from handsynth.gesture import WarningCounters, evaluate_frame
+    from handsynth.scene import dynamic_scene
+    from handsynth.skeleton import pose_hand
+
+    cam, setup = _infrared_wheel_setup(monkeypatch, "swipe_right")
+
+    def traced(i):
+        wrist, aim, pose = evaluate_frame(setup.timeline, i, WarningCounters())
+        return render.trace_depth(dynamic_scene(pose_hand(setup.rig, wrist, aim, pose)), cam, base=setup.static.base)
+
+    frame = max(range(setup.timeline.total_frames), key=lambda i: int(traced(i).changed.sum()))
+    buf, background = traced(frame), setup.background(cam, frame, True)
+    peak = _peak_bytes(render.sensor_frame, buf, cam, setup.sensor, setup.noise, frame, True, background)
+    assert peak < INFRARED_FRAME_PEAK_BOUND
 
 
 def _small_multicam(tmp_path, gestures=("swipe_up", "peace_sign"), variants=2):

@@ -82,6 +82,55 @@ def test_pgm_big_endian_sample_order(tmp_path):
     assert raw.endswith(b"\x12\x34")
 
 
+def _read_bytes(tmp_path, raw):
+    path = tmp_path / "f.ppm"
+    path.write_bytes(raw)
+    return read_frame(str(path))
+
+
+# a 2x1 PPM whose pixels begin with a space and a newline byte, which a
+# header reader must not take for whitespace
+_PIXELS = bytes([0x20, 0x0A, 0x0A, 0x20, 0x00, 0xFF])
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        b"P6\n2 1\n255\n",  # as write_frame writes it
+        b"P6\n# written by hand\n2 1\n# maxval next\n255\n",
+        b"P6 # magic\n2 1 # width and height\n255\n",
+        b"P6\t2\t1\t255\t",
+        b"P6\r\n2 1\r\n255\n",
+        b"P6  \r\n\t2 \t 1\r\n\r\n255 ",
+    ],
+    ids=["plain", "comment_lines", "trailing_comments", "tabs", "crlf", "mixed_runs"],
+)
+def test_netpbm_header_forms_give_the_same_pixels(tmp_path, header):
+    """Comments, tabs and CR/LF runs between the header's tokens all read
+    the same pixels; exactly one whitespace byte follows the maxval, so a
+    first pixel byte of 0x20 or 0x0A is a pixel, not whitespace."""
+    got = _read_bytes(tmp_path, header + _PIXELS)
+    assert got.dtype == np.uint8 and got.shape == (1, 2, 3)
+    assert got.tobytes() == _PIXELS
+
+
+def test_netpbm_header_newline_pixels_in_16_bit(tmp_path):
+    got = _read_bytes(tmp_path, b"P5\n1 1\n65535\n\x0a\x20")
+    assert got.dtype == np.uint16 and got.tolist() == [[0x0A20]]
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [b"", b"P6", b"P6\n2 1", b"P6\n2 1\n", b"P6\n# only a comment\n2"],
+    ids=["empty", "magic", "size", "size_newline", "comment"],
+)
+def test_truncated_netpbm_header_is_a_data_error(tmp_path, raw):
+    path = tmp_path / "f.ppm"
+    path.write_bytes(raw)
+    with pytest.raises(DataError, match=re.escape(f"{path}: unreadable frame: truncated netpbm header")):
+        read_frame(str(path))
+
+
 def test_manifest_round_trip(tmp_path):
     entries = tuple(_entry(g, v) for g in ("swipe_right", "peace_sign") for v in range(3))
     manifest = DatasetManifest(config_digest="ab" * 32, entries=entries)

@@ -12,11 +12,15 @@ from a whole-frame normal map before buffers carried normals as rows.
 That static base's normal rows, RGB background and infrared frame are
 also compared, chunk size by chunk size, with their unchunked forms, and
 the capsule, box and plane kernels taken in the tracer's blocks of rays
-with one pass over the whole frame.
+with one pass over the whole frame.  Infrared frames, held in 8 bits with
+their rim pixels' coordinates before the blur, are compared with the
+frozen float shading and blur of the whole scene, and the rays and tags
+the sensor takes by flat index with a gather by (row, column).
 """
 
 import math
 import warnings
+from collections import namedtuple
 from dataclasses import replace
 
 import numpy as np
@@ -154,6 +158,18 @@ def _reference_infrared_shading(normal, ray_dir, tag, sp):
     img[body] = (render.BODY_CENTER_COLOR * (1 - f3) + render.BODY_EDGE_COLOR * f3)[body]
     img[env] = (render.ENV_BASE_COLOR * (0.4 + 0.6 * f3))[env]
     return img, fr
+
+
+# an infrared frame before its blur as it was before it was held in 8 bits:
+# float colour, Fresnel factor and validity per pixel
+_FloatLayers = namedtuple("_FloatLayers", "image fresnel valid")
+
+
+def _eight_bit_layers(layers):
+    """``render.InfraredLayers`` of ``_FloatLayers``: the colour rounded and
+    clipped to 8 bits, and the rim coordinates of ``_reference_infrared_pixels``."""
+    pixels = np.clip(np.rint(layers.image), 0, 255).astype(np.uint8)
+    return render.InfraredLayers(pixels, np.nonzero((layers.fresnel > 0.6) & layers.valid))
 
 
 def _reference_infrared_pixels(layers, noise, sp, frame_index):
@@ -484,8 +500,9 @@ def test_infrared_blur_matches_reference(rng):
     for frame_index in (0, 7, noise.tile_px + 5):
         image, fresnel = _reference_infrared_shading(normal, ray_dir, tag, sp)
         valid = tag != 0
-        want = _reference_infrared_pixels(render.InfraredLayers(image.copy(), fresnel, valid), noise, sp, frame_index)
-        got = _strict(render._infrared_pixels, render.InfraredLayers(image, fresnel, valid), noise, sp, frame_index)
+        want = _reference_infrared_pixels(_FloatLayers(image.copy(), fresnel, valid), noise, sp, frame_index)
+        layers = _eight_bit_layers(_FloatLayers(image, fresnel, valid))
+        got = _strict(render._infrared_pixels, layers, noise, sp, frame_index)
         _assert_same_bytes(got, want)
 
 
@@ -513,7 +530,7 @@ def _check_static_base(preset, resolution):
         assert np.array_equal(base.changed, base.valid)
         for frame_index in (0, 7, noise.tile_px + 5):
             image, fresnel = _reference_infrared_shading(normal_map(base), base.ray_dir, base.tag, sp)
-            layers = render.InfraredLayers(image, fresnel, base.valid)
+            layers = _FloatLayers(image, fresnel, base.valid)
             want = _reference_infrared_pixels(layers, noise, sp, frame_index)
             _assert_same_bytes(_strict(render.sensor_frame, base, cam, sp, noise, frame_index).pixels, want)
     return winner
@@ -535,3 +552,145 @@ def test_chunked_static_base_gives_the_unchunked_bytes(monkeypatch, preset, chun
     by_primitive = np.sort(_check_static_base(preset, resolution))
     edges = [hi for _, hi in render._normal_chunks(by_primitive)][:-1]
     assert any(by_primitive[hi - 1] == by_primitive[hi] for hi in edges)
+
+
+def _float_layers(buf, sp):
+    """The frozen infrared shading of a whole-frame trace, as float layers."""
+    image, fresnel = _reference_infrared_shading(normal_map(buf), buf.ray_dir, buf.tag, sp)
+    return _FloatLayers(image, fresnel, buf.valid)
+
+
+def _source_outside(rim, window, noise, sp, frame_index, shape):
+    """How many of the ``rim`` pixels (a mask) inside ``window`` take their
+    blurred colour from a pixel outside it, by the reference's offsets."""
+    u0, u1, v0, v1 = window
+    h, w = shape
+    vs, us = np.nonzero(rim)
+    inside = (vs >= v0) & (vs < v1) & (us >= u0) & (us < u1)
+    vs, us = vs[inside], us[inside]
+    n = noise.tiles[0][(vs + frame_index) % noise.tile_px, (us + frame_index) % noise.tile_px]
+    offset = np.rint(sp.blur_radius * (2.0 * n - 1.0)).astype(np.int64)
+    sv, su = np.clip(vs + offset, 0, h - 1), np.clip(us + offset, 0, w - 1)
+    return int(np.sum((sv < v0) | (sv >= v1) | (su < u0) | (su >= u1)))
+
+
+@pytest.mark.parametrize("blur_radius", [0.0, 3.0])
+def test_windowed_infrared_frames_match_the_frozen_blur(blur_radius):
+    """Infrared frames of the arm, sensed over the camera's 8-bit static
+    background and its rim, give the bytes of the frozen float shading and
+    blur of the whole scene.  Their rim is the reference's: the static rim
+    pixels the arm covers leave it unless the arm's own Fresnel factor
+    there is above 0.6.  Across the frames, some covered static rim pixels
+    leave the rim and some rim pixels inside the window take their colour
+    from outside it (only when the blur moves pixels)."""
+    from handsynth.gesture import WarningCounters, builtin_scripts, evaluate_frame
+    from handsynth.pipeline import _setup_recording
+    from handsynth.scene import build_scene, dynamic_scene
+    from handsynth.skeleton import pose_hand
+    from handsynth.variation import VariantParams
+
+    rig = default_rig()
+    cam = preset_camera("wheel", "k", CameraKind.INFRARED, gesture_anchor(rig), resolution=(160, 120), fps=10)
+    sp = replace(cam.sensor, blur_radius=blur_radius)
+    noise = render.make_flipbook(sp, 3)
+    base = render.trace_depth(static_scene(rig), cam)
+    background = render.sensor_background(base, cam, sp, noise, 0)
+    static = _float_layers(base, sp)
+    static_rim = (static.fresnel > 0.6) & static.valid
+    assert np.array_equal(np.flatnonzero(static_rim), np.sort(np.ravel_multi_index(background.rim, static_rim.shape)))
+
+    setup = _setup_recording(builtin_scripts()["swipe_up"], cam, VariantParams.neutral(), False)
+    left_rim = from_outside = 0
+    for i in range(0, setup.timeline.total_frames, 2):
+        wrist, aim, pose = evaluate_frame(setup.timeline, i, WarningCounters())
+        posed = pose_hand(setup.rig, wrist, aim, pose)
+        buf = render.trace_depth(dynamic_scene(posed), cam, base=base)
+        full = _float_layers(render.trace_depth(build_scene(rig, posed), cam), sp)
+        rim = (full.fresnel > 0.6) & full.valid
+        layers = render._sense_window(buf, cam, sp, noise, i, True, background, None)
+        assert np.array_equal(np.flatnonzero(rim), np.sort(np.ravel_multi_index(layers.rim, rim.shape)))
+        want = _reference_infrared_pixels(full, noise, sp, i)
+        got = _strict(render.sensor_frame, buf, cam, sp, noise, i, True, background).pixels
+        _assert_same_bytes(got, want)
+        u0, u1, v0, v1 = buf.window
+        changed = np.zeros_like(rim)
+        changed[v0:v1, u0:u1] = buf.changed
+        left_rim += int(np.sum(static_rim & changed & ~rim))
+        from_outside += _source_outside(rim, buf.window, noise, sp, i, rim.shape)
+    assert left_rim > 0
+    assert (from_outside > 0) == (blur_radius > 0)
+
+
+@pytest.mark.parametrize("blur_radius", [0.0, 3.0])
+def test_whole_frame_infrared_trace_senses_over_the_empty_background(blur_radius):
+    """A trace without a base, of the arm alone and of the whole scene, is
+    sensed over the empty background (black pixels, no rim) with the bytes
+    of the frozen shading and blur."""
+    from handsynth.gesture import WarningCounters, builtin_scripts, evaluate_frame
+    from handsynth.pipeline import _setup_recording
+    from handsynth.scene import build_scene, dynamic_scene
+    from handsynth.skeleton import pose_hand
+    from handsynth.variation import VariantParams
+
+    rig = default_rig()
+    cam = preset_camera("top", "k", CameraKind.INFRARED, gesture_anchor(rig), resolution=(96, 72), fps=10)
+    sp = replace(cam.sensor, blur_radius=blur_radius)
+    noise = render.make_flipbook(sp, 5)
+    empty = render._empty_background(cam)
+    assert not empty.pixels.any() and all(len(a) == 0 for a in empty.rim)
+    setup = _setup_recording(builtin_scripts()["swipe_right"], cam, VariantParams.neutral(), False)
+    i = setup.timeline.total_frames // 2
+    posed = pose_hand(setup.rig, *evaluate_frame(setup.timeline, i, WarningCounters()))
+    for scene in (dynamic_scene(posed), build_scene(rig, posed)):
+        buf = render.trace_depth(scene, cam)
+        assert buf.window == (0, 96, 0, 72) and np.array_equal(buf.changed, buf.valid)
+        want = _reference_infrared_pixels(_float_layers(buf, sp), noise, sp, i)
+        _assert_same_bytes(_strict(render.sensor_frame, buf, cam, sp, noise, i).pixels, want)
+
+
+def _gathered_2d(buf):
+    """Per changed pixel of ``buf``, in the row-major order of ``changed``:
+    its flat index in the frame, tag and ray, gathered by (row, column)
+    indices as the sensor gathered them before it took them by flat index."""
+    u0, _, v0, _ = buf.window
+    index = np.nonzero(buf.changed)
+    flat = np.ravel_multi_index((index[0] + v0, index[1] + u0), buf.rays.shape[:2])
+    return flat, buf.tag[index], buf.ray_dir[index]
+
+
+@pytest.mark.parametrize("kind", [CameraKind.RGB, CameraKind.INFRARED])
+@pytest.mark.parametrize("chunk", [7, 1 << 15])
+def test_flat_gathers_match_2d_gathers_at_every_frame_border(monkeypatch, kind, chunk):
+    """Spheres at each border and corner of the frame, traced on a plane
+    base: every window touches a border, and the flat indices, tags and
+    rays ``_won_normal_chunks`` takes by flat index are those the 2-D
+    gather takes.  Each frame, sensed over the background, equals the
+    whole scene traced and sensed without one."""
+    monkeypatch.setattr(render, "RENDER_CHUNK_PIXELS", chunk)
+    cam = _camera(rotation=(0.0, 0.0, 0.0), position=(0.0, 0.0, 0.0), resolution=(48, 36), fov=60.0)
+    cam = replace(cam, kind=kind)
+    w, h = cam.resolution
+    sp = replace(cam.sensor, blur_radius=3.0)
+    noise = render.make_flipbook(sp, 4)
+    plane = (vec(0, 0, -100.0), vec(0.1, 0.2, 1.0) / np.linalg.norm([0.1, 0.2, 1.0]))
+    base = render.trace_depth(scene_from_primitives(planes=[plane]), cam)
+    background = render.sensor_background(base, cam, sp, noise, 0)
+    half_x = 80.0 * math.tan(math.radians(30.0))
+    half_y = half_x * h / w
+    touched = set()
+    for x, y in [(-1, 0), (1, 0), (0, -1), (0, 1), (-1, -1), (1, 1), (-1, 1), (1, -1)]:
+        sphere = (vec(x * half_x, y * half_y, -80.0), vec(x * half_x, y * half_y, -80.0), 7.0)
+        buf = render.trace_depth(scene_from_primitives(capsules=[sphere]), cam, base=base)
+        u0, u1, v0, v1 = buf.window
+        assert (u0, u1, v0, v1) != (0, w, 0, h) and buf.changed.any()
+        sides = {"left": u0 == 0, "right": u1 == w, "top": v0 == 0, "bottom": v1 == h}
+        touched |= {side for side, at in sides.items() if at}
+        flat, tags, rays = _gathered_2d(buf)
+        for rows, got_tags, got_flat, got_rays, _ in render._won_normal_chunks(buf):
+            _assert_same_bytes(got_flat.astype(np.intp), flat[rows])
+            _assert_same_bytes(got_tags, tags[rows])
+            _assert_same_bytes(got_rays, rays[rows])
+        full = render.trace_depth(scene_from_primitives(capsules=[sphere], planes=[plane]), cam)
+        want = render.sensor_frame(full, cam, sp, noise, 9).pixels
+        _assert_same_bytes(render.sensor_frame(buf, cam, sp, noise, 9, background=background).pixels, want)
+    assert touched == {"left", "right", "top", "bottom"}
