@@ -3,10 +3,11 @@
 Subcommands: ``validate`` (print the fully defaulted effective config as
 canonical JSON), ``generate`` (run the full generation loop), ``preview``
 (render a single frame to an image file) and ``eval`` (dataset quality
-reports).  Exit codes: 0 success, 2 configuration error, 3 I/O error,
-4 internal invariant violation, 5 data error (a frame or manifest of a
-dataset that cannot be read as written; the message names the file),
-130 interrupted (the message names what the run left behind).
+reports).  Exit codes: 0 success, 2 configuration error (a recipe,
+script or command-line value that cannot be used), 3 I/O error, 4 internal
+error (any other fault, reported in one line), 5 data error (a frame or
+manifest of a dataset that cannot be read as written; the message names
+the file), 130 interrupted (the message names what the run left behind).
 
 Progress goes to stderr; machine-readable summaries go to stdout with
 ``--json``.
@@ -42,10 +43,12 @@ def _read_config(path: str | None):
 
 
 def _parse_conditions(pairs: list[str]) -> dict[str, str]:
+    from .config import ConfigError
+
     conditions = {}
     for pair in pairs:
         if "=" not in pair:
-            raise ValueError(f"--condition expects <param>=<low|median|high>, got {pair!r}")
+            raise ConfigError(f"--condition expects <param>=<low|median|high>, got {pair!r}")
         name, _, value = pair.partition("=")
         conditions[name.strip()] = value.strip().lower()
     return conditions
@@ -118,14 +121,19 @@ def cmd_preview(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from .config import ConfigError
     from .evalkit import leave_one_out_accuracy, run_variance_ablation
     from .output import DataError, read_manifest
     from .pipeline import trajectories_from_manifest
 
+    loo, ablation = args.mode in ("loo", "all"), args.mode in ("ablation", "all")
+    if loo and not args.manifest:
+        raise ConfigError("--manifest is required for leave-one-out evaluation")
+    variants = 20 if args.variants is None else args.variants
+    if ablation and variants < 2:
+        raise ConfigError(f"must be >= 2, got {variants}", "--variants")
     report: dict = {}
-    if args.mode in ("loo", "all"):
-        if not args.manifest:
-            raise ValueError("--manifest is required for leave-one-out evaluation")
+    if loo:
         manifest = read_manifest(args.manifest)
         records = trajectories_from_manifest(manifest, os.path.dirname(args.manifest) or ".")
         if not records:
@@ -141,8 +149,8 @@ def cmd_eval(args) -> int:
             }
             for r in records
         ]
-    if args.mode in ("ablation", "all"):
-        report["variance_ablation"] = run_variance_ablation(n_variants=args.variants or 20)
+    if ablation:
+        report["variance_ablation"] = run_variance_ablation(n_variants=variants)
     print(json.dumps(report, sort_keys=True, indent=2))
     return EXIT_OK
 
@@ -214,15 +222,13 @@ def main(argv: list[str] | None = None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except AssertionError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
     except KeyboardInterrupt as exc:
         print(f"interrupted: {exc}" if str(exc) else "interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
+    except Exception as exc:  # a fault of the program, not of its input
+        message = " ".join(str(exc).splitlines())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -92,40 +92,18 @@ def read_frame(path: str) -> np.ndarray:
         raise DataError(f"{path}: unreadable frame: {exc}") from None
 
 
-# a netpbm header without comments: magic, width, height and maxval, and the
-# single whitespace byte before the pixels
-_HEADER = re.compile(rb"(P[56])\s+(\d+)\s+(\d+)\s+(\d+)\s")
-
-
-def _header_tokens(data: bytes) -> tuple[list[bytes], int]:
-    """The four header tokens of a netpbm file that may hold ``#`` comments,
-    read a byte at a time, and the offset of its pixels."""
-    tokens = []
-    pos = 0
-    while len(tokens) < 4:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if data[pos : pos + 1] == b"#":  # comment line
-            while pos < len(data) and data[pos : pos + 1] != b"\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise ValueError("truncated netpbm header")
-        tokens.append(data[start:pos])
-    return tokens, pos + 1  # single whitespace after maxval
+# a netpbm header: magic, width, height and maxval, separated by runs of
+# whitespace and ``#`` comment lines, and the single whitespace byte before
+# the pixels
+_HEADER = re.compile(rb"(P\d)(?:\s|#[^\n]*\n)+(\d+)(?:\s|#[^\n]*\n)+(\d+)(?:\s|#[^\n]*\n)+(\d+)\s")
 
 
 def _parse_netpbm(data: bytes) -> np.ndarray:
     header = _HEADER.match(data)
-    if header is not None:
-        tokens, pos = header.groups(), header.end()
-    else:  # comments, or a header that does not parse
-        tokens, pos = _header_tokens(data)
-    magic, w, h, maxval = tokens[0], int(tokens[1]), int(tokens[2]), int(tokens[3])
-    body = data[pos:]
+    if header is None:
+        raise ValueError("truncated netpbm header: no magic, width, height and maxval")
+    magic, (w, h, maxval) = header.group(1), map(int, header.group(2, 3, 4))
+    body = data[header.end() :]
     if magic == b"P5" and maxval == 65535:
         pixels = np.frombuffer(body, dtype=">u2", count=w * h).reshape(h, w)
         return pixels.astype(np.uint16)

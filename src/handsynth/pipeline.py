@@ -8,14 +8,16 @@ gesture scripts included, so no job reads the config or a script file.
 The static part of the scene (body, cabin) is traced once per camera and
 reused as the base buffer for every frame; only the gesturing arm is
 retraced per frame, inside its dirty window (``render.trace_depth``).  Each
-frame's window is written into what the sensor makes of the static base
-(``render.sensor_background``): depth frames are sensed over the window,
-RGB and infrared frames shade only the pixels the arm wins.  That
-background is one frame for RGB and, for infrared, the 8-bit frame before
-the blur with the coordinates of its rim pixels (``render.InfraredLayers``),
-computed once per camera beside its base (``_Static``), as it reads no
-sampled parameter of a recording; for depth it is one frame per flipbook
-tile, computed once per recording and kept on its ``_RecordingSetup``.
+frame's window is written into what the sensor makes of the static base at
+the frame's flipbook tile (``render.sensor_backgrounds``): depth frames are
+sensed over the window, RGB and infrared frames shade only the pixels the
+arm wins.  The static base is traced once per camera and process, on first
+use, and kept in ``_STATIC_BUFFER_CACHE`` (``_Static``).  Its RGB frame, or
+its infrared 8-bit frame before the blur with the coordinates of its rim
+pixels (``render.InfraredLayers``), is kept beside it, as it reads no
+sampled parameter of a recording.  Depth frames of the base change with
+the recording's sensor and noise, so each recording makes its own, one per
+flipbook tile, in ``_setup_recording``.
 
 A recording is rendered one frame at a time (``_frames``), and generation
 writes each frame before the next is rendered, so a worker holds one frame
@@ -37,12 +39,10 @@ import shutil
 import signal
 import time
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
-
-import numpy as np
+from dataclasses import dataclass, replace
 
 from . import gesture, render
-from .config import ParsedConfig, VariationConfig, config_digest
+from .config import ConfigError, ParsedConfig, VariationConfig, config_digest
 from .evalkit import Trajectory, extract_trajectory
 from .gesture import (
     GestureScript,
@@ -84,11 +84,12 @@ _STATIC_BUFFER_CACHE: dict = {}  # (camera, left hand) -> _Static
 class _Static:
     """What every recording of one camera shares: the static base buffer,
     its depth, tag and changed mask, and for RGB and infrared what the
-    sensor makes of it (``render.sensor_background``), which reads only
-    sensor parameters that ``SensorParams.with_variant`` leaves alone."""
+    sensor makes of it at each flipbook tile (``render.sensor_backgrounds``,
+    one object repeated), which reads only sensor parameters that
+    ``SensorParams.with_variant`` leaves alone."""
 
     base: DepthBuffer
-    background: object  # an RGB frame or render.InfraredLayers; None for depth
+    backgrounds: tuple | None  # RGB frames or render.InfraredLayers; None for depth
 
 
 def _static(cam: CameraSpec, is_left: bool) -> _Static:
@@ -96,10 +97,8 @@ def _static(cam: CameraSpec, is_left: bool) -> _Static:
     static = _STATIC_BUFFER_CACHE.get(key)
     if static is None:
         base = trace_depth(static_scene(default_rig(is_left=is_left)), cam)
-        background = None
-        if cam.kind != CameraKind.DEPTH:
-            background = render.sensor_background(base, cam, cam.sensor, None, 0)
-        static = _Static(base=replace(base, won_by=None, t_won=None), background=background)
+        backgrounds = None if cam.kind == CameraKind.DEPTH else render.sensor_backgrounds(base, cam, cam.sensor)
+        static = _Static(base=replace(base, won_by=None, t_won=None), backgrounds=backgrounds)
         _STATIC_BUFFER_CACHE[key] = static
     return static
 
@@ -119,45 +118,17 @@ class RenderedRecording:
 
 @dataclass(frozen=True)
 class _RecordingSetup:
-    """What every frame of one recording shares."""
+    """What every frame of one recording shares.  ``backgrounds`` holds what
+    the sensor makes of the static base, the part of each frame the arm does
+    not change, per flipbook tile (``render.sensor_backgrounds``)."""
 
     rig: ArmRig
     timeline: Timeline
     sensor: SensorParams
     noise: FlipbookNoise
+    noise_enabled: bool
     static: _Static
-    depth_backgrounds: dict = field(default_factory=dict)  # see background()
-
-    @functools.cached_property
-    def static_intensity(self) -> np.ndarray:
-        """The depth noise intensity of the static base, which no flipbook
-        tile changes."""
-        return render.noise_intensity(self.static.base, self.sensor)
-
-    def background(self, cam: CameraSpec, frame_index: int, noise_enabled: bool):
-        """What the sensor makes of the static base at a frame, for the part
-        of the frame the arm does not change.  RGB and infrared: the
-        camera's, the same for every frame and recording.  Depth output
-        changes with the recording's sensor and flipbook tile (noise off
-        counts as one more tile), and is computed on first use.  It is not
-        a frame of the recording, so it is sensed through ``render``, not
-        through this module's per-frame ``sensor_frame``."""
-        if cam.kind != CameraKind.DEPTH:
-            return self.static.background
-        key = self.noise.tile_index(frame_index) if noise_enabled else self.noise.tile_count
-        background = self.depth_backgrounds.get(key)
-        if background is None:
-            background = render.sensor_background(
-                self.static.base,
-                cam,
-                self.sensor,
-                self.noise,
-                frame_index,
-                noise_enabled,
-                intensity=self.static_intensity if noise_enabled else None,
-            )
-            self.depth_backgrounds[key] = background
-        return background
+    backgrounds: tuple
 
 
 Job = tuple[CameraSpec, str, int]  # one recording: (camera, gesture name, variant index)
@@ -178,46 +149,45 @@ def _rig(script: GestureScript, default_left_hand: bool) -> ArmRig:
 
 
 def _setup_recording(
-    script: GestureScript, cam: CameraSpec, variant: VariantParams, default_left_hand: bool
+    script: GestureScript, cam: CameraSpec, variant: VariantParams, default_left_hand: bool, noise_enabled: bool
 ) -> _RecordingSetup:
     rig = _rig(script, default_left_hand)
     timeline = plan_timeline(script, rest_position(rig), gesture_anchor(rig), cam.fps, variant)
     sensor = cam.sensor.with_variant(variant.chromaticity_coeff, variant.depth_min, variant.depth_max)
+    noise = make_flipbook(sensor, variant.seed)
+    static = _static(cam, rig.is_left)
+    backgrounds = static.backgrounds
+    if cam.kind == CameraKind.DEPTH:
+        backgrounds = render.sensor_backgrounds(static.base, cam, sensor, noise if noise_enabled else None)
     return _RecordingSetup(
         rig=rig,
         timeline=timeline,
         sensor=sensor,
-        noise=make_flipbook(sensor, variant.seed),
-        static=_static(cam, rig.is_left),
+        noise=noise,
+        noise_enabled=noise_enabled,
+        static=static,
+        backgrounds=backgrounds,
     )
 
 
-def _render_frame(
-    setup: _RecordingSetup,
-    cam: CameraSpec,
-    frame_index: int,
-    counters: WarningCounters,
-    noise_enabled: bool,
-) -> Frame:
+def _render_frame(setup: _RecordingSetup, cam: CameraSpec, frame_index: int, counters: WarningCounters) -> Frame:
     """One frame of a recording; depends on the frame index only."""
     wrist_target, aim_dir, pose = evaluate_frame(setup.timeline, frame_index, counters)
     if target_clamped(setup.rig, wrist_target):
         counters.ik_clamps += 1
     posed = pose_hand(setup.rig, wrist_target, aim_dir, pose)
     buf = trace_depth(dynamic_scene(posed), cam, base=setup.static.base)
-    background = setup.background(cam, frame_index, noise_enabled)
+    background = setup.backgrounds[setup.noise.tile_index(frame_index)]
     return sensor_frame(
-        buf, cam, setup.sensor, setup.noise, frame_index, noise_enabled=noise_enabled, background=background
+        buf, cam, setup.sensor, setup.noise, frame_index, noise_enabled=setup.noise_enabled, background=background
     )
 
 
-def _frames(
-    setup: _RecordingSetup, cam: CameraSpec, counters: WarningCounters, noise_enabled: bool
-) -> Iterator[Frame]:
+def _frames(setup: _RecordingSetup, cam: CameraSpec, counters: WarningCounters) -> Iterator[Frame]:
     """The frames of one recording in order, each rendered when it is asked
     for; ``counters`` gathers the warnings of the frames rendered so far."""
     for frame_index in range(setup.timeline.total_frames):
-        yield _render_frame(setup, cam, frame_index, counters, noise_enabled)
+        yield _render_frame(setup, cam, frame_index, counters)
 
 
 def render_recording(
@@ -228,9 +198,9 @@ def render_recording(
     noise_enabled: bool = True,
 ) -> RenderedRecording:
     """All frames of one recording, deterministic in (script, cam, variant)."""
-    setup = _setup_recording(script, cam, variant, default_left_hand)
+    setup = _setup_recording(script, cam, variant, default_left_hand, noise_enabled)
     counters = WarningCounters()
-    frames = list(_frames(setup, cam, counters, noise_enabled))
+    frames = list(_frames(setup, cam, counters))
     return RenderedRecording(frames=frames, timeline=setup.timeline, sensor=setup.sensor, warnings=counters)
 
 
@@ -239,10 +209,10 @@ def _record_one(parsed: ParsedConfig, out_dir: str, job: Job) -> RecordingEntry:
     next is rendered, and return its manifest entry."""
     cam, gesture_name, variant_index = job
     variant = _variant(parsed.settings.master_seed, parsed.variation, *job)
-    setup = _setup_recording(parsed.scripts[gesture_name], cam, variant, parsed.settings.default_left_hand)
+    setup = _setup_recording(parsed.scripts[gesture_name], cam, variant, parsed.settings.default_left_hand, True)
     counters = WarningCounters()
     rel_dir = recording_dir(cam.camera_id, gesture_name, variant_index)
-    for frame in _frames(setup, cam, counters, noise_enabled=True):
+    for frame in _frames(setup, cam, counters):
         write_frame(frame, os.path.join(out_dir, frame_path(rel_dir, frame.frame_index, frame.kind)))
     return RecordingEntry(
         gesture_label=gesture_name,
@@ -308,10 +278,32 @@ def clear_output(out_dir: str, parsed: ParsedConfig) -> None:
             shutil.rmtree(cam_dir)
 
 
-def _ignore_interrupt() -> None:
-    """Pool initializer: an interrupt stops the parent, which then
-    terminates the workers, and no worker prints its own traceback."""
+_STOP = None  # in a pool worker: the event the parent sets to stop the run; None elsewhere
+
+
+def _start_worker(stop) -> None:
+    """Pool initializer: an interrupt stops the parent, which then stops the
+    workers through ``stop``, and no worker prints its own traceback."""
+    global _STOP
+    _STOP = stop
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
+def _record_unless_stopped(parsed: ParsedConfig, out_dir: str, job: Job) -> RecordingEntry | None:
+    """``_record_one`` in a pool worker; None once the run is stopped."""
+    return None if _STOP is not None and _STOP.is_set() else _record_one(parsed, out_dir, job)
+
+
+def _stop_pool(pool, stop, exc_type, exc, tb) -> None:
+    """When a pooled run fails or is interrupted, let each worker finish its
+    recording, skip the rest and exit before the pool is ended:
+    ``Pool.terminate`` can kill a worker that holds the result queue's lock,
+    writing a result, and the pool's task handler then waits on that lock
+    forever."""
+    if exc_type is not None:
+        stop.set()
+        pool.close()
+        pool.join()
 
 
 def generate_dataset(
@@ -324,7 +316,9 @@ def generate_dataset(
 
     Returns (manifest, summary).  Output bytes are independent of ``jobs``;
     at most one worker process runs per recording.  Raises OSError before
-    the first frame is written when the frames cannot fit on the disk.
+    the first frame is written when the frames cannot fit on the disk.  When
+    a recording fails or the run is interrupted, each worker finishes the
+    recording it is on and skips the rest before the error is raised.
     """
     t0 = time.monotonic()
     out_dir = parsed.settings.output_path
@@ -352,9 +346,11 @@ def generate_dataset(
         if workers <= 1:
             done = map(record, jobs_list)
         else:
+            stop = multiprocessing.Event()
             fork = multiprocessing.get_context("fork")
-            pool = stack.enter_context(fork.Pool(workers, initializer=_ignore_interrupt))
-            done = pool.imap(record, jobs_list, chunksize=1)
+            pool = stack.enter_context(fork.Pool(workers, initializer=functools.partial(_start_worker, stop)))
+            stack.push(functools.partial(_stop_pool, pool, stop))
+            done = pool.imap(functools.partial(_record_unless_stopped, parsed, out_dir), jobs_list, chunksize=1)
         for entry in done:
             entries.append(entry)
             if progress:
@@ -384,18 +380,20 @@ def generate_dataset(
 def preview_frame(
     parsed: ParsedConfig, gesture_name: str, frame_index: int, camera_id: str, out_path: str
 ) -> Frame:
-    """Render exactly one frame of variant 0 and write it as PGM/PPM."""
+    """Render exactly one frame of variant 0 and write it as PGM/PPM.  An
+    unknown gesture or camera, or a frame outside the recording, is a
+    ConfigError."""
     if gesture_name not in parsed.scripts:
-        raise ValueError(f"unknown gesture {gesture_name!r}")
+        raise ConfigError(f"unknown gesture {gesture_name!r}")
     cam = next((c for c in parsed.cameras if c.camera_id == camera_id), None)
     if cam is None:
-        raise ValueError(f"unknown camera {camera_id!r}")
+        raise ConfigError(f"unknown camera {camera_id!r}")
     variant = _variant(parsed.settings.master_seed, parsed.variation, cam, gesture_name, 0)
-    setup = _setup_recording(parsed.scripts[gesture_name], cam, variant, parsed.settings.default_left_hand)
+    setup = _setup_recording(parsed.scripts[gesture_name], cam, variant, parsed.settings.default_left_hand, True)
     total = setup.timeline.total_frames
     if not (0 <= frame_index < total):
-        raise ValueError(f"frame {frame_index} outside 0..{total - 1} for {gesture_name!r}")
-    frame = _render_frame(setup, cam, frame_index, WarningCounters(), noise_enabled=True)
+        raise ConfigError(f"frame {frame_index} outside 0..{total - 1} for {gesture_name!r}")
+    frame = _render_frame(setup, cam, frame_index, WarningCounters())
     write_frame(frame, out_path)
     return frame
 
@@ -429,9 +427,9 @@ def render_trajectory_set(
     trajectories = []
     for v in range(n_variants):
         variant = _variant(master_seed, variation, camera, gesture_name, v)
-        setup = _setup_recording(script, camera, variant, default_left_hand=False)
+        setup = _setup_recording(script, camera, variant, False, noise_enabled)
         first, last = setup.timeline.label_span
-        frames = (f.pixels for f in _frames(setup, camera, WarningCounters(), noise_enabled))
+        frames = (f.pixels for f in _frames(setup, camera, WarningCounters()))
         background = next(frames)
         span = itertools.islice(frames, max(first - 1, 0), last)  # frames max(first, 1)..last
         if first == 0:

@@ -18,14 +18,14 @@ for depth, the reach of the noise model).  The tracer composites only ray
 parameters and the index of the winning primitive, and derives depth and
 tag once, at the pixels the new primitives win; for RGB and infrared it
 keeps each such pixel's primitive and ray parameter, what its normal is
-computed from.  The sensor writes a buffer's window into a background,
-what the sensor makes of the base (``sensor_background``, itself the same
-step over an empty background): depth is sensed over the window, RGB and
-infrared shade only the changed pixels, gathering their rays and tags and
-writing their 8-bit colours by flat pixel index.  Infrared then blurs its
-rim pixels, the base's less those the arm changed plus the arm's own, by
-copying 8-bit pixels.  The output is byte-identical to tracing and sensing
-the whole scene.
+computed from with the camera's cached rays.  The sensor writes a
+buffer's window into a background, what the sensor makes of the base at
+the frame's flipbook tile (``sensor_backgrounds``, one per tile): depth is
+sensed over the window, RGB and infrared shade only the changed pixels,
+gathering their rays and tags and writing their 8-bit colours by flat
+pixel index.  Infrared then blurs its rim pixels, the base's less those
+the arm changed plus the arm's own, by copying 8-bit pixels.  The output
+is byte-identical to tracing and sensing the whole scene.
 
 No step of a whole-frame trace holds whole-frame temporaries: boxes and
 planes are intersected in bands of whole image rows, a capsule at most
@@ -97,49 +97,29 @@ class DepthBuffer:
     """Nearest-hit result over the pixel rectangle ``window`` = (u0, u1,
     v0, v1) of a frame, columns u0:u1 and rows v0:v1 ((0, w, 0, h) for the
     whole frame): camera-Z depth (inf = miss) and hit tag per pixel of the
-    window, and the camera's ray grid, whose window is ``ray_dir``.
+    window.
 
     ``changed`` marks the pixels that a primitive traced into this buffer
     won, over the base if there is one.  ``won_by`` and ``t_won`` give,
     per changed pixel in the row-major order of ``changed``, the primitive
-    of ``scene`` that won it and the ray parameter of the hit from
-    ``origin``: what the sensor computes its surface normal from, a chunk
-    at a time (``_won_normal_chunks``).  Buffers of depth cameras keep
-    neither: no depth sensor model reads normals.
+    of ``scene`` that won it and the ray parameter of the hit along the
+    camera's ray: what the sensor computes its surface normal from, a chunk
+    at a time, with the camera's cached rays (``_won_normal_chunks``).
+    Buffers of depth cameras keep neither: no depth sensor model reads
+    normals.
     """
 
     depth: np.ndarray  # (h, w) float64 over the window, np.inf where no hit
     tag: np.ndarray  # (h, w) uint8
-    rays: np.ndarray  # (H, W, 3) float64 unit world-space directions of the whole frame, C-contiguous
     changed: np.ndarray  # (h, w) bool
     window: tuple[int, int, int, int]
     scene: Scene  # the primitives traced into this buffer
-    origin: np.ndarray  # (3,) world-space ray origin
     won_by: np.ndarray | None  # (changed count,) int32 primitive index; None for depth cameras
     t_won: np.ndarray | None  # (changed count,) float64 ray parameter; None for depth cameras
 
     @property
     def valid(self) -> np.ndarray:
         return np.isfinite(self.depth)
-
-    @property
-    def ray_dir(self) -> np.ndarray:
-        """The (h, w, 3) rays of the window, a view of ``rays``."""
-        u0, u1, v0, v1 = self.window
-        return self.rays[v0:v1, u0:u1]
-
-    @property
-    def normal(self) -> np.ndarray | None:
-        """The world-space surface normals of the changed pixels, as rows in
-        the row-major order of ``changed``; None without ``won_by``.  Made
-        anew on each read: the sensor shades the chunks of
-        ``_won_normal_chunks`` as they are made and never reads this."""
-        if self.won_by is None:
-            return None
-        normal = np.empty((len(self.won_by), 3))
-        for rows, _, _, _, normals in _won_normal_chunks(self):
-            normal[rows] = normals
-        return normal
 
 
 @dataclass(frozen=True)
@@ -446,26 +426,27 @@ def _normal_chunks(winner: np.ndarray):
         lo = hi
 
 
-def _won_normal_chunks(buf: DepthBuffer):
-    """The normals of the changed pixels of ``buf``, a chunk at a time: per
-    chunk, the positions of its pixels among the changed pixels in
-    row-major order, their tags, their flat indices in the frame, their rays
-    and their normals.  The pixels are sorted by the primitive that won
-    them, so that each primitive's normals come from its own contiguous
-    (k, 3) rows: a dot product over those gives the bytes it gives over a
-    pixel rectangle, which a per-pixel elementwise dot does not.  The
-    sorted pixels are taken in ``_normal_chunks``, each chunk taking its
-    tags by flat index into the window and its rays by flat index into the
-    frame's (H * W, 3) ray grid."""
+def _won_normal_chunks(buf: DepthBuffer, cam: CameraSpec):
+    """The normals of the changed pixels of ``buf``, traced by ``cam``, a
+    chunk at a time: per chunk, the positions of its pixels among the
+    changed pixels in row-major order, their tags, their flat indices in
+    the frame, their rays and their normals.  The pixels are sorted by the
+    primitive that won them, so that each primitive's normals come from its
+    own contiguous (k, 3) rows: a dot product over those gives the bytes it
+    gives over a pixel rectangle, which a per-pixel elementwise dot does
+    not.  The sorted pixels are taken in ``_normal_chunks``, each chunk
+    taking its tags by flat index into the window and its rays by flat
+    index into the camera's cached (H * W, 3) ray grid, whose origin the
+    hits are measured from."""
     # held while the chunks run, so int32: a frame has fewer pixels.  They
     # index through np.take, as indexing would first convert them to intp
     order = np.argsort(buf.won_by.astype(np.int16), kind="stable").astype(np.int32)  # a radix sort
     winner = np.take(buf.won_by, order)
     pixels = np.flatnonzero(buf.changed).astype(np.int32)  # of each changed pixel, its place in the window
     u0, u1, v0, _ = buf.window
-    width = buf.rays.shape[1]
-    grid = buf.rays.reshape(-1, 3)
-    origin = buf.origin
+    origin, dirs, _ = _cached_rays(cam)
+    width = dirs.shape[1]
+    grid = dirs.reshape(-1, 3)
     for lo, hi in _normal_chunks(winner):
         rows = order[lo:hi]
         at = np.take(pixels, rows)
@@ -522,7 +503,7 @@ def trace_depth(scene: Scene, cam: CameraSpec, base: DepthBuffer | None = None) 
         window = _dirty_window(bounds, _WINDOW_MARGIN[cam.kind], w, h)
     wu0, wu1, wv0, wv1 = window
     win = np.s_[wv0:wv1, wu0:wu1]
-    grid, dirs, z_scale = dirs, dirs[win], z_scale[win]
+    dirs, z_scale = dirs[win], z_scale[win]
 
     if base is None:
         depth = np.full((h, w), np.inf)
@@ -557,15 +538,7 @@ def trace_depth(scene: Scene, cam: CameraSpec, base: DepthBuffer | None = None) 
     if cam.kind == CameraKind.DEPTH:
         won_by = t_won = None
     return DepthBuffer(
-        depth=depth,
-        tag=tag,
-        rays=grid,
-        changed=changed,
-        window=window,
-        scene=scene,
-        origin=origin,
-        won_by=won_by,
-        t_won=t_won,
+        depth=depth, tag=tag, changed=changed, window=window, scene=scene, won_by=won_by, t_won=t_won
     )
 
 
@@ -821,37 +794,29 @@ def _empty_background(cam: CameraSpec):
     return InfraredLayers(np.zeros((h, w, 3), dtype=np.uint8), (no_rim, no_rim))
 
 
-def _sense_window(buf: DepthBuffer, cam: CameraSpec, sp, noise, frame_index, noise_enabled, background, intensity):
-    """A copy of ``background`` with what the sensor makes of ``buf``
-    written over its window.  Depth: the window sensed, less the ring
-    ``_patch`` trims; ``intensity`` is ``noise_intensity(buf, sp)`` or None.
-    RGB: the changed pixels shaded.  Infrared: the changed pixels shaded
-    and converted to 8 bits, and the rim of the background less the
-    changed pixels, plus the changed pixels whose Fresnel factor is above
-    0.6: the layers before the blur.  Both shade each chunk of
-    ``_won_normal_chunks`` as it is made, RENDER_CHUNK_PIXELS changed
-    pixels at a time, and write it into a copy of the background by flat
-    pixel index."""
-    u0, u1, v0, v1 = buf.window
-    if cam.kind == CameraKind.DEPTH:
-        if not buf.depth.size:
-            return background.copy()  # no capsule on screen
-        if noise_enabled:
-            buf = apply_depth_noise(buf, noise, sp, frame_index, intensity)
-        return _patch(background, encode_depth16(buf, sp), buf.window, _NOISE_REACH)
+def _sense_window(buf: DepthBuffer, cam: CameraSpec, sp: SensorParams, background):
+    """A copy of ``background`` with what an RGB or infrared sensor makes of
+    the changed pixels of ``buf`` written in.  RGB: the changed pixels
+    shaded.  Infrared: the changed pixels shaded and converted to 8 bits,
+    and the rim of the background less the changed pixels, plus the changed
+    pixels whose Fresnel factor is above 0.6: the layers before the blur.
+    Both shade each chunk of ``_won_normal_chunks`` as it is made,
+    RENDER_CHUNK_PIXELS changed pixels at a time, and write it into a copy
+    of the background by flat pixel index."""
     if cam.kind == CameraKind.RGB:
         pixels = background.copy()
         items = _pixel_items(pixels)
-        for _, tags, flat, _, normals in _won_normal_chunks(buf):
+        for _, tags, flat, _, normals in _won_normal_chunks(buf, cam):
             np.put(items, flat, _pixel_items(_rgb_pixels(normals, tags, sp)))
         return pixels
+    u0, u1, v0, v1 = buf.window
     pixels = background.pixels.copy()
     items = _pixel_items(pixels)
     vs, us = background.rim
     covered = (vs >= v0) & (vs < v1) & (us >= u0) & (us < u1)  # in the window, so far
     covered[covered] = buf.changed[vs[covered] - v0, us[covered] - u0]  # changed by the arm
     rim_vs, rim_us = [vs[~covered]], [us[~covered]]
-    for _, tags, flat, rays, normals in _won_normal_chunks(buf):
+    for _, tags, flat, rays, normals in _won_normal_chunks(buf, cam):
         image, fresnel = _infrared_shading(normals, rays, tags, sp)
         np.put(items, flat, _pixel_items(np.clip(np.rint(image), 0, 255).astype(np.uint8)))
         v, u = np.divmod(flat[fresnel > 0.6], pixels.shape[1])
@@ -860,24 +825,26 @@ def _sense_window(buf: DepthBuffer, cam: CameraSpec, sp, noise, frame_index, noi
     return InfraredLayers(pixels, (np.concatenate(rim_vs), np.concatenate(rim_us)))
 
 
-def sensor_background(
-    base: DepthBuffer,
-    cam: CameraSpec,
-    sp: SensorParams,
-    noise: FlipbookNoise,
-    frame_index: int,
-    noise_enabled: bool = True,
-    intensity: np.ndarray | None = None,
-):
-    """``sensor_frame``'s ``background`` for buffers traced on the whole-frame
-    static ``base``: the sensor's step over an empty background.  Depth: the
-    frame the sensor makes of ``base``, which changes with the flipbook tile
-    only; ``intensity`` is ``noise_intensity(base, sp)`` when the caller
-    already has it.  RGB: the frame, the same at every frame index.
-    Infrared: the ``InfraredLayers`` before the blur, the 8-bit frame and
-    its rim, the same at every frame index.  RGB and infrared read only
-    ``sp.ambient`` and ``sp.fresnel_exponent``, and no ``noise``."""
-    return _sense_window(base, cam, sp, noise, frame_index, noise_enabled, _empty_background(cam), intensity)
+def sensor_backgrounds(base: DepthBuffer, cam: CameraSpec, sp: SensorParams, noise: FlipbookNoise | None = None):
+    """``sensor_frame``'s ``background`` at each flipbook tile, for buffers
+    traced on the whole-frame static ``base``: what the sensor makes of
+    ``base``, as a tuple with one entry per tile of ``sp``'s flipbook,
+    indexed by ``FlipbookNoise.tile_index``.  Depth: the frame sensed with
+    ``noise`` at the tile; the base's noise intensity, which no tile
+    changes, is computed once.  Without ``noise``, the clean frame,
+    repeated.  RGB: the frame, and infrared: the ``InfraredLayers`` before
+    the blur (the 8-bit frame and its rim), one object repeated: they read
+    only ``sp.ambient`` and ``sp.fresnel_exponent``, and no noise."""
+    tiles = sp.flipbook_tile_count
+    if cam.kind != CameraKind.DEPTH:
+        return (_sense_window(base, cam, sp, _empty_background(cam)),) * tiles
+    if noise is None:
+        return (encode_depth16(base, sp),) * tiles
+    intensity = noise_intensity(base, sp)
+    return tuple(
+        encode_depth16(apply_depth_noise(base, noise, sp, t * noise.frames_per_tile, intensity), sp)
+        for t in range(tiles)
+    )
 
 
 def sensor_frame(
@@ -891,14 +858,15 @@ def sensor_frame(
 ) -> Frame:
     """Run the camera-kind-specific sensor pipeline on a clean buffer.
 
-    The buffer's window is written into ``background``, ``sensor_background``
-    of the base it was traced on at this frame: depth is sensed over the
-    window, RGB and infrared shade only the buffer's changed pixels, and
-    infrared then blurs the rim pixels of the whole frame.  Without a
-    background the buffer is sensed over an empty one, which is allowed
-    only where no base can show through: the window is the whole frame and
-    every valid pixel is changed, as for a trace without a base.  Any other
-    buffer is refused.
+    The buffer's window is written into ``background``, the entry of
+    ``sensor_backgrounds`` of the base it was traced on at this frame's
+    flipbook tile: depth is sensed over the window, less the ring ``_patch``
+    trims, RGB and infrared shade only the buffer's changed pixels
+    (``_sense_window``), and infrared then blurs the rim pixels of the whole
+    frame.  Without a background the buffer is sensed over an empty one,
+    which is allowed only where no base can show through: the window is the
+    whole frame and every valid pixel is changed, as for a trace without a
+    base.  Any other buffer is refused.
     """
     if background is None:
         w, h = cam.resolution
@@ -908,7 +876,14 @@ def sensor_frame(
                 "what the sensor makes of the static base"
             )
         background = _empty_background(cam)
-    pixels = _sense_window(buf, cam, sp, noise, frame_index, noise_enabled, background, None)
-    if cam.kind == CameraKind.INFRARED:
-        pixels = _infrared_pixels(pixels, noise, sp, frame_index)
+    if cam.kind != CameraKind.DEPTH:
+        pixels = _sense_window(buf, cam, sp, background)
+        if cam.kind == CameraKind.INFRARED:
+            pixels = _infrared_pixels(pixels, noise, sp, frame_index)
+    elif not buf.depth.size:
+        pixels = background.copy()  # no capsule on screen
+    else:
+        if noise_enabled:
+            buf = apply_depth_noise(buf, noise, sp, frame_index)
+        pixels = _patch(background, encode_depth16(buf, sp), buf.window, _NOISE_REACH)
     return Frame(kind=FRAME_KIND[cam.kind], pixels=pixels, frame_index=frame_index, camera_id=cam.camera_id)

@@ -310,14 +310,8 @@ def build_scene(rig: ArmRig, posed: PosedSkeleton) -> Scene:
 
 
 def static_scene(rig: ArmRig) -> Scene:
-    """Everything except the gesturing arm; the pipeline traces it once per
-    camera and caches the buffer (``pipeline._static``) with, for RGB and
-    infrared, what the sensor makes of it: one frame for RGB and the 8-bit
-    pre-blur frame and its rim for infrared, shared by every recording of
-    the camera.
-    For depth each recording keeps one frame per flipbook tile.  That is
-    the part of every frame the arm does not change
-    (``pipeline._RecordingSetup.background``)."""
+    """Everything except the gesturing arm: the torso, the head and the
+    resting arm as capsules, and the cabin's boxes and planes."""
     return scene_from_primitives(
         capsules=_static_body_capsules(rig),
         boxes=_environment_boxes(),

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from handsynth import pipeline
-from handsynth.cli import EXIT_CONFIG, EXIT_DATA, EXIT_INTERRUPTED, EXIT_IO, EXIT_OK, main
+from handsynth.cli import EXIT_CONFIG, EXIT_DATA, EXIT_INTERNAL, EXIT_INTERRUPTED, EXIT_IO, EXIT_OK, main
 from handsynth.config import apply_overrides, config_digest, parse_config_full
 from handsynth.output import read_frame, read_manifest
 
@@ -533,6 +533,82 @@ def test_preview_unknown_gesture_exit_2(tmp_path):
         )
         == EXIT_CONFIG
     )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["eval", "--mode", "loo"], "--manifest is required for leave-one-out evaluation"),
+        (["eval", "--mode", "all", "--manifest", "m.json", "--variants", "1"], "--variants: must be >= 2, got 1"),
+        (["preview", "--gesture", "nope"], "unknown gesture 'nope'"),
+        (["preview", "--gesture", "swipe_right", "--camera", "rgb9"], "unknown camera 'rgb9'"),
+        (["preview", "--gesture", "swipe_right", "--frame", "100000"], "frame 100000 outside 0.."),
+    ],
+    ids=["eval_without_manifest", "ablation_of_one_variant", "unknown_gesture", "unknown_camera", "frame_outside"],
+)
+def test_input_faults_are_config_errors(tmp_path, capsys, argv, message):
+    """Faults of the command line are config errors, exit 2, named in one
+    line, before anything is rendered or read."""
+    if argv[0] == "preview":
+        argv = argv + ["--config", _small_config(tmp_path), "--out-image", str(tmp_path / "x.pgm")]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {message}") and len(err.splitlines()) == 1, err
+    assert not os.path.exists(tmp_path / "x.pgm")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize(
+    "fault",
+    [
+        ValueError("operands could not be broadcast together with shapes (3,) (4,)"),
+        IndexError("index 9 is out of bounds"),
+    ],
+    ids=["ValueError", "IndexError"],
+)
+def test_fault_inside_a_frame_is_an_internal_error(tmp_path, capsys, monkeypatch, fault, jobs):
+    """A fault raised inside a frame's trace, in the parent or in a worker,
+    is no config error: it exits 4 with one line naming the fault, and no
+    traceback."""
+    traced = pipeline.trace_depth
+
+    def faulty(scene, cam, base=None):
+        if base is not None:  # a frame's trace, not the static one
+            raise fault
+        return traced(scene, cam, base=base)
+
+    monkeypatch.setattr(pipeline, "trace_depth", faulty)
+    assert main(["generate", "--config", _small_config(tmp_path), "--jobs", jobs]) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"internal error: {type(fault).__name__}: {fault}"], err
+
+
+def test_failed_pooled_run_lets_its_workers_exit_before_the_pool_ends(tmp_path, capsys, monkeypatch):
+    """A recording that fails in a worker stops ``generate --jobs 2``
+    without killing a worker: ``Pool.terminate`` can kill one that holds
+    the result queue's lock, and the pool then waits on that lock forever.
+    The workers skip the recordings left and have exited when the pool is
+    ended."""
+    from multiprocessing import active_children, pool
+
+    record_one, terminate = pipeline._record_one, pool.Pool.terminate
+    alive = []
+
+    def fail_first(parsed, out_dir, job):
+        if job[1:] == ("swipe_right", 0):
+            raise IndexError("injected")
+        return record_one(parsed, out_dir, job)
+
+    def spy_terminate(self):
+        alive.append(len(active_children()))
+        return terminate(self)
+
+    monkeypatch.setattr(pipeline, "_record_one", fail_first)
+    monkeypatch.setattr(pool.Pool, "terminate", spy_terminate)
+    assert main(["generate", "--config", _small_config(tmp_path, variants=20), "--jobs", "2"]) == EXIT_INTERNAL
+    assert capsys.readouterr().err.splitlines() == ["internal error: IndexError: injected"]
+    assert alive and not any(alive)
+    assert len(list((tmp_path / "out" / "depth0").glob("*/*"))) < 20  # of 39 recordings left
 
 
 def test_eval_loo_runs_on_generated_dataset(tmp_path, capsys):

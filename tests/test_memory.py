@@ -55,12 +55,11 @@ def test_static_rgb_trace_and_background_peak(preset):
     cam = preset_camera(preset, "k", CameraKind.RGB, gesture_anchor(rig), resolution=(640, 480))
     scene = static_scene(rig)
     sp = SensorParams()
-    noise = render.make_flipbook(sp, 3)
     render._cached_rays(cam)
 
     def static_frame():
         base = render.trace_depth(scene, cam)
-        return base, render.sensor_background(base, cam, sp, noise, 0)
+        return base, render.sensor_backgrounds(base, cam, sp)
 
     assert _peak_bytes(static_frame) < STATIC_RGB_PEAK_BOUND
 
@@ -79,7 +78,7 @@ def test_large_window_rgb_frame_peak(monkeypatch):
     rig = default_rig()
     cam = preset_camera("top", "rgb0", CameraKind.RGB, gesture_anchor(rig), resolution=(640, 480), fps=15.0)
     monkeypatch.setattr(pipeline, "_STATIC_BUFFER_CACHE", {})
-    setup = pipeline._setup_recording(builtin_scripts()["swipe_up"], cam, VariantParams.neutral(), False)
+    setup = pipeline._setup_recording(builtin_scripts()["swipe_up"], cam, VariantParams.neutral(), False, True)
 
     def largest_rect(i):
         wrist, aim, pose = evaluate_frame(setup.timeline, i, WarningCounters())
@@ -88,7 +87,7 @@ def test_large_window_rgb_frame_peak(monkeypatch):
 
     frame = max(range(setup.timeline.total_frames), key=largest_rect)
     assert largest_rect(frame) > render.RENDER_CHUNK_PIXELS
-    peak = _peak_bytes(pipeline._render_frame, setup, cam, frame, WarningCounters(), True)
+    peak = _peak_bytes(pipeline._render_frame, setup, cam, frame, WarningCounters())
     assert peak < DYNAMIC_RGB_PEAK_BOUND
 
 
@@ -99,14 +98,14 @@ def _infrared_wheel_setup(monkeypatch, gesture):
     rig = default_rig()
     cam = preset_camera("wheel", "ir0", CameraKind.INFRARED, gesture_anchor(rig), resolution=(320, 240), fps=15.0)
     monkeypatch.setattr(pipeline, "_STATIC_BUFFER_CACHE", {})
-    return cam, pipeline._setup_recording(builtin_scripts()[gesture], cam, VariantParams.neutral(), False)
+    return cam, pipeline._setup_recording(builtin_scripts()[gesture], cam, VariantParams.neutral(), False, True)
 
 
 def test_infrared_background_is_8_bit_pixels_and_rim_coordinates(monkeypatch):
     """The background every recording of a 320x240 infrared camera shares
     holds the 8-bit frame before the blur and its rim pixels' coordinates."""
     _, setup = _infrared_wheel_setup(monkeypatch, "swipe_up")
-    background = setup.static.background
+    background = setup.backgrounds[0]
     assert background.pixels.dtype == np.uint8 and background.pixels.shape == (240, 320, 3)
     size = background.pixels.nbytes + sum(coords.nbytes for coords in background.rim)
     assert size < INFRARED_BACKGROUND_BOUND
@@ -127,7 +126,7 @@ def test_infrared_frame_sensing_peak(monkeypatch):
         return render.trace_depth(dynamic_scene(pose_hand(setup.rig, wrist, aim, pose)), cam, base=setup.static.base)
 
     frame = max(range(setup.timeline.total_frames), key=lambda i: int(traced(i).changed.sum()))
-    buf, background = traced(frame), setup.background(cam, frame, True)
+    buf, background = traced(frame), setup.backgrounds[setup.noise.tile_index(frame)]
     peak = _peak_bytes(render.sensor_frame, buf, cam, setup.sensor, setup.noise, frame, True, background)
     assert peak < INFRARED_FRAME_PEAK_BOUND
 
@@ -150,23 +149,23 @@ def _small_multicam(tmp_path, gestures=("swipe_up", "peace_sign"), variants=2):
 
 def test_rgb_and_infrared_backgrounds_are_made_once_per_camera(tmp_path, monkeypatch):
     """Every recording of an RGB or infrared camera shares the camera's
-    background: ``sensor_background`` runs once for each across four
-    recordings, and for depth once per recording and flipbook tile."""
+    backgrounds: ``sensor_backgrounds`` runs once for each across four
+    recordings, and for depth once per recording."""
     from collections import Counter
 
     parsed = _small_multicam(tmp_path)
     calls = Counter()
-    sensor_background = render.sensor_background
+    sensor_backgrounds = render.sensor_backgrounds
 
     def spy(base, cam, *args, **kwargs):
         calls[cam.kind] += 1
-        return sensor_background(base, cam, *args, **kwargs)
+        return sensor_backgrounds(base, cam, *args, **kwargs)
 
     monkeypatch.setattr(pipeline, "_STATIC_BUFFER_CACHE", {})
-    monkeypatch.setattr(render, "sensor_background", spy)
-    pipeline.generate_dataset(parsed)
+    monkeypatch.setattr(render, "sensor_backgrounds", spy)
+    manifest, _ = pipeline.generate_dataset(parsed)
     assert calls[CameraKind.RGB] == calls[CameraKind.INFRARED] == 1
-    assert calls[CameraKind.DEPTH] >= 4  # one per recording at least
+    assert calls[CameraKind.DEPTH] == sum(entry.kind == CameraKind.DEPTH for entry in manifest.entries) == 4
     assert len(pipeline._STATIC_BUFFER_CACHE) == 3
 
 
@@ -181,7 +180,7 @@ def test_cameras_differing_only_in_ambient_get_their_own_background(monkeypatch)
     dim, bright = pipeline._static(cam, False), pipeline._static(brighter, False)
     assert dim is not bright and len(pipeline._STATIC_BUFFER_CACHE) == 2
     assert np.array_equal(dim.base.depth, bright.base.depth)
-    assert not np.array_equal(dim.background, bright.background)
+    assert not np.array_equal(dim.backgrounds[0], bright.backgrounds[0])
     assert dim.base.won_by is None and dim.base.t_won is None  # the cached base keeps no normal inputs
 
 

@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from conftest import normal_map
+from conftest import normal_map, normals, window_rays
 
 from handsynth.geom import vec
 from handsynth.render import (
@@ -15,7 +15,7 @@ from handsynth.render import (
     encode_depth16,
     fresnel_factor,
     make_flipbook,
-    sensor_background,
+    sensor_backgrounds,
     sensor_frame,
     trace_depth,
     BODY_CENTER_COLOR,
@@ -61,7 +61,7 @@ def test_sphere_center_pixel_depth_exact():
     assert abs(buf.depth[h // 2, w // 2] - 68.0) < 1e-9
     assert buf.tag[h // 2, w // 2] == TAG_BODY
     # normal at the center pixel faces the camera
-    assert np.linalg.norm(normal_map(buf)[h // 2, w // 2] - vec(0, 0, 1)) < 1e-6
+    assert np.linalg.norm(normal_map(buf, cam)[h // 2, w // 2] - vec(0, 0, 1)) < 1e-6
 
 
 def test_empty_scene_all_invalid():
@@ -78,7 +78,7 @@ def test_box_front_face_depth():
     buf = trace_depth(scene, cam)
     w, h = cam.resolution
     assert abs(buf.depth[h // 2, w // 2] - 70.0) < 1e-9
-    assert np.linalg.norm(normal_map(buf)[h // 2, w // 2] - vec(0, 0, 1)) < 1e-9
+    assert np.linalg.norm(normal_map(buf, cam)[h // 2, w // 2] - vec(0, 0, 1)) < 1e-9
 
 
 def test_plane_depth_is_perpendicular_distance():
@@ -173,7 +173,7 @@ def test_screen_bounds_trace_equals_full_frame_trace(rng, monkeypatch, rotation)
         assert blocks == [(h, w)] * 9  # every capsule intersected over the whole frame
         assert np.array_equal(bounded.tag, full.tag)
         assert np.array_equal(bounded.depth, full.depth)
-        assert np.array_equal(bounded.normal, full.normal)
+        assert np.array_equal(normals(bounded, cam), normals(full, cam))
 
 
 # --- chromaticity / 16-bit encoding -----------------------------------------
@@ -345,7 +345,7 @@ def test_infrared_center_and_edge_colors():
     assert np.array_equal(center, BODY_CENTER_COLOR.astype(np.uint8))
     # grazing pixels blend toward green; background is black
     assert np.array_equal(frame.pixels[0, 0], [0, 0, 0])
-    cos_nv = np.einsum("...i,...i->...", normal_map(buf), -buf.ray_dir)
+    cos_nv = np.einsum("...i,...i->...", normal_map(buf, cam), -window_rays(buf, cam))
     grazing = buf.valid & (cos_nv < 0.05)
     if np.any(grazing):
         sample = frame.pixels[grazing][0].astype(float)
@@ -373,7 +373,7 @@ def test_rgb_lambert_anchor_cases():
     sp0 = SensorParams(ambient=0.0)
     frame = sensor_frame(buf, cam, sp0, make_flipbook(sp0, 0), 0)
     # pick the pixel whose normal is closest to -light
-    cos = np.einsum("...i,i->...", normal_map(buf), -LIGHT_DIR)
+    cos = np.einsum("...i,i->...", normal_map(buf, cam), -LIGHT_DIR)
     v, u = np.unravel_index(np.argmax(np.where(buf.valid, cos, -np.inf)), cos.shape)
     expected = np.rint(BODY_ALBEDO * float(np.clip(cos[v, u], 0, 1)) * 255)
     assert np.abs(frame.pixels[v, u].astype(float) - expected).max() <= 1.0
@@ -393,7 +393,7 @@ def test_rgb_perpendicular_gets_ambient_only():
     buf = trace_depth(scene, cam)
     sp = SensorParams(ambient=0.2)
     frame = sensor_frame(buf, cam, sp, make_flipbook(sp, 0), 0)
-    cos = np.einsum("...i,i->...", normal_map(buf), -LIGHT_DIR)
+    cos = np.einsum("...i,i->...", normal_map(buf, cam), -LIGHT_DIR)
     perp = buf.valid & (np.abs(cos) < 0.01)
     if np.any(perp):
         got = frame.pixels[perp][0].astype(float)
@@ -524,7 +524,7 @@ def test_windowed_frames_equal_full_frame_render(monkeypatch, case):
     w, h = cam.resolution
     noise_enabled = case != "depth_noise_off"
     variant = sample_variant(VariationConfig(), {}, derive_seed(5, "swipe_right", 0, cam.camera_id), 0)
-    setup = pipeline._setup_recording(builtin_scripts()["swipe_right"], cam, variant, False)
+    setup = pipeline._setup_recording(builtin_scripts()["swipe_right"], cam, variant, False, noise_enabled)
 
     windows = []
     traced = pipeline.trace_depth
@@ -536,7 +536,7 @@ def test_windowed_frames_equal_full_frame_render(monkeypatch, case):
 
     monkeypatch.setattr(pipeline, "trace_depth", spy)
     for i in range(setup.timeline.total_frames):
-        frame = pipeline._render_frame(setup, cam, i, WarningCounters(), noise_enabled)
+        frame = pipeline._render_frame(setup, cam, i, WarningCounters())
         wrist, aim, pose = evaluate_frame(setup.timeline, i, WarningCounters())
         full = trace_depth(build_scene(setup.rig, pose_hand(setup.rig, wrist, aim, pose)), cam)
         assert full.window == (0, w, 0, h)
@@ -616,8 +616,40 @@ def test_capsules_off_screen_give_the_background(kind):
     off_screen = scene_from_primitives(capsules=[(vec(400.0, 0, -90.0), vec(420.0, 0, -90.0), 3.0)])
     buf = trace_depth(off_screen, cam, base=base)
     assert buf.window == (0, 0, 0, 0)
-    frame = sensor_frame(buf, cam, sp, noise, 5, background=sensor_background(base, cam, sp, noise, 5))
+    background = sensor_backgrounds(base, cam, sp, noise)[noise.tile_index(5)]
+    frame = sensor_frame(buf, cam, sp, noise, 5, background=background)
     assert np.array_equal(frame.pixels, static)
+
+
+@pytest.mark.parametrize("kind", [CameraKind.DEPTH, CameraKind.RGB, CameraKind.INFRARED])
+def test_sensor_backgrounds_are_the_base_sensed_at_each_tile(kind):
+    """One background per flipbook tile.  Depth with noise: each tile's is
+    the static base sensed over the empty background at the tile's first
+    frame; without noise, one clean frame for every tile.  RGB and infrared:
+    one object, repeated, the base sensed before any blur."""
+    from dataclasses import replace
+
+    from handsynth.scene import gesture_anchor, preset_camera, static_scene
+    from handsynth.skeleton import default_rig
+
+    rig = default_rig()
+    cam = preset_camera("infotainment", "b", kind, gesture_anchor(rig), resolution=(80, 60))
+    sp = replace(cam.sensor, blur_radius=0.0)
+    noise = make_flipbook(sp, 7)
+    base = trace_depth(static_scene(rig), cam)
+    noisy, clean = sensor_backgrounds(base, cam, sp, noise), sensor_backgrounds(base, cam, sp)
+    assert len(noisy) == len(clean) == noise.tile_count > 1
+    if kind != CameraKind.DEPTH:
+        assert all(entry is noisy[0] for entry in noisy) and all(entry is clean[0] for entry in clean)
+        pixels = noisy[0] if kind == CameraKind.RGB else noisy[0].pixels
+        assert np.array_equal(pixels, sensor_frame(base, cam, sp, noise, 0).pixels)
+        return
+    for t, entry in enumerate(noisy):
+        want = sensor_frame(base, cam, sp, noise, t * noise.frames_per_tile).pixels
+        assert entry.dtype == want.dtype and np.array_equal(entry, want), f"tile {t}"
+    assert len({entry.tobytes() for entry in noisy}) == noise.tile_count  # each tile its own noise
+    assert all(entry is clean[0] for entry in clean)
+    assert np.array_equal(clean[0], sensor_frame(base, cam, sp, noise, 0, noise_enabled=False).pixels)
 
 
 @pytest.mark.parametrize(

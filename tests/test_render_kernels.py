@@ -25,7 +25,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import normal_map
+from conftest import normal_map, normals, window_rays
 
 from handsynth import render
 from handsynth.geom import vec
@@ -387,10 +387,13 @@ def test_banded_box_and_plane_match_one_whole_frame_pass(monkeypatch, rng, chunk
         want = render._intersect_plane(origin, dirs, point, normal)
         _assert_same_bytes(_strict(_blocked, render._intersect_plane, origin, dirs, point, normal), want)
     for kind, want in whole.items():
-        got = render.trace_depth(scene, replace(cam, kind=kind))
-        fields = ("depth", "tag", "changed") if kind == CameraKind.DEPTH else ("won_by", "t_won", "normal")
+        kind_cam = replace(cam, kind=kind)
+        got = render.trace_depth(scene, kind_cam)
+        fields = ("depth", "tag", "changed") if kind == CameraKind.DEPTH else ("won_by", "t_won")
         for field in fields:
             _assert_same_bytes(getattr(got, field), getattr(want, field))
+        if kind != CameraKind.DEPTH:
+            _assert_same_bytes(normals(got, kind_cam), normals(want, kind_cam))
 
 
 def _unit_rays_with_zero_components(rng):
@@ -521,15 +524,17 @@ def _check_static_base(preset, resolution):
     for kind in (CameraKind.RGB, CameraKind.INFRARED):
         cam = preset_camera(preset, "k", kind, gesture_anchor(rig), resolution=resolution)
         base = render.trace_depth(scene, cam)
-        origin, rays, t, winner = base.origin, base.ray_dir[base.changed], base.t_won, base.won_by
-        _assert_same_bytes(base.normal, _reference_won_normals(scene, origin, rays, t, winner))
+        origin, rays = render._cached_rays(cam)[0], window_rays(base, cam)[base.changed]
+        t, winner = base.t_won, base.won_by
+        _assert_same_bytes(normals(base, cam), _reference_won_normals(scene, origin, rays, t, winner))
         if kind == CameraKind.RGB:
-            got = _strict(render.sensor_background, base, cam, sp, noise, 0)
-            _assert_same_bytes(got, _reference_rgb_pixels(normal_map(base), base.tag, sp))
+            got = _strict(render.sensor_backgrounds, base, cam, sp, noise)[0]
+            _assert_same_bytes(got, _reference_rgb_pixels(normal_map(base, cam), base.tag, sp))
             continue
         assert np.array_equal(base.changed, base.valid)
         for frame_index in (0, 7, noise.tile_px + 5):
-            image, fresnel = _reference_infrared_shading(normal_map(base), base.ray_dir, base.tag, sp)
+            rays = window_rays(base, cam)
+            image, fresnel = _reference_infrared_shading(normal_map(base, cam), rays, base.tag, sp)
             layers = _FloatLayers(image, fresnel, base.valid)
             want = _reference_infrared_pixels(layers, noise, sp, frame_index)
             _assert_same_bytes(_strict(render.sensor_frame, base, cam, sp, noise, frame_index).pixels, want)
@@ -554,9 +559,9 @@ def test_chunked_static_base_gives_the_unchunked_bytes(monkeypatch, preset, chun
     assert any(by_primitive[hi - 1] == by_primitive[hi] for hi in edges)
 
 
-def _float_layers(buf, sp):
+def _float_layers(buf, cam, sp):
     """The frozen infrared shading of a whole-frame trace, as float layers."""
-    image, fresnel = _reference_infrared_shading(normal_map(buf), buf.ray_dir, buf.tag, sp)
+    image, fresnel = _reference_infrared_shading(normal_map(buf, cam), window_rays(buf, cam), buf.tag, sp)
     return _FloatLayers(image, fresnel, buf.valid)
 
 
@@ -594,20 +599,20 @@ def test_windowed_infrared_frames_match_the_frozen_blur(blur_radius):
     sp = replace(cam.sensor, blur_radius=blur_radius)
     noise = render.make_flipbook(sp, 3)
     base = render.trace_depth(static_scene(rig), cam)
-    background = render.sensor_background(base, cam, sp, noise, 0)
-    static = _float_layers(base, sp)
+    background = render.sensor_backgrounds(base, cam, sp)[0]
+    static = _float_layers(base, cam, sp)
     static_rim = (static.fresnel > 0.6) & static.valid
     assert np.array_equal(np.flatnonzero(static_rim), np.sort(np.ravel_multi_index(background.rim, static_rim.shape)))
 
-    setup = _setup_recording(builtin_scripts()["swipe_up"], cam, VariantParams.neutral(), False)
+    setup = _setup_recording(builtin_scripts()["swipe_up"], cam, VariantParams.neutral(), False, True)
     left_rim = from_outside = 0
     for i in range(0, setup.timeline.total_frames, 2):
         wrist, aim, pose = evaluate_frame(setup.timeline, i, WarningCounters())
         posed = pose_hand(setup.rig, wrist, aim, pose)
         buf = render.trace_depth(dynamic_scene(posed), cam, base=base)
-        full = _float_layers(render.trace_depth(build_scene(rig, posed), cam), sp)
+        full = _float_layers(render.trace_depth(build_scene(rig, posed), cam), cam, sp)
         rim = (full.fresnel > 0.6) & full.valid
-        layers = render._sense_window(buf, cam, sp, noise, i, True, background, None)
+        layers = render._sense_window(buf, cam, sp, background)
         assert np.array_equal(np.flatnonzero(rim), np.sort(np.ravel_multi_index(layers.rim, rim.shape)))
         want = _reference_infrared_pixels(full, noise, sp, i)
         got = _strict(render.sensor_frame, buf, cam, sp, noise, i, True, background).pixels
@@ -638,24 +643,25 @@ def test_whole_frame_infrared_trace_senses_over_the_empty_background(blur_radius
     noise = render.make_flipbook(sp, 5)
     empty = render._empty_background(cam)
     assert not empty.pixels.any() and all(len(a) == 0 for a in empty.rim)
-    setup = _setup_recording(builtin_scripts()["swipe_right"], cam, VariantParams.neutral(), False)
+    setup = _setup_recording(builtin_scripts()["swipe_right"], cam, VariantParams.neutral(), False, True)
     i = setup.timeline.total_frames // 2
     posed = pose_hand(setup.rig, *evaluate_frame(setup.timeline, i, WarningCounters()))
     for scene in (dynamic_scene(posed), build_scene(rig, posed)):
         buf = render.trace_depth(scene, cam)
         assert buf.window == (0, 96, 0, 72) and np.array_equal(buf.changed, buf.valid)
-        want = _reference_infrared_pixels(_float_layers(buf, sp), noise, sp, i)
+        want = _reference_infrared_pixels(_float_layers(buf, cam, sp), noise, sp, i)
         _assert_same_bytes(_strict(render.sensor_frame, buf, cam, sp, noise, i).pixels, want)
 
 
-def _gathered_2d(buf):
-    """Per changed pixel of ``buf``, in the row-major order of ``changed``:
-    its flat index in the frame, tag and ray, gathered by (row, column)
-    indices as the sensor gathered them before it took them by flat index."""
+def _gathered_2d(buf, cam):
+    """Per changed pixel of ``buf``, traced by ``cam``, in the row-major
+    order of ``changed``: its flat index in the frame, tag and ray, gathered
+    by (row, column) indices as the sensor gathered them before it took them
+    by flat index."""
     u0, _, v0, _ = buf.window
     index = np.nonzero(buf.changed)
-    flat = np.ravel_multi_index((index[0] + v0, index[1] + u0), buf.rays.shape[:2])
-    return flat, buf.tag[index], buf.ray_dir[index]
+    flat = np.ravel_multi_index((index[0] + v0, index[1] + u0), cam.resolution[::-1])
+    return flat, buf.tag[index], window_rays(buf, cam)[index]
 
 
 @pytest.mark.parametrize("kind", [CameraKind.RGB, CameraKind.INFRARED])
@@ -674,7 +680,7 @@ def test_flat_gathers_match_2d_gathers_at_every_frame_border(monkeypatch, kind, 
     noise = render.make_flipbook(sp, 4)
     plane = (vec(0, 0, -100.0), vec(0.1, 0.2, 1.0) / np.linalg.norm([0.1, 0.2, 1.0]))
     base = render.trace_depth(scene_from_primitives(planes=[plane]), cam)
-    background = render.sensor_background(base, cam, sp, noise, 0)
+    background = render.sensor_backgrounds(base, cam, sp)[0]
     half_x = 80.0 * math.tan(math.radians(30.0))
     half_y = half_x * h / w
     touched = set()
@@ -685,8 +691,8 @@ def test_flat_gathers_match_2d_gathers_at_every_frame_border(monkeypatch, kind, 
         assert (u0, u1, v0, v1) != (0, w, 0, h) and buf.changed.any()
         sides = {"left": u0 == 0, "right": u1 == w, "top": v0 == 0, "bottom": v1 == h}
         touched |= {side for side, at in sides.items() if at}
-        flat, tags, rays = _gathered_2d(buf)
-        for rows, got_tags, got_flat, got_rays, _ in render._won_normal_chunks(buf):
+        flat, tags, rays = _gathered_2d(buf, cam)
+        for rows, got_tags, got_flat, got_rays, _ in render._won_normal_chunks(buf, cam):
             _assert_same_bytes(got_flat.astype(np.intp), flat[rows])
             _assert_same_bytes(got_tags, tags[rows])
             _assert_same_bytes(got_rays, rays[rows])

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import json_form, normal_map
+from conftest import json_form, normal_map, normals
 
 from handsynth.config import from_json
 from handsynth.geom import look_at_euler_deg, vec
@@ -155,12 +155,12 @@ def test_static_plus_dynamic_equals_full_trace(rig, depth_cam):
     assert np.array_equal(full.tag[win], split.tag)
     assert split.changed.any()
     assert np.all(split.depth[split.changed] < base.depth[win][split.changed])
-    assert np.array_equal(normal_map(full)[win][split.changed], split.normal)
+    assert np.array_equal(normal_map(full, cam)[win][split.changed], normals(split, cam))
     unchanged = np.ones(full.depth.shape, dtype=bool)
     unchanged[win] = ~split.changed
     assert np.array_equal(full.depth[unchanged], base.depth[unchanged])
     assert np.array_equal(full.tag[unchanged], base.tag[unchanged])
-    assert np.array_equal(normal_map(full)[unchanged], normal_map(base)[unchanged])
+    assert np.array_equal(normal_map(full, cam)[unchanged], normal_map(base, cam)[unchanged])
 
 
 def test_camera_serialization_round_trip():
