@@ -214,21 +214,28 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        print(f"config error: {_one_line(exc)}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
+        print(f"I/O error: {_one_line(exc)}", file=sys.stderr)
         return EXIT_IO
     except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
+        print(f"data error: {_one_line(exc)}", file=sys.stderr)
         return EXIT_DATA
     except KeyboardInterrupt as exc:
         print(f"interrupted: {exc}" if str(exc) else "interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
     except Exception as exc:  # a fault of the program, not of its input
-        message = " ".join(str(exc).splitlines())
-        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        print(f"internal error: {type(exc).__name__}: {_one_line(exc)}", file=sys.stderr)
         return EXIT_INTERNAL
+
+
+def _one_line(exc: Exception) -> str:
+    """``exc``'s message on one line, then its notes in parentheses, such as
+    the recording and frame that generation adds to a fault in one."""
+    message = " ".join(str(exc).splitlines())
+    notes = getattr(exc, "__notes__", None)
+    return f"{message} ({'; '.join(notes)})" if notes else message
 
 
 if __name__ == "__main__":

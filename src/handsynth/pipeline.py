@@ -26,6 +26,11 @@ feeds the same stream to ``extract_trajectory`` and stops after the label
 span's last frame.  ``render_recording`` collects the stream into a list for
 callers that index frames or read them twice: the tests, and
 ``gesturebench``'s tracer, which wraps it.
+
+With ``jobs`` above one, the recordings run on a ``ProcessPoolExecutor`` of
+forked workers that ignore SIGINT.  A failure or an interrupt kills no
+worker, and a worker that dies, say to the OOM killer, raises
+``BrokenProcessPool`` rather than hanging the run (``generate_dataset``).
 """
 
 from __future__ import annotations
@@ -206,14 +211,22 @@ def render_recording(
 
 def _record_one(parsed: ParsedConfig, out_dir: str, job: Job) -> RecordingEntry:
     """Render one recording, writing each frame under ``out_dir`` before the
-    next is rendered, and return its manifest entry."""
+    next is rendered, and return its manifest entry.  An error it lets
+    through gets a note naming the recording and the frame, if one began."""
     cam, gesture_name, variant_index = job
-    variant = _variant(parsed.settings.master_seed, parsed.variation, *job)
-    setup = _setup_recording(parsed.scripts[gesture_name], cam, variant, parsed.settings.default_left_hand, True)
-    counters = WarningCounters()
     rel_dir = recording_dir(cam.camera_id, gesture_name, variant_index)
-    for frame in _frames(setup, cam, counters):
-        write_frame(frame, os.path.join(out_dir, frame_path(rel_dir, frame.frame_index, frame.kind)))
+    where = f"recording {rel_dir}"
+    try:
+        variant = _variant(parsed.settings.master_seed, parsed.variation, *job)
+        setup = _setup_recording(parsed.scripts[gesture_name], cam, variant, parsed.settings.default_left_hand, True)
+        counters = WarningCounters()
+        for frame_index in range(setup.timeline.total_frames):
+            where = f"recording {rel_dir}, frame {frame_index}"
+            frame = _render_frame(setup, cam, frame_index, counters)
+            write_frame(frame, os.path.join(out_dir, frame_path(rel_dir, frame_index, frame.kind)))
+    except Exception as exc:
+        exc.add_note(where)
+        raise
     return RecordingEntry(
         gesture_label=gesture_name,
         variant_index=variant_index,
@@ -278,34 +291,6 @@ def clear_output(out_dir: str, parsed: ParsedConfig) -> None:
             shutil.rmtree(cam_dir)
 
 
-_STOP = None  # in a pool worker: the event the parent sets to stop the run; None elsewhere
-
-
-def _start_worker(stop) -> None:
-    """Pool initializer: an interrupt stops the parent, which then stops the
-    workers through ``stop``, and no worker prints its own traceback."""
-    global _STOP
-    _STOP = stop
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-
-
-def _record_unless_stopped(parsed: ParsedConfig, out_dir: str, job: Job) -> RecordingEntry | None:
-    """``_record_one`` in a pool worker; None once the run is stopped."""
-    return None if _STOP is not None and _STOP.is_set() else _record_one(parsed, out_dir, job)
-
-
-def _stop_pool(pool, stop, exc_type, exc, tb) -> None:
-    """When a pooled run fails or is interrupted, let each worker finish its
-    recording, skip the rest and exit before the pool is ended:
-    ``Pool.terminate`` can kill a worker that holds the result queue's lock,
-    writing a result, and the pool's task handler then waits on that lock
-    forever."""
-    if exc_type is not None:
-        stop.set()
-        pool.close()
-        pool.join()
-
-
 def generate_dataset(
     parsed: ParsedConfig,
     jobs: int = 1,
@@ -317,8 +302,10 @@ def generate_dataset(
     Returns (manifest, summary).  Output bytes are independent of ``jobs``;
     at most one worker process runs per recording.  Raises OSError before
     the first frame is written when the frames cannot fit on the disk.  When
-    a recording fails or the run is interrupted, each worker finishes the
-    recording it is on and skips the rest before the error is raised.
+    a recording fails or the run is interrupted, the recordings already
+    handed to the workers (at most one running per worker, plus one queued)
+    finish, the rest are dropped, and the error is raised once every worker
+    has exited.  A worker that dies raises ``BrokenProcessPool``.
     """
     t0 = time.monotonic()
     out_dir = parsed.settings.output_path
@@ -346,11 +333,15 @@ def generate_dataset(
         if workers <= 1:
             done = map(record, jobs_list)
         else:
-            stop = multiprocessing.Event()
-            fork = multiprocessing.get_context("fork")
-            pool = stack.enter_context(fork.Pool(workers, initializer=functools.partial(_start_worker, stop)))
-            stack.push(functools.partial(_stop_pool, pool, stop))
-            done = pool.imap(functools.partial(_record_unless_stopped, parsed, out_dir), jobs_list, chunksize=1)
+            from concurrent.futures import ProcessPoolExecutor
+
+            pool = ProcessPoolExecutor(
+                workers,
+                mp_context=multiprocessing.get_context("fork"),
+                initializer=functools.partial(signal.signal, signal.SIGINT, signal.SIG_IGN),
+            )
+            stack.callback(pool.shutdown, cancel_futures=True)
+            done = pool.map(record, jobs_list)
         for entry in done:
             entries.append(entry)
             if progress:

@@ -1,5 +1,7 @@
 import hashlib
+import itertools
 import json
+import multiprocessing
 import os
 import shutil
 import signal
@@ -218,6 +220,7 @@ def _golden_config(tmp_path):
 def test_generated_tree_matches_golden_digest(tmp_path, jobs):
     path = _golden_config(tmp_path)
     assert main(["generate", "--config", path, "--jobs", jobs]) == EXIT_OK
+    assert not multiprocessing.active_children()  # every worker has exited
     digest = hashlib.sha256()
     for rel, body in sorted(_tree_bytes(tmp_path / "out").items()):
         digest.update(rel.encode() + b"\0" + len(body).to_bytes(8, "little"))
@@ -391,24 +394,21 @@ def test_generate_jobs_below_one_exit_2(tmp_path, capsys, jobs):
 
 
 def test_pool_has_at_most_one_worker_per_recording(tmp_path, monkeypatch):
+    import concurrent.futures
+
     sizes = []
 
-    class InProcessPool:
-        def __init__(self, processes, initializer=None):
-            sizes.append(processes)
+    class InProcessExecutor:
+        def __init__(self, max_workers, mp_context=None, initializer=None):
+            sizes.append(max_workers)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def imap(self, fn, iterable, chunksize=1):
+        def map(self, fn, iterable):
             return map(fn, iterable)
 
-    monkeypatch.setattr(
-        pipeline.multiprocessing, "get_context", lambda method: types.SimpleNamespace(Pool=InProcessPool)
-    )
+        def shutdown(self, wait=True, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessExecutor)
     path = _small_config(tmp_path, gestures=("peace_sign",), variants=2)
     assert main(["generate", "--config", path, "--jobs", "8"]) == EXIT_OK
     assert sizes == [2]
@@ -568,47 +568,85 @@ def test_input_faults_are_config_errors(tmp_path, capsys, argv, message):
 )
 def test_fault_inside_a_frame_is_an_internal_error(tmp_path, capsys, monkeypatch, fault, jobs):
     """A fault raised inside a frame's trace, in the parent or in a worker,
-    is no config error: it exits 4 with one line naming the fault, and no
-    traceback."""
-    traced = pipeline.trace_depth
+    is no config error: it exits 4 with one line naming the fault, the
+    recording and the frame, and no traceback."""
+    traced, frame_traces = pipeline.trace_depth, itertools.count()
 
     def faulty(scene, cam, base=None):
-        if base is not None:  # a frame's trace, not the static one
-            raise fault
+        # a frame's trace, not the static one, from frame 3 of a process's first recording on
+        if base is not None and next(frame_traces) >= 3:
+            raise type(fault)(*fault.args)  # new each time: the shared one would keep earlier notes
         return traced(scene, cam, base=base)
 
     monkeypatch.setattr(pipeline, "trace_depth", faulty)
     assert main(["generate", "--config", _small_config(tmp_path), "--jobs", jobs]) == EXIT_INTERNAL
     err = capsys.readouterr().err
-    assert err.splitlines() == [f"internal error: {type(fault).__name__}: {fault}"], err
+    where = "recording depth0/swipe_right/0, frame 3"
+    assert err.splitlines() == [f"internal error: {type(fault).__name__}: {fault} ({where})"], err
 
 
 def test_failed_pooled_run_lets_its_workers_exit_before_the_pool_ends(tmp_path, capsys, monkeypatch):
     """A recording that fails in a worker stops ``generate --jobs 2``
-    without killing a worker: ``Pool.terminate`` can kill one that holds
-    the result queue's lock, and the pool then waits on that lock forever.
-    The workers skip the recordings left and have exited when the pool is
-    ended."""
-    from multiprocessing import active_children, pool
+    without killing a worker.  The recordings not yet handed out are
+    dropped, and every worker has exited when ``main`` returns."""
+    setup_recording = pipeline._setup_recording
 
-    record_one, terminate = pipeline._record_one, pool.Pool.terminate
-    alive = []
-
-    def fail_first(parsed, out_dir, job):
-        if job[1:] == ("swipe_right", 0):
+    def fail_first(script, cam, variant, *args):
+        if (script.name, variant.variant_index) == ("swipe_right", 0):
             raise IndexError("injected")
-        return record_one(parsed, out_dir, job)
+        return setup_recording(script, cam, variant, *args)
 
-    def spy_terminate(self):
-        alive.append(len(active_children()))
-        return terminate(self)
-
-    monkeypatch.setattr(pipeline, "_record_one", fail_first)
-    monkeypatch.setattr(pool.Pool, "terminate", spy_terminate)
+    monkeypatch.setattr(pipeline, "_setup_recording", fail_first)
     assert main(["generate", "--config", _small_config(tmp_path, variants=20), "--jobs", "2"]) == EXIT_INTERNAL
-    assert capsys.readouterr().err.splitlines() == ["internal error: IndexError: injected"]
-    assert alive and not any(alive)
+    assert capsys.readouterr().err.splitlines() == [
+        "internal error: IndexError: injected (recording depth0/swipe_right/0)"
+    ]
+    assert not multiprocessing.active_children()
     assert len(list((tmp_path / "out" / "depth0").glob("*/*"))) < 20  # of 39 recordings left
+
+
+# Runs ``handsynth`` with the arguments it is given, after making the
+# worker that sets up recording swipe_right/1 kill itself with SIGKILL, as
+# the OOM killer would.
+_KILLED_WORKER_RUN = """
+import multiprocessing, os, signal, sys
+from handsynth import pipeline
+from handsynth.cli import main
+
+setup_recording = pipeline._setup_recording
+
+def kill_worker(script, cam, variant, *args):
+    in_worker = multiprocessing.parent_process() is not None
+    if in_worker and (script.name, variant.variant_index) == ("swipe_right", 1):
+        os.kill(os.getpid(), signal.SIGKILL)
+    return setup_recording(script, cam, variant, *args)
+
+pipeline._setup_recording = kill_worker
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_killed_worker_ends_the_run(tmp_path):
+    """A worker that dies ends ``generate --jobs 2`` with exit 4 and one
+    line naming the broken pool, instead of a run that waits for it."""
+    path = _small_config(tmp_path, variants=5)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _KILLED_WORKER_RUN, "generate", "--config", path, "--jobs", "2"],
+        env=env,
+        stderr=subprocess.PIPE,
+        text=True,
+        start_new_session=True,
+    )
+    try:
+        _, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("generate --jobs 2 did not end in 60 s after a worker was killed")
+    assert proc.returncode == EXIT_INTERNAL, err
+    assert err.splitlines()[-1].startswith("internal error: BrokenProcessPool"), err
+    assert not (tmp_path / "out" / "manifest.json").exists()
 
 
 def test_eval_loo_runs_on_generated_dataset(tmp_path, capsys):
