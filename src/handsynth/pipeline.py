@@ -103,7 +103,7 @@ def _static(cam: CameraSpec, is_left: bool) -> _Static:
     if static is None:
         base = trace_depth(static_scene(default_rig(is_left=is_left)), cam)
         backgrounds = None if cam.kind == CameraKind.DEPTH else render.sensor_backgrounds(base, cam, cam.sensor)
-        static = _Static(base=replace(base, won_by=None, t_won=None), backgrounds=backgrounds)
+        static = _Static(base=replace(base, won_at=None, won_by=None, t_won=None), backgrounds=backgrounds)
         _STATIC_BUFFER_CACHE[key] = static
     return static
 
@@ -303,9 +303,10 @@ def generate_dataset(
     at most one worker process runs per recording.  Raises OSError before
     the first frame is written when the frames cannot fit on the disk.  When
     a recording fails or the run is interrupted, the recordings already
-    handed to the workers (at most one running per worker, plus one queued)
-    finish, the rest are dropped, and the error is raised once every worker
-    has exited.  A worker that dies raises ``BrokenProcessPool``.
+    handed to the workers (one running per worker, and up to one per
+    worker plus one more queued) finish, the rest are dropped, and the error is raised once every worker
+    has exited.  A worker that dies raises ``BrokenProcessPool``, with a
+    note naming the recordings written and those in flight (``_pooled``).
     """
     t0 = time.monotonic()
     out_dir = parsed.settings.output_path
@@ -341,7 +342,7 @@ def generate_dataset(
                 initializer=functools.partial(signal.signal, signal.SIGINT, signal.SIG_IGN),
             )
             stack.callback(pool.shutdown, cancel_futures=True)
-            done = pool.map(record, jobs_list)
+            done = _pooled(pool, record, jobs_list, workers)
         for entry in done:
             entries.append(entry)
             if progress:
@@ -366,6 +367,31 @@ def generate_dataset(
         "manifest": os.path.join(out_dir, MANIFEST_NAME),
     }
     return manifest, summary
+
+
+def _pooled(pool, record, jobs_list: list[Job], workers: int):
+    """``record`` of each job, run on ``pool``, in job order.
+
+    When a worker dies, the ``BrokenProcessPool`` raised gets a note: how
+    many recordings were written, and the first ``workers`` recordings in
+    job order that were not, one of which the dead worker held.  The pool
+    hands jobs out in order, so every job handed out before the dead
+    worker's either finished or runs on one of the other workers: at most
+    ``workers - 1`` unfinished jobs come before it."""
+    from concurrent.futures.process import BrokenProcessPool
+
+    futures = [pool.submit(record, job) for job in jobs_list]
+    try:
+        for future in futures:
+            yield future.result()
+    except BrokenProcessPool as exc:
+        written = [f.done() and not f.cancelled() and f.exception() is None for f in futures]
+        in_flight = [recording_dir(cam.camera_id, g, v) for (cam, g, v), ok in zip(jobs_list, written) if not ok]
+        exc.add_note(
+            f"{sum(written)} of {len(jobs_list)} recordings written; in flight when a worker died, "
+            f"one of them in that worker: {', '.join(in_flight[:workers])}"
+        )
+        raise
 
 
 def preview_frame(

@@ -3,6 +3,7 @@ import itertools
 import json
 import multiprocessing
 import os
+import re
 import shutil
 import signal
 import subprocess
@@ -402,8 +403,10 @@ def test_pool_has_at_most_one_worker_per_recording(tmp_path, monkeypatch):
         def __init__(self, max_workers, mp_context=None, initializer=None):
             sizes.append(max_workers)
 
-        def map(self, fn, iterable):
-            return map(fn, iterable)
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
 
         def shutdown(self, wait=True, cancel_futures=False):
             pass
@@ -628,7 +631,9 @@ sys.exit(main(sys.argv[1:]))
 
 def test_killed_worker_ends_the_run(tmp_path):
     """A worker that dies ends ``generate --jobs 2`` with exit 4 and one
-    line naming the broken pool, instead of a run that waits for it."""
+    line naming the broken pool, instead of a run that waits for it.  The
+    line says how many recordings were written and names the two in
+    flight, one of them the recording the dead worker held."""
     path = _small_config(tmp_path, variants=5)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     proc = subprocess.Popen(
@@ -645,7 +650,13 @@ def test_killed_worker_ends_the_run(tmp_path):
         proc.communicate()
         pytest.fail("generate --jobs 2 did not end in 60 s after a worker was killed")
     assert proc.returncode == EXIT_INTERNAL, err
-    assert err.splitlines()[-1].startswith("internal error: BrokenProcessPool"), err
+    line = err.splitlines()[-1]
+    assert line.startswith("internal error: BrokenProcessPool"), err
+    note = re.fullmatch(r".* \((\d+) of 10 recordings written; in flight when a worker died, one of them in that worker: (.*)\)", line)
+    assert note, line
+    in_flight = note[2].split(", ")
+    assert len(in_flight) == 2 and "depth0/swipe_right/1" in in_flight, line
+    assert int(note[1]) <= 10 - 2
     assert not (tmp_path / "out" / "manifest.json").exists()
 
 

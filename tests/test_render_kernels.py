@@ -200,10 +200,19 @@ def _reference_rgb_pixels(normal, tag, sp):
     return np.clip(np.rint(img * 255.0), 0, 255).astype(np.uint8)
 
 
+def _reference_primitive_normals(scene, index, points, rays):
+    """A primitive's normals as they were before capsules' normals were taken
+    several capsules at a time: the frozen per-capsule kernel, or the box's
+    or plane's."""
+    if index < len(scene.capsule_tag):
+        return _reference_capsule_normal(points, scene.capsule_a[index], scene.capsule_b[index])
+    return render._primitive_normals(scene, index, points, rays)
+
+
 def _reference_won_normals(scene, origin, rays, t, winner):
     """The normals of a buffer's changed pixels before they were taken in chunks:
     every changed pixel's ray gathered at once, the rows sorted by
-    primitive and one ``_primitive_normals`` call per primitive."""
+    primitive and one ``_reference_primitive_normals`` call per primitive."""
     order = np.argsort(winner.astype(np.int16), kind="stable")
     winner, rays, t = winner[order], rays[order], t[order]
     points = np.empty_like(rays)
@@ -212,10 +221,79 @@ def _reference_won_normals(scene, origin, rays, t, winner):
     grouped = np.empty_like(points)
     starts = np.flatnonzero(np.diff(winner, prepend=-1)).tolist()
     for lo, hi in zip(starts, [*starts[1:], len(winner)]):
-        grouped[lo:hi] = render._primitive_normals(scene, int(winner[lo]), points[lo:hi], rays[lo:hi])
+        grouped[lo:hi] = _reference_primitive_normals(scene, int(winner[lo]), points[lo:hi], rays[lo:hi])
     normal = np.empty_like(grouped)
     normal[order] = grouped
     return normal
+
+
+def _reference_trace_depth(scene, cam, base=None):
+    """``render.trace_depth`` as it was before capsules were culled to their
+    tangent wedge and before the buffer carried the flat indices of its
+    changed pixels: every capsule over the blocks of its screen rectangle,
+    with the frozen capsule kernel, and five boolean-mask passes at the
+    end.  Returns (depth, tag, changed, won_by, t_won)."""
+    origin, dirs, z_scale = render._cached_rays(cam)
+    w, h = cam.resolution
+    bounds = render._capsule_screen_bounds(cam, scene)
+    n_boxes, n_planes = len(scene.box_tag), len(scene.plane_tag)
+    window = (0, w, 0, h)
+    if base is not None and not (n_boxes or n_planes):
+        window = render._dirty_window(bounds, render._WINDOW_MARGIN[cam.kind], w, h)
+    wu0, wu1, wv0, wv1 = window
+    win = np.s_[wv0:wv1, wu0:wu1]
+    dirs, z_scale = dirs[win], z_scale[win]
+    if base is None:
+        depth = np.full((h, w), np.inf)
+        tag = np.full((h, w), render.TAG_NONE, dtype=np.uint8)
+    else:
+        depth, tag = base.depth[win].copy(), base.tag[win].copy()
+    t_best = depth / z_scale
+    winner = np.full(depth.shape, -1, dtype=np.int32)
+    for i, rect in enumerate(bounds):
+        if rect == (0, 0, 0, 0):
+            continue
+        u0, u1, v0, v1 = (wu0, wu1, wv0, wv1) if rect is None else rect
+        a, b, r = scene.capsule_a[i], scene.capsule_b[i], float(scene.capsule_r[i])
+        for block in render._ray_blocks(v0 - wv0, v1 - wv0, u0 - wu0, u1 - wu0):
+            with np.errstate(invalid="ignore"):  # the frozen kernel's inf * 0 on rays along the axis
+                t = _reference_intersect_capsule(origin, dirs[block], a, b, r)
+            render._keep_nearer(t_best, winner, block, t, i)
+    for block in render._ray_blocks(0, h, 0, w) if n_boxes or n_planes else []:
+        first = len(bounds)
+        for i in range(n_boxes):
+            t = render._intersect_box(origin, dirs[block], scene.box_min[i], scene.box_max[i])
+            render._keep_nearer(t_best, winner, block, t, first + i)
+        first += n_boxes
+        for i in range(n_planes):
+            t = render._intersect_plane(origin, dirs[block], scene.plane_point[i], scene.plane_normal[i])
+            render._keep_nearer(t_best, winner, block, t, first + i)
+    changed = winner >= 0
+    won_by, t_won = winner[changed], t_best[changed]
+    depth[changed] = t_won * z_scale[changed]
+    tag[changed] = np.concatenate([scene.capsule_tag, scene.box_tag, scene.plane_tag])[won_by]
+    return depth, tag, changed, won_by, t_won
+
+
+def _check_trace(scene, cam, base=None):
+    """``render.trace_depth`` gives the frozen trace's bytes: depth, tag and
+    changed mask, and for RGB and infrared the flat indices of the changed
+    pixels, their primitives, their ray parameters and the normals of the
+    frozen per-capsule kernel.  Returns the buffer."""
+    got = _strict(render.trace_depth, scene, cam, base)
+    depth, tag, changed, won_by, t_won = _reference_trace_depth(scene, cam, base)
+    _assert_same_bytes(got.depth, depth)
+    _assert_same_bytes(got.tag, tag)
+    _assert_same_bytes(got.changed, changed)
+    if cam.kind == CameraKind.DEPTH:
+        assert got.won_at is None and got.won_by is None and got.t_won is None
+        return got
+    _assert_same_bytes(got.won_at, np.flatnonzero(changed).astype(np.int32))
+    _assert_same_bytes(got.won_by, won_by)
+    _assert_same_bytes(got.t_won, t_won)
+    rays = window_rays(got, cam)[changed]
+    _assert_same_bytes(normals(got, cam), _reference_won_normals(scene, render._cached_rays(cam)[0], rays, t_won, won_by))
+    return got
 
 
 def _camera(rotation=(12.0, -20.0, 5.0), position=(3.0, -2.0, 1.0), resolution=(96, 72), fov=70.0):
@@ -303,10 +381,23 @@ def test_capsule_kernel_matches_reference_on_grazing_rays(rng):
         _check_capsule(origin, dirs, touch - 20.0 * along, touch + 20.0 * along, radius)
 
 
+def _ragged_spans(rng, rect):
+    """Per row of ``rect``, a span of random width inside it, some empty."""
+    u0, u1, v0, v1 = rect
+    lo = rng.integers(u0, u1 + 1, size=v1 - v0)
+    hi = np.minimum(lo + rng.integers(0, u1 - u0 + 1, size=v1 - v0), u1)
+    return lo, hi
+
+
 def test_capsule_kernel_does_not_depend_on_the_block(rng):
     """A ray's t is the same bytes in every block of rays that holds it,
-    one column included: windowed and whole-frame traces agree."""
+    one column included: windowed and whole-frame traces agree.  So are
+    rays gathered by flat index from per-row spans of random widths, and a
+    gathered set of two rays: each gives the frozen kernel's bytes over the
+    whole frame."""
     origin, dirs = camera_rays(_camera())
+    h, w = dirs.shape[:2]
+    grid = dirs.reshape(-1, 3)
     for k in range(20):
         a = origin + rng.uniform(-40, 40, size=3) + vec(0, 0, -rng.uniform(20, 120))
         b = a + rng.uniform(-25, 25, size=3) * (k % 4 != 0)
@@ -314,6 +405,31 @@ def test_capsule_kernel_does_not_depend_on_the_block(rng):
         whole = render._intersect_capsule(origin, dirs, a, b, radius)
         for block in (np.s_[10:50, 7:61], np.s_[33:34, 5:80], np.s_[4:70, 40:41], np.s_[:, 95:]):
             _assert_same_bytes(render._intersect_capsule(origin, dirs[block], a, b, radius), whole[block])
+        frozen = _reference_intersect_capsule(origin, dirs, a, b, radius).reshape(-1)
+        for rect in ((0, w, 0, h), (7, 61, 10, 50), (40, 42, 4, 70)):
+            rays = render._span_rays(rect, *_ragged_spans(rng, rect), w, (0, w, 0, h))
+            if rays is None:
+                continue  # a single ray: the tracer takes the rectangle's blocks instead
+            frame = rays[0]
+            got = _strict(render._intersect_capsule, origin, np.take(grid, frame, axis=0), a, b, radius)
+            _assert_same_bytes(got, frozen[frame])
+        pair = rng.choice(h * w, size=2, replace=False)
+        _assert_same_bytes(render._intersect_capsule(origin, np.take(grid, pair, axis=0), a, b, radius), frozen[pair])
+
+
+def test_span_rays_index_the_frame_and_the_window():
+    """The rays of per-row column spans, as flat indices into the frame and
+    into a window holding the rectangle; a single ray of a larger
+    rectangle is refused."""
+    rect, window = (5, 9, 3, 6), (4, 12, 2, 7)
+    frame, at = render._span_rays(rect, np.array([5, 8, 6]), np.array([7, 8, 9]), 20, window)
+    want = [(3, 5), (3, 6), (5, 6), (5, 7), (5, 8)]  # (row, column); row 4 is empty
+    assert frame.tolist() == [v * 20 + u for v, u in want]
+    assert at.tolist() == [(v - 2) * 8 + u - 4 for v, u in want]
+    assert render._span_rays(rect, np.array([5, 6, 6]), np.array([5, 7, 6]), 20, window) is None
+    assert render._span_rays((5, 6, 3, 4), np.array([5]), np.array([6]), 20, window)[0].tolist() == [65]
+    frame, at = render._span_rays(rect, np.array([9, 9, 9]), np.array([9, 9, 9]), 20, window)
+    assert len(frame) == len(at) == 0
 
 
 def _blocked(kernel, origin, dirs, *primitive):
@@ -468,12 +584,23 @@ def test_screen_bounds_of_a_scene_without_capsules():
 
 
 def test_capsule_normals_match_reference(rng):
-    for k in range(24):
-        a = rng.uniform(-50, 50, size=3)
-        b = a + rng.uniform(-20, 20, size=3) * (k % 4 != 0)  # every fourth: a zero-length axis
-        points = rng.uniform(-60, 60, size=(int(rng.integers(1, 3000)), 3))
-        points[:3] = [a, b, 0.5 * (a + b)]  # on the axis: a zero normal, clamped
-        _assert_same_bytes(_strict(render._capsule_normal, points, a, b), _reference_capsule_normal(points, a, b))
+    """Normals of several capsules' rows taken in one call give, capsule by
+    capsule, the bytes of the frozen per-capsule kernel: zero-length axes,
+    points on the axis and capsules of one row included."""
+    for _ in range(6):
+        a = rng.uniform(-50, 50, size=(8, 3))
+        b = a + rng.uniform(-20, 20, size=(8, 3)) * (np.arange(8) % 4 != 0)[:, None]  # every fourth: a zero-length axis
+        counts = rng.integers(1, 3000, size=8)
+        counts[[1, 6]] = 1
+        points = rng.uniform(-60, 60, size=(int(counts.sum()), 3))
+        starts = np.cumsum(counts) - counts
+        for j, (lo, count) in enumerate(zip(starts, counts)):
+            if count >= 3:
+                points[lo : lo + 3] = [a[j], b[j], 0.5 * (a[j] + b[j])]  # on the axis: a zero normal, clamped
+        got = _strict(render._capsule_normals, points, a, b, counts)
+        for j, (lo, count) in enumerate(zip(starts, counts)):
+            want = _reference_capsule_normal(points[lo : lo + count], a[j], b[j])
+            _assert_same_bytes(got[lo : lo + count], want)
 
 
 def _shading_inputs(rng, shape):
@@ -700,3 +827,169 @@ def test_flat_gathers_match_2d_gathers_at_every_frame_border(monkeypatch, kind, 
         want = render.sensor_frame(full, cam, sp, noise, 9).pixels
         _assert_same_bytes(render.sensor_frame(buf, cam, sp, noise, 9, background=background).pixels, want)
     assert touched == {"left", "right", "top", "bottom"}
+
+
+def _rotation_between(u, v):
+    """The rotation matrix taking unit vector ``u`` to unit vector ``v``."""
+    axis, c = np.cross(u, v), float(np.dot(u, v))
+    k = np.array([[0, -axis[2], axis[1]], [axis[2], 0, -axis[0]], [-axis[1], axis[0], 0]])
+    return np.eye(3) + k + k @ k / (1.0 + c)
+
+
+def _wedge_capsules(rng, cam):
+    """Capsules in camera coordinates that reach every case of the wedge's
+    bound, as (a, b, radius, case): random ones; ones whose cylinder passes
+    just outside the eye, some with the axis pointing at it; ones whose axis
+    lies within a small angle of the camera's x axis, so that the image
+    lines of both tangent planes are near horizontal (m_x near 0); and ones
+    clipped by each border and corner of the frame."""
+    w, h = cam.resolution
+    tan_half = math.tan(math.radians(cam.fov_deg) / 2.0)
+    out = []
+    for _ in range(60):
+        a = rng.uniform(-40, 40, size=3) + vec(0, 0, -rng.uniform(40, 120))
+        out.append((a, a + rng.uniform(-50, 50, size=3), float(rng.uniform(1.0, 12.0)), "random"))
+    for gap in (1e-10, 1e-7, 1e-4, 1e-2, 0.3):
+        for _ in range(4):
+            radius = float(rng.uniform(1.0, 8.0))
+            toward = vec(*rng.uniform(-0.3, 0.3, size=2), -1.0)
+            toward /= np.linalg.norm(toward)  # the axis, from the eye outwards
+            side = np.cross(toward, rng.normal(size=3))
+            side /= np.linalg.norm(side)
+            foot = radius * (1.0 + gap) * side  # the axis's point nearest the eye
+            near, far = rng.uniform(10, 40), rng.uniform(60, 140)
+            out.append((foot + near * toward, foot + far * toward, radius, "eye outside, axis at it"))
+            slant = toward + rng.uniform(0.5, 2.0) * np.cross(side, toward)  # at 27 to 63 degrees to it
+            slant /= np.linalg.norm(slant)
+            out.append((foot + near * slant, foot + far * slant, radius, "eye outside"))
+    for tilt in (0.0, 1e-12, 1e-10, 1e-9, 1e-7, 1e-4, 1e-2):
+        for _ in range(3):
+            centre = vec(rng.uniform(-20, 20), rng.uniform(-15, 15), -rng.uniform(30, 90))
+            axis = vec(1.0, tilt * rng.normal(), tilt * rng.normal())
+            half = rng.uniform(10, 60) * axis / np.linalg.norm(axis)
+            out.append((centre - half, centre + half, float(rng.uniform(1.0, 10.0)), "near horizontal"))
+    for sx, sy in [(-1, 0), (1, 0), (0, -1), (0, 1), (-1, -1), (1, 1), (-1, 1), (1, -1)]:
+        for _ in range(3):
+            z = rng.uniform(40, 100)
+            edge = vec(sx * z * tan_half, sy * z * tan_half * h / w, -z)  # on the border's plane
+            a = edge + rng.uniform(-15, 15, size=3)
+            out.append((a, a + rng.uniform(-40, 40, size=3), float(rng.uniform(2.0, 12.0)), "border"))
+    return out
+
+
+def _wedge_cameras():
+    return [
+        _camera(resolution=(160, 120)),
+        _camera(rotation=(0.0, 0.0, 0.0), position=(0.0, 0.0, 0.0), resolution=(97, 73), fov=90.0),
+        _camera(rotation=(-35.0, 60.0, -10.0), position=(-4.0, 7.0, 2.0), resolution=(128, 96), fov=45.0),
+    ]
+
+
+def test_wedge_spans_hold_every_hit(rng):
+    """Every pixel that the rectangle trace of a capsule finds finite lies in
+    the column spans of its tangent wedge, for random cameras and capsules
+    and the cases of ``_wedge_capsules``.  The wedge gives no bound only
+    where the eye is within 1e-9 of the cylinder, and it culls rays."""
+    culled = rect_rays = 0
+    for cam in _wedge_cameras():
+        w, h = cam.resolution
+        origin, dirs = camera_rays(cam)
+        capsules = _wedge_capsules(rng, cam)
+        scene = scene_from_primitives(
+            capsules=[(cam.camera_to_world(a), cam.camera_to_world(b), r) for a, b, r, _ in capsules]
+        )
+        bounds = render._capsule_screen_bounds(cam, scene)
+        cases = set()
+        for i, (rect, (_, _, radius, case)) in enumerate(zip(bounds, capsules)):
+            if rect is None or rect == (0, 0, 0, 0):
+                continue
+            a, b = scene.capsule_a[i], scene.capsule_b[i]
+            spans = _strict(render._wedge_spans, cam, a, b, radius, rect)
+            if spans is None:  # the eye is on or inside the cylinder
+                ca, cb = capsules[i][:2]
+                assert np.linalg.norm(np.cross(ca, cb - ca)) / np.linalg.norm(cb - ca) <= radius * (1 + 1e-6)
+                continue
+            u0, u1, v0, v1 = rect
+            inside = np.zeros((h, w), dtype=bool)
+            for v, lo, hi in zip(range(v0, v1), *spans):
+                assert u0 <= lo and hi <= u1
+                inside[v, lo:hi] = True
+            hits = np.zeros((h, w), dtype=bool)
+            hits[v0:v1, u0:u1] = np.isfinite(render._intersect_capsule(origin, dirs[v0:v1, u0:u1], a, b, radius))
+            assert not (hits & ~inside).any(), (case, rect)
+            cases.add(case)
+            culled += int((~inside[v0:v1, u0:u1]).sum())
+            rect_rays += (u1 - u0) * (v1 - v0)
+        assert cases == {"random", "eye outside, axis at it", "eye outside", "near horizontal", "border"}
+    assert culled > rect_rays // 4
+
+
+@pytest.mark.parametrize("kind", [CameraKind.DEPTH, CameraKind.RGB, CameraKind.INFRARED])
+def test_culled_traces_match_the_frozen_rectangle_trace(monkeypatch, rng, kind):
+    """With every capsule culled to its wedge, traces of the capsules of
+    ``_wedge_capsules`` give the frozen trace's bytes, without a base and
+    on a plane's base, at RENDER_CHUNK_PIXELS of 7 as well (gathered blocks
+    of 7 rays, none of one)."""
+    monkeypatch.setattr(render, "_WEDGE_MIN_RAYS", 0)
+    wedge_spans, taken = render._wedge_spans, []
+    monkeypatch.setattr(render, "_wedge_spans", lambda *args: taken.append(wedge_spans(*args)) or taken[-1])
+    plane = (vec(0, 0, -150.0), vec(0.1, 0.2, 1.0) / np.linalg.norm([0.1, 0.2, 1.0]))
+    for cam in _wedge_cameras():
+        cam = replace(cam, kind=kind)
+        capsules = [(cam.camera_to_world(a), cam.camera_to_world(b), r) for a, b, r, _ in _wedge_capsules(rng, cam)]
+        base = render.trace_depth(scene_from_primitives(planes=[plane]), cam)
+        for group in range(0, len(capsules), 12):
+            scene = scene_from_primitives(capsules=capsules[group : group + 12])
+            _check_trace(scene, cam)
+            _check_trace(scene, cam, base)
+        with monkeypatch.context() as patch:
+            patch.setattr(render, "RENDER_CHUNK_PIXELS", 7)
+            _check_trace(scene_from_primitives(capsules=capsules[:12], planes=[plane]), cam)
+    assert sum(spans is not None for spans in taken) > 100
+
+
+def test_one_ray_of_a_larger_rectangle_takes_the_rectangle(monkeypatch, rng):
+    """Wedge spans that hold a single ray of a capsule's larger rectangle
+    are not traced as a one-ray call: the rectangle's blocks are, and the
+    trace is the frozen one's."""
+    monkeypatch.setattr(render, "_WEDGE_MIN_RAYS", 0)
+
+    def one_ray(cam, a, b, radius, rect):
+        u0, u1, v0, v1 = rect
+        lo = np.full(v1 - v0, u0)
+        hi = lo.copy()
+        hi[(v1 - v0) // 2] += 1
+        return lo, hi
+
+    monkeypatch.setattr(render, "_wedge_spans", one_ray)
+    calls = []
+    intersect = render._intersect_capsule
+    monkeypatch.setattr(render, "_intersect_capsule", lambda o, d, *c: calls.append(d.shape) or intersect(o, d, *c))
+    cam = _camera(resolution=(160, 120))
+    capsules = [(cam.camera_to_world(a), cam.camera_to_world(b), r) for a, b, r, _ in _wedge_capsules(rng, cam)[:12]]
+    buf = _check_trace(scene_from_primitives(capsules=capsules), cam)
+    assert buf.changed.any() and calls and all(len(shape) == 3 for shape in calls)  # rectangles, none gathered
+
+
+@pytest.mark.parametrize("preset, kind", [("top", CameraKind.RGB), ("wheel", CameraKind.INFRARED), ("infotainment", CameraKind.DEPTH)])
+def test_arm_frames_match_the_frozen_trace(preset, kind):
+    """Arm frames of a recording at 640x480, where the wedge culls the
+    large capsules, and the static base give the frozen trace's bytes for
+    each camera kind, and RGB and infrared the frozen normals."""
+    from handsynth.gesture import WarningCounters, builtin_scripts, evaluate_frame
+    from handsynth.pipeline import _setup_recording
+    from handsynth.scene import dynamic_scene
+    from handsynth.skeleton import pose_hand
+    from handsynth.variation import VariantParams
+
+    rig = default_rig()
+    cam = preset_camera(preset, "k", kind, gesture_anchor(rig), resolution=(640, 480), fps=5)
+    base = _check_trace(static_scene(rig), cam)
+    setup = _setup_recording(builtin_scripts()["swipe_right"], cam, VariantParams.neutral(), False, True)
+    wedge_spans, taken = render._wedge_spans, []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(render, "_wedge_spans", lambda *args: taken.append(wedge_spans(*args)) or taken[-1])
+        for i in range(0, setup.timeline.total_frames, 3):
+            posed = pose_hand(setup.rig, *evaluate_frame(setup.timeline, i, WarningCounters()))
+            _check_trace(dynamic_scene(posed), cam, base)
+    assert any(spans is not None for spans in taken)
