@@ -31,11 +31,16 @@ A capsule is intersected with the rays of its screen rectangle, or, when
 that holds _WEDGE_MIN_RAYS rays or more, only with those between the image
 lines of the two planes through the eye that touch its infinite cylinder,
 gathered by flat index (``_wedge_spans``).  The wedge only chooses which
-rays are tested: each ray's bytes are those the rectangle gives it.
+rays are tested: each ray's bytes are those the rectangle gives it.  The
+capsules' ray sets of fewer than _BATCH_MAX_RAYS rays, the fingers', are
+copied into one buffer and traced in one kernel call, a larger set alone
+(``_intersect_capsules``): a ray's bytes do not depend on the rays or
+capsules it is traced with, and the sets are composited in capsule order,
+so a tie, as at a joint sphere two capsules share, goes to the lower index.
 
 No step of a whole-frame trace holds whole-frame temporaries: boxes and
-planes are intersected in bands of whole image rows, a capsule at most
-RENDER_CHUNK_PIXELS rays at a time, and the normals are computed and
+planes are intersected in bands of whole image rows, capsules at most
+RENDER_CHUNK_PIXELS rays a kernel call, and the normals are computed and
 shaded RENDER_CHUNK_PIXELS changed pixels at a time, each chunk shaded as
 it is made, so no buffer holds a normal array.
 Depth cameras keep no normal inputs, which no depth sensor reads.
@@ -43,6 +48,7 @@ Depth cameras keep no normal inputs, which no depth sensor reads.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -64,7 +70,7 @@ from .scene import (
 _T_EPS = 1e-6  # minimum ray parameter accepted as a hit
 
 # pixels a kernel takes at a time: the changed pixels whose normals are
-# computed and shaded, the rays of one capsule intersection, and (in whole
+# computed and shaded, the rays of one capsule kernel call, and (in whole
 # image rows) the rays of a box or plane intersection.  Bounds the per-pixel
 # temporaries of a whole-frame trace and of its background, and is more than
 # a dynamic frame changes, so a frame of the arm runs one chunk
@@ -81,6 +87,19 @@ RENDER_CHUNK_PIXELS = 1 << 15
 # stayed flat
 _WEDGE_MIN_RAYS = 1 << 14
 _WEDGE_MARGIN = 2  # px the wedge's column spans are widened by on each side
+
+# a capsule ray set (a block of its rectangle, or of its wedge's rays) of
+# fewer rays than this is traced in one _intersect_capsules call with the
+# frame's other such sets, up to RENDER_CHUNK_PIXELS rays; a larger one is
+# traced alone, with scalar constants.  A batched ray costs about a third
+# more than a ray of a set alone (its capsule's constants repeated over it),
+# and a call alone about 50 us more than a capsule's share of a batch.
+# Measured on the arm frames of the two generation benchmarks at seed 1,
+# trace_depth per frame against the unbatched tracer, interleaved, best of
+# 5: 1,024 / 2,048 / 4,096 / 8,192 rays gave 320x240 depth -28 / -30 / -31 /
+# -28 %, 640x480 RGB -1 / -8 / -9 / -8 % and 320x240 infrared -21 / -24 /
+# -25 / -24 %; batching every set made RGB 2 % slower than unbatched
+_BATCH_MAX_RAYS = 1 << 12
 
 # per-camera ray grids are pose/intrinsics functions only; cache them
 _RAY_CACHE: dict = {}
@@ -162,82 +181,133 @@ FRAME_KIND = {CameraKind.DEPTH: "depth16", CameraKind.INFRARED: "ir8", CameraKin
 # ---------------------------------------------------------------------------
 
 
-def _intersect_capsule(origin, dirs, a, b, radius):
-    """Nearest positive t of rays ``dirs`` (..., 3), a pixel rectangle
-    (h, w, 3) or gathered rows (n, 3), against one capsule; inf where
-    missed.
+def _vector_dots(x, y):
+    """The dot products x[j] . y[j] of the 3-vectors of (k, 3) arrays, one
+    stacked ``matmul``: per pair the bytes of ``np.dot``, which no
+    elementwise order of the three products gives."""
+    return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
 
-    The rays are copied once into contiguous (n, 3) rows, and every dot
-    product with a capsule vector is one ``rows @ vec``: that gives a ray
-    the bytes it gives it in any other set of two rays or more holding it,
-    which ``@`` with a (3, k) matrix does not.  The squared length of the
-    rays' part across the axis is summed a column at a time, ``d0*d0 +
-    d2*d2``, then ``+ d1*d1``: the bytes of ``einsum`` over the rows, in a
-    third of its time.  A missed ray takes the square root of a negative
-    discriminant, NaN, which fails every comparison below, so it ends as
-    inf.  The arithmetic is done in place where an operand is not needed
-    again, and (n, 3) arithmetic a column at a time; each formula is noted
-    above its steps.
-    """
-    shape = dirs.shape[:-1]
-    rows = np.ascontiguousarray(dirs).reshape(-1, 3)
+
+# the scalars of a capsule whose axis is shorter than 1e-9, two spheres, from
+# its cylinder's length on: no z lies within a length of NaN, and every point
+# of either sphere is in its cap's hemisphere
+_TWO_SPHERES = np.array([[np.nan], [np.inf], [-np.inf]])
+
+
+def _capsule_constants(origin, a, b, radius):
+    """What ``_intersect_capsules`` reads of the capsules a[j]-b[j] of
+    ``radius[j]`` (k of each), seen from ``origin``: their vectors, (k, 5, 3),
+    per capsule the axis's unit vector, o_perp, the axis, oa and ob, and
+    their scalars, (11, k), a row each: the axis's unit vector's three
+    components, o_par, cc, the two caps' c_s, oa . axis, the cylinder's
+    length and the caps' two hemisphere bounds on p_axis.  The names are
+    those of the kernel's formulas; every 3-vector dot product is
+    ``_vector_dots``'s."""
     axis = b - a
-    axis_len2 = float(np.dot(axis, axis))
+    oa, ob = origin - a, origin - b
     r2 = radius * radius
-    oa = origin - a
+    axis_len2 = _vector_dots(axis, axis)
     with np.errstate(divide="ignore", invalid="ignore"):
-        if axis_len2 > 1e-18:
-            axis_n = axis / np.sqrt(axis_len2)
-            d_par = rows @ axis_n
-            o_par = float(oa @ axis_n)
-            # d_perp = rows - d_par[:, None] * axis_n, a column at a time: numpy
-            # broadcasts slowly over a length-3 axis
-            d_perp = np.empty_like(rows)
-            for k in range(3):
-                np.subtract(rows[:, k], d_par * axis_n[k], out=d_perp[:, k])
-            o_perp = oa - o_par * axis_n
-            aa = d_perp[:, 0] * d_perp[:, 0]
-            aa += d_perp[:, 2] * d_perp[:, 2]
-            aa += d_perp[:, 1] * d_perp[:, 1]
-            bb = d_perp @ o_perp
-            cc = float(o_perp @ o_perp) - r2
-            # t_cyl = (-bb - sqrt(bb * bb - aa * cc)) / aa, z = o_par + t_cyl * d_par
-            sq = bb * bb
-            sq -= aa * cc
-            np.sqrt(sq, out=sq)
-            t_cyl = np.subtract(np.negative(bb, out=bb), sq, out=sq)
-            t_cyl /= aa
-            z = t_cyl * d_par
-            z += o_par
-            on_body = aa > 1e-18  # else the ray runs along the axis
-            on_body &= z >= 0.0
-            on_body &= z <= np.sqrt(axis_len2)
-            on_body &= t_cyl > _T_EPS
-            t_best = np.where(on_body, t_cyl, np.inf)
-            d_axis = rows @ axis
-        else:
-            t_best = np.full(len(rows), np.inf)
+        axis_n = axis / np.sqrt(axis_len2)[:, None]
+        o_par = _vector_dots(oa, axis_n)
+        o_perp = oa - o_par[:, None] * axis_n
+        scalars = np.stack(
+            [
+                *axis_n.T,
+                o_par,
+                _vector_dots(o_perp, o_perp) - r2,
+                _vector_dots(oa, oa) - r2,
+                _vector_dots(ob, ob) - r2,
+                _vector_dots(oa, axis),
+                np.sqrt(axis_len2),
+                np.zeros_like(axis_len2),
+                axis_len2,
+            ]
+        )
+    np.copyto(scalars[8:], _TWO_SPHERES, where=axis_len2 <= 1e-18)
+    return np.stack([axis_n, o_perp, axis, oa, ob], axis=1), scalars
 
-        for cap_center in (a, b):
-            oc = origin - cap_center
-            b_s = rows @ oc
-            # t1, t2 = -b_s -+ sqrt(b_s * b_s - (oc . oc - r2))
+
+def _intersect_capsules(rows, vectors, scalars, counts):
+    """Nearest positive t of rays ``rows`` (n, 3), C-contiguous, from the
+    camera's origin against capsules: the first ``counts[0]`` rows against
+    the first capsule of ``vectors`` and ``scalars`` (``_capsule_constants``),
+    the next ``counts[1]`` against the second, and so on; inf where missed.
+
+    Every elementwise step runs once over all rows, with each capsule's
+    scalars repeated over its rows (``np.repeat`` by ``counts``; a single
+    capsule's stay scalars).  The dot products of the rays with a capsule
+    vector run per capsule, as ``np.matmul(rows[lo:hi], vector, out=...)``.
+    That keeps a ray's bytes whatever it is traced with: a matrix-vector
+    product gives a row the bytes it gives it in any other set of two rows
+    or more holding it, which a per-row dot (``einsum``, ``vecdot``) or
+    ``@`` with a (3, k) matrix does not, and elementwise arithmetic gives
+    the same bytes with a scalar operand as with an array of its value.  A
+    capsule with a single row among more takes numpy's one-row product,
+    a dot product, as it would alone.  The squared length of the rays' part
+    across the axis is summed a column at a time, ``d0*d0 + d2*d2``, then
+    ``+ d1*d1``: the bytes of ``einsum`` over the rows, in a third of its
+    time.
+
+    A missed ray takes the square root of a negative discriminant, NaN,
+    which fails every comparison below, so it ends as inf.  The arithmetic
+    is done in place where an operand is not needed again, and (n, 3)
+    arithmetic a column at a time; each formula is noted above its steps.
+    """
+    ends = list(itertools.accumulate(counts))
+    capsule_rows = [slice(lo, hi) for lo, hi in zip([0, *ends[:-1]], ends)]
+
+    def products(x, m):  # x[rows of capsule j] @ vectors[j, m], per capsule
+        out = np.empty(len(x))
+        for sl, vector in zip(capsule_rows, vectors[:, m]):
+            np.matmul(x[sl], vector, out=out[sl])
+        return out
+
+    rowwise = scalars[:, 0] if len(counts) == 1 else np.repeat(scalars, counts, axis=1)
+    *axis_n, o_par, cc, c_a, c_b, oa_axis, length, a_max, b_min = rowwise
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d_par = products(rows, 0)
+        # d_perp = rows - d_par[:, None] * axis_n, a column at a time: numpy
+        # broadcasts slowly over a length-3 axis
+        d_perp = np.empty_like(rows)
+        for k in range(3):
+            np.subtract(rows[:, k], d_par * axis_n[k], out=d_perp[:, k])
+        aa = d_perp[:, 0] * d_perp[:, 0]
+        aa += d_perp[:, 2] * d_perp[:, 2]
+        aa += d_perp[:, 1] * d_perp[:, 1]
+        bb = products(d_perp, 1)
+        # t_cyl = (-bb - sqrt(bb * bb - aa * cc)) / aa, z = o_par + t_cyl * d_par
+        sq = bb * bb
+        sq -= aa * cc
+        np.sqrt(sq, out=sq)
+        t_cyl = np.subtract(np.negative(bb, out=bb), sq, out=sq)
+        t_cyl /= aa
+        z = t_cyl * d_par
+        z += o_par
+        on_body = aa > 1e-18  # else the ray runs along the axis
+        on_body &= z >= 0.0
+        on_body &= z <= length
+        on_body &= t_cyl > _T_EPS
+        t_best = np.where(on_body, t_cyl, np.inf)
+        d_axis = products(rows, 2)
+
+        for m, c_s in ((3, c_a), (4, c_b)):
+            b_s = products(rows, m)
+            # t1, t2 = -b_s -+ sqrt(b_s * b_s - c_s), c_s = oc . oc - r2
             sq = b_s * b_s
-            sq -= float(oc @ oc) - r2
+            sq -= c_s
             np.sqrt(sq, out=sq)
             minus_b = np.negative(b_s, out=b_s)
             t1 = minus_b - sq
             t2 = np.add(minus_b, sq, out=sq)
             t_sph = np.where(t1 > _T_EPS, t1, np.where(t2 > _T_EPS, t2, np.inf))
-            in_cap = True
-            if axis_len2 > 1e-18:
-                # accept only points in the cap's hemisphere (outside the cylinder
-                # span): p_axis = oa . axis + t_sph * d_axis
-                p_axis = t_sph * d_axis
-                p_axis += float(oa @ axis)
-                in_cap = p_axis <= 0.0 if cap_center is a else p_axis >= axis_len2
+            # accept only points in the cap's hemisphere (outside the cylinder
+            # span): p_axis = oa . axis + t_sph * d_axis
+            p_axis = t_sph * d_axis
+            p_axis += oa_axis
+            in_cap = p_axis <= a_max if m == 3 else p_axis >= b_min
             np.minimum(t_best, t_sph, out=t_best, where=in_cap)
-    return t_best.reshape(shape)
+    return t_best
 
 
 def _spans(lo: int, hi: int, step: int):
@@ -517,6 +587,83 @@ def _span_rays(rect, lo, hi, width: int, window):
     return frame, ray
 
 
+def _capsule_ray_sets(cam: CameraSpec, scene: Scene, bounds, window):
+    """The rays each capsule of ``scene`` with screen rectangle ``bounds``
+    is traced at, in capsule order, as (capsule index, rays, ray count):
+    the blocks of its rectangle (``_ray_blocks``; the window's when it has
+    none), 2-D slices of ``window``, or, when the rectangle holds
+    _WEDGE_MIN_RAYS rays or more and the wedge gives a bound, the rays of
+    its tangent wedge (``_wedge_spans``), pairs of flat indices into the
+    frame and into the window, at most RENDER_CHUNK_PIXELS at a time."""
+    w = cam.resolution[0]
+    wu0, wu1, wv0, wv1 = window
+    for i, rect in enumerate(bounds):
+        if rect == (0, 0, 0, 0):
+            continue
+        u0, u1, v0, v1 = window if rect is None else rect
+        rays = None
+        if rect is not None and (u1 - u0) * (v1 - v0) >= _WEDGE_MIN_RAYS:
+            spans = _wedge_spans(cam, scene.capsule_a[i], scene.capsule_b[i], float(scene.capsule_r[i]), rect)
+            rays = None if spans is None else _span_rays(rect, *spans, w, window)
+        if rays is None:
+            for rows, cols in _ray_blocks(v0 - wv0, v1 - wv0, u0 - wu0, u1 - wu0):
+                yield i, (rows, cols), (rows.stop - rows.start) * (cols.stop - cols.start)
+        else:
+            frame_at, window_at = rays
+            for lo, hi in _spans(0, len(frame_at), max(RENDER_CHUNK_PIXELS, 3)):
+                yield i, (frame_at[lo:hi], window_at[lo:hi]), hi - lo
+
+
+def _batches(ray_sets):
+    """The capsules' ray sets (``_capsule_ray_sets``) in batches, in order:
+    consecutive sets of fewer than _BATCH_MAX_RAYS rays together, up to
+    RENDER_CHUNK_PIXELS rays a batch, and every larger set alone."""
+    batch, size = [], 0
+    for ray_set in ray_sets:
+        count = ray_set[2]
+        alone = count >= _BATCH_MAX_RAYS
+        if batch and (alone or size + count > RENDER_CHUNK_PIXELS):
+            yield batch
+            batch, size = [], 0
+        if alone:
+            yield [ray_set]
+        else:
+            batch.append(ray_set)
+            size += count
+    if batch:
+        yield batch
+
+
+def _trace_capsules(constants, dirs, grid, t_best, winner, batch) -> None:
+    """Trace the ray sets of ``batch`` (``_capsule_ray_sets``) with one
+    ``_intersect_capsules`` call and composite each into ``t_best`` and
+    ``winner``, over the window, in order.  A block's rays are taken from
+    the window's rays ``dirs``, a wedge's by flat index from the frame's
+    ray grid ``grid``, into one contiguous (n, 3) buffer."""
+    vectors, scalars = constants
+    counts = [count for _, _, count in batch]
+    rows = np.empty((sum(counts), 3))
+    lo = 0
+    for _, (first, second), count in batch:
+        if isinstance(first, slice):  # a block of the window
+            block = dirs[first, second]
+            np.copyto(rows[lo : lo + count].reshape(block.shape), block)
+        else:
+            # the flat indices are in range; the default mode would buffer ``out``
+            np.take(grid, first, axis=0, out=rows[lo : lo + count], mode="clip")
+        lo += count
+    ids = [i for i, _, _ in batch]
+    t = _intersect_capsules(rows, vectors[ids], scalars[:, ids], counts)
+    lo = 0
+    for i, (first, second), count in batch:
+        if isinstance(first, slice):
+            shape = (first.stop - first.start, second.stop - second.start)
+            _keep_nearer(t_best, winner, (first, second), t[lo : lo + count].reshape(shape), i)
+        else:
+            _keep_nearer_at(t_best, winner, second, t[lo : lo + count], i)
+        lo += count
+
+
 def _primitive_normals(scene: Scene, index: int, points, rays):
     """Surface normals of one box or plane at world ``points`` (n, 3) hit
     by ``rays`` (n, 3).  Primitives are numbered as ``trace_depth`` numbers
@@ -621,7 +768,14 @@ def trace_depth(scene: Scene, cam: CameraSpec, base: DepthBuffer | None = None) 
     window index; every ray it can hit lies in the wedge, so the buffer is
     that of the rectangle.  The rectangle's blocks are taken where the
     wedge gives no bound (the eye inside the cylinder, a degenerate axis)
-    and where its spans hold a single ray of a larger rectangle.  RGB and
+    and where its spans hold a single ray of a larger rectangle.  The
+    capsules' blocks are traced in ``_batches``: consecutive blocks of fewer
+    than _BATCH_MAX_RAYS rays, up to RENDER_CHUNK_PIXELS rays, in one
+    ``_intersect_capsules`` call, and a larger block alone, with the
+    capsules' constants computed once per trace (``_capsule_constants``).
+    A ray's t does not depend on its batch, and the blocks are composited
+    in capsule order, a batch before the block after it, so a tie goes to
+    the lower capsule index, as when each capsule was traced alone.  RGB and
     infrared buffers keep each changed pixel's flat index, primitive and
     ray parameter, what the sensor computes normals from; depth cameras'
     buffers keep none.  A base that does not cover the whole frame is
@@ -653,23 +807,9 @@ def trace_depth(scene: Scene, cam: CameraSpec, base: DepthBuffer | None = None) 
     t_best = depth / z_scale  # inf where no hit: z_scale is positive and finite
     winner = np.full(depth.shape, -1, dtype=np.int32)  # primitive index; -1: the base
 
-    for i, rect in enumerate(bounds):
-        if rect == (0, 0, 0, 0):
-            continue
-        u0, u1, v0, v1 = (wu0, wu1, wv0, wv1) if rect is None else rect
-        a, b, r = scene.capsule_a[i], scene.capsule_b[i], float(scene.capsule_r[i])
-        rays = None
-        if rect is not None and (u1 - u0) * (v1 - v0) >= _WEDGE_MIN_RAYS:
-            spans = _wedge_spans(cam, a, b, r, rect)
-            rays = None if spans is None else _span_rays(rect, *spans, w, window)
-        if rays is None:
-            for block in _ray_blocks(v0 - wv0, v1 - wv0, u0 - wu0, u1 - wu0):
-                _keep_nearer(t_best, winner, block, _intersect_capsule(origin, dirs[block], a, b, r), i)
-            continue
-        frame_at, window_at = rays
-        for lo, hi in _spans(0, len(frame_at), max(RENDER_CHUNK_PIXELS, 3)):
-            t = _intersect_capsule(origin, np.take(grid, frame_at[lo:hi], axis=0), a, b, r)
-            _keep_nearer_at(t_best, winner, window_at[lo:hi], t, i)
+    constants = _capsule_constants(origin, scene.capsule_a, scene.capsule_b, scene.capsule_r)
+    for batch in _batches(_capsule_ray_sets(cam, scene, bounds, window)):
+        _trace_capsules(constants, dirs, grid, t_best, winner, batch)
     blocks = _ray_blocks(0, h, 0, w) if n_boxes or n_planes else []  # only whole-frame windows have them
     for block in blocks:
         first = len(bounds)

@@ -150,27 +150,27 @@ def test_screen_bounds_trace_equals_full_frame_trace(rng, monkeypatch, rotation)
         resolution=(96, 72),
     )
     w, h = cam.resolution
-    blocks = []  # the ray block shape of each capsule intersection
-    intersect = render._intersect_capsule
+    counts = []  # the rays of each capsule in each kernel call, batched or alone
+    intersect = render._intersect_capsules
 
-    def spy(origin, dirs, *capsule):
-        blocks.append(dirs.shape[:2])
-        return intersect(origin, dirs, *capsule)
+    def spy(rows, vectors, scalars, capsule_counts):
+        counts.extend(capsule_counts)
+        return intersect(rows, vectors, scalars, capsule_counts)
 
-    monkeypatch.setattr(render, "_intersect_capsule", spy)
+    monkeypatch.setattr(render, "_intersect_capsules", spy)
     for _ in range(8):
         scene = scene_from_primitives(
             capsules=_random_capsules(rng, 9),
             planes=[(vec(0, 0, -160.0), vec(0, 0, 1.0))],
         )
-        blocks.clear()
+        counts.clear()
         bounded = trace_depth(scene, cam)
-        assert blocks and all(block != (h, w) for block in blocks)  # every capsule bounded
-        blocks.clear()
+        assert counts and all(count != h * w for count in counts)  # every capsule bounded
+        counts.clear()
         with monkeypatch.context() as patch:
             patch.setattr(render, "_capsule_screen_bounds", lambda cam, scene: [None] * len(scene.capsule_tag))
             full = trace_depth(scene, cam)
-        assert blocks == [(h, w)] * 9  # every capsule intersected over the whole frame
+        assert counts == [h * w] * 9  # every capsule intersected over the whole frame
         assert np.array_equal(bounded.tag, full.tag)
         assert np.array_equal(bounded.depth, full.depth)
         assert np.array_equal(normals(bounded, cam), normals(full, cam))

@@ -15,7 +15,11 @@ the capsule, box and plane kernels taken in the tracer's blocks of rays
 with one pass over the whole frame.  Infrared frames, held in 8 bits with
 their rim pixels' coordinates before the blur, are compared with the
 frozen float shading and blur of the whole scene, and the rays and tags
-the sensor takes by flat index with a gather by (row, column).
+the sensor takes by flat index with a gather by (row, column).  The
+capsule kernel, which traces several capsules' rays in one call, is
+compared capsule by capsule with the frozen one-capsule kernel, traces
+with the frozen trace, which composites each capsule alone, and the numpy
+behaviour the kernel's bytes rest on is checked on its own.
 """
 
 import math
@@ -227,12 +231,22 @@ def _reference_won_normals(scene, origin, rays, t, winner):
     return normal
 
 
+def _reference_keep_nearer(t_best, winner, sl, t, index):
+    """``render._keep_nearer`` as it was: where ``t`` is strictly nearer, so
+    that a tie keeps the primitive composited first."""
+    closer = t < t_best[sl]
+    t_best[sl] = np.where(closer, t, t_best[sl])
+    winner[sl] = np.where(closer, index, winner[sl])
+
+
 def _reference_trace_depth(scene, cam, base=None):
     """``render.trace_depth`` as it was before capsules were culled to their
-    tangent wedge and before the buffer carried the flat indices of its
-    changed pixels: every capsule over the blocks of its screen rectangle,
-    with the frozen capsule kernel, and five boolean-mask passes at the
-    end.  Returns (depth, tag, changed, won_by, t_won)."""
+    tangent wedge and traced in batches, and before the buffer carried the
+    flat indices of its changed pixels: every capsule alone over the blocks
+    of its screen rectangle, with the frozen capsule kernel, composited in
+    capsule order by the frozen ``_reference_keep_nearer``, and five
+    boolean-mask passes at the end.  Returns (depth, tag, changed, won_by,
+    t_won)."""
     origin, dirs, z_scale = render._cached_rays(cam)
     w, h = cam.resolution
     bounds = render._capsule_screen_bounds(cam, scene)
@@ -258,16 +272,16 @@ def _reference_trace_depth(scene, cam, base=None):
         for block in render._ray_blocks(v0 - wv0, v1 - wv0, u0 - wu0, u1 - wu0):
             with np.errstate(invalid="ignore"):  # the frozen kernel's inf * 0 on rays along the axis
                 t = _reference_intersect_capsule(origin, dirs[block], a, b, r)
-            render._keep_nearer(t_best, winner, block, t, i)
+            _reference_keep_nearer(t_best, winner, block, t, i)
     for block in render._ray_blocks(0, h, 0, w) if n_boxes or n_planes else []:
         first = len(bounds)
         for i in range(n_boxes):
             t = render._intersect_box(origin, dirs[block], scene.box_min[i], scene.box_max[i])
-            render._keep_nearer(t_best, winner, block, t, first + i)
+            _reference_keep_nearer(t_best, winner, block, t, first + i)
         first += n_boxes
         for i in range(n_planes):
             t = render._intersect_plane(origin, dirs[block], scene.plane_point[i], scene.plane_normal[i])
-            render._keep_nearer(t_best, winner, block, t, first + i)
+            _reference_keep_nearer(t_best, winner, block, t, first + i)
     changed = winner >= 0
     won_by, t_won = winner[changed], t_best[changed]
     depth[changed] = t_won * z_scale[changed]
@@ -332,10 +346,19 @@ def _assert_same_bytes(got, want):
     assert got.tobytes() == want.tobytes()
 
 
+def _intersect(origin, dirs, a, b, radius):
+    """``render._intersect_capsules`` of one capsule over the rays ``dirs``
+    (..., 3), as the tracer takes a block of a large capsule: the rays copied
+    into contiguous rows, a batch of one, t in the shape of the rays."""
+    rows = np.ascontiguousarray(dirs).reshape(-1, 3)
+    constants = render._capsule_constants(origin, a[None], b[None], np.array([radius]))
+    return render._intersect_capsules(rows, *constants, [len(rows)]).reshape(dirs.shape[:-1])
+
+
 def _check_capsule(origin, dirs, a, b, radius):
     for block in _ray_blocks(dirs):
         _assert_same_bytes(
-            _strict(render._intersect_capsule, origin, block, a, b, radius),
+            _strict(_intersect, origin, block, a, b, radius),
             _reference_intersect_capsule(origin, block, a, b, radius),
         )
 
@@ -345,7 +368,8 @@ def test_capsule_kernel_matches_reference_on_random_capsules(rng):
     origin, dirs = camera_rays(cam)
     for k in range(40):
         a = origin + rng.uniform(-40, 40, size=3) + vec(0, 0, -rng.uniform(20, 120))
-        b = a + rng.uniform(-25, 25, size=3) * (k % 4 != 0)  # every fourth: a zero-length axis
+        # every fourth a zero-length axis, every eighth from the fourth one under 1e-9 long
+        b = a + rng.uniform(-25, 25, size=3) * (k % 4 != 0 or 1e-11 * (k % 8 == 4))
         _check_capsule(origin, dirs, a, b, float(rng.uniform(0.5, 15.0)))
 
 
@@ -359,7 +383,7 @@ def test_capsule_kernel_matches_reference_with_the_camera_inside_an_end_sphere()
         ):
             if a is b or np.array_equal(a, b):
                 # every ray leaves the sphere through the far root
-                assert np.isfinite(render._intersect_capsule(origin, dirs, a, b, radius)).all()
+                assert np.isfinite(_intersect(origin, dirs, a, b, radius)).all()
             _check_capsule(origin, dirs, a, b, radius)
 
 
@@ -402,19 +426,238 @@ def test_capsule_kernel_does_not_depend_on_the_block(rng):
         a = origin + rng.uniform(-40, 40, size=3) + vec(0, 0, -rng.uniform(20, 120))
         b = a + rng.uniform(-25, 25, size=3) * (k % 4 != 0)
         radius = float(rng.uniform(0.5, 15.0))
-        whole = render._intersect_capsule(origin, dirs, a, b, radius)
+        whole = _intersect(origin, dirs, a, b, radius)
         for block in (np.s_[10:50, 7:61], np.s_[33:34, 5:80], np.s_[4:70, 40:41], np.s_[:, 95:]):
-            _assert_same_bytes(render._intersect_capsule(origin, dirs[block], a, b, radius), whole[block])
+            _assert_same_bytes(_intersect(origin, dirs[block], a, b, radius), whole[block])
         frozen = _reference_intersect_capsule(origin, dirs, a, b, radius).reshape(-1)
         for rect in ((0, w, 0, h), (7, 61, 10, 50), (40, 42, 4, 70)):
             rays = render._span_rays(rect, *_ragged_spans(rng, rect), w, (0, w, 0, h))
             if rays is None:
                 continue  # a single ray: the tracer takes the rectangle's blocks instead
             frame = rays[0]
-            got = _strict(render._intersect_capsule, origin, np.take(grid, frame, axis=0), a, b, radius)
+            got = _strict(_intersect, origin, np.take(grid, frame, axis=0), a, b, radius)
             _assert_same_bytes(got, frozen[frame])
         pair = rng.choice(h * w, size=2, replace=False)
-        _assert_same_bytes(render._intersect_capsule(origin, np.take(grid, pair, axis=0), a, b, radius), frozen[pair])
+        _assert_same_bytes(_intersect(origin, np.take(grid, pair, axis=0), a, b, radius), frozen[pair])
+
+
+def test_numpy_products_keep_the_bytes_the_kernels_rest_on(rng):
+    """The numpy behaviour the capsule kernels' bytes rest on, checked on its
+    own, so that a numpy or BLAS change fails here with a message rather
+    than as a digest mismatch.  A stacked ``matmul`` of 3-vectors
+    (``render._vector_dots``) gives per pair the bytes of ``np.dot`` and of
+    1-D ``@``, what each capsule's constants were computed with one capsule
+    at a time.  ``np.matmul(rows[lo:hi], v, out=...)`` gives two rows or
+    more the bytes the product over all the rows gives them, at any offset
+    of the rows and of ``out`` and with ``v`` a row of a larger array, as
+    ``_intersect_capsules`` takes each capsule's rows of a batch."""
+    n = 200_000
+    scale = 10.0 ** rng.uniform(-3, 3, size=(n, 1))
+    x, y = rng.normal(size=(n, 3)) * scale, rng.normal(size=(n, 3)) * scale[::-1]
+    stacked = render._vector_dots(x, y)
+    by_dot = np.array([np.dot(p, q) for p, q in zip(x, y)])
+    by_matmul = np.array([p @ q for p, q in zip(x[:20_000], y[:20_000])])
+    assert stacked.tobytes() == by_dot.tobytes(), (
+        f"stacked matmul differs from np.dot in {np.sum(stacked != by_dot)} of {n} pairs of 3-vectors: "
+        "batched capsule constants no longer give the bytes of one capsule's"
+    )
+    assert stacked[:20_000].tobytes() == by_matmul.tobytes(), "stacked matmul differs from 1-D @ on 3-vectors"
+
+    rows = rng.normal(size=(60_000, 3)) * scale[:60_000]
+    vectors = rng.normal(size=(40, 5, 3))
+    differ = []
+    for k in range(1500):
+        v = vectors[k % 40, k % 5]  # a row of a larger array, as _intersect_capsules takes it
+        lo = int(rng.integers(0, len(rows) - 2))
+        hi = int(rng.integers(lo + 2, min(lo + 6000, len(rows)) + 1))
+        out = np.empty(hi - lo + 9)
+        pad = int(rng.integers(0, 10))
+        np.matmul(rows[lo:hi], v, out=out[pad : pad + hi - lo])
+        whole = rows @ v
+        if out[pad : pad + hi - lo].tobytes() != whole[lo:hi].tobytes():
+            differ.append((lo, hi))
+    assert not differ, (
+        f"a matrix-vector product over rows lo:hi differs from the same rows of the whole product for "
+        f"{len(differ)} of 1500 slices, such as {differ[:3]}: a ray's t would depend on the rays traced with it"
+    )
+
+
+def _batch_capsules(rng, origin, dirs):
+    """Capsules of every case the capsule kernel meets: random ones, a
+    zero-length axis, an axis shorter than 1e-9, the camera inside an end
+    sphere, and a sphere and a cylinder that graze a ray of the frame."""
+    h, w = dirs.shape[:2]
+    out = []
+    for _ in range(6):
+        a = origin + rng.uniform(-40, 40, size=3) + vec(0, 0, -rng.uniform(20, 120))
+        out.append((a, a + rng.uniform(-25, 25, size=3), float(rng.uniform(0.5, 15.0))))
+    a = origin + rng.uniform(-30, 30, size=3) + vec(0, 0, -60.0)
+    out.append((a, a.copy(), float(rng.uniform(2.0, 10.0))))
+    out.append((a, a + 1e-10 * rng.normal(size=3), float(rng.uniform(2.0, 10.0))))
+    out.append((origin + vec(0.5, -0.4, 0.3), origin + vec(10.0, 4.0, -60.0), 3.0))
+    out.append((origin + vec(-30.0, 2.0, -50.0), origin + vec(0.2, 0.1, -0.4), 12.0))
+    d = dirs[rng.integers(h), rng.integers(w)]
+    perp = np.cross(d, rng.normal(size=3))
+    perp /= np.linalg.norm(perp)
+    radius = float(rng.uniform(1.0, 8.0))
+    touch = origin + rng.uniform(30, 90) * d + radius * perp
+    along = np.cross(d, perp)
+    out += [(touch, touch, radius), (touch - 20.0 * along, touch + 20.0 * along, radius)]
+    return out
+
+
+def test_batched_capsule_kernel_matches_reference_capsule_by_capsule(rng):
+    """Random batches of the capsules of ``_batch_capsules``, each with its
+    own rays (a rectangle of the frame, rays gathered at random, or a single
+    ray beside larger sets), traced in one ``_intersect_capsules`` call, give
+    capsule by capsule the frozen kernel's bytes: over the whole frame, and
+    for a single ray over its one-ray block."""
+    origin, dirs = camera_rays(_camera())
+    h, w = dirs.shape[:2]
+    grid = dirs.reshape(-1, 3)
+    single = 0
+    for _ in range(30):
+        capsules = _batch_capsules(rng, origin, dirs)
+        chosen = rng.permutation(len(capsules))[: rng.integers(2, len(capsules) + 1)]
+        frames, wants = [], []
+        for j in chosen.tolist():
+            a, b, radius = capsules[j]
+            case = rng.integers(3)
+            if case == 0:
+                u0, v0 = int(rng.integers(0, w - 1)), int(rng.integers(0, h))
+                u1, v1 = int(rng.integers(u0 + 2, w + 1)), int(rng.integers(v0 + 1, h + 1))
+                frame = (np.arange(v0, v1)[:, None] * w + np.arange(u0, u1)).reshape(-1)
+            elif case == 1:
+                frame = rng.choice(h * w, size=int(rng.integers(2, 400)), replace=False)
+            else:
+                frame = rng.integers(h * w, size=1)
+            with np.errstate(invalid="ignore"):  # the frozen kernel's inf * 0 on rays along the axis
+                if len(frame) == 1:
+                    v, u = divmod(int(frame[0]), w)
+                    ray = dirs[v : v + 1, u : u + 1]
+                    wants.append(_reference_intersect_capsule(origin, ray, a, b, radius).reshape(-1))
+                else:
+                    wants.append(_reference_intersect_capsule(origin, dirs, a, b, radius).reshape(-1)[frame])
+            frames.append(frame)
+        single += sum(len(frame) == 1 for frame in frames) * (len(frames) > 1)
+        a, b, radius = (np.array([capsules[j][k] for j in chosen.tolist()]) for k in range(3))
+        counts = [len(frame) for frame in frames]
+        rows = np.take(grid, np.concatenate(frames), axis=0)
+        constants = render._capsule_constants(origin, a, b, radius)
+        got = _strict(lambda: render._intersect_capsules(rows, *constants, counts))
+        ends = np.cumsum(counts)
+        for want, lo, hi in zip(wants, ends - counts, ends):
+            _assert_same_bytes(got[lo:hi], want)
+    assert single > 0
+
+
+def test_capsule_kernel_takes_an_axis_under_1e_9_as_two_spheres(rng):
+    """A capsule whose axis is shorter than 1e-9 is its two end spheres, as
+    in the frozen kernel, also for rays that hit the band between the two
+    caps' hemispheres, where a capsule's cylinder would take them: rays aimed
+    at that band, traced in a batch beside a capsule of ordinary length."""
+    origin = vec(1.0, -2.0, 0.5)
+    for _ in range(10):
+        a = origin + rng.uniform(-10, 10, size=3) + vec(0, 0, -60.0)
+        axis = rng.normal(size=3)
+        axis *= 1e-10 / np.linalg.norm(axis)
+        radius = float(rng.uniform(3.0, 12.0))
+        side = np.cross(axis, rng.normal(size=(200, 3)))
+        side /= np.linalg.norm(side, axis=1, keepdims=True)
+        band = a + 0.5 * axis + radius * side  # points of the band, halfway along the axis
+        rays = band - origin
+        rays /= np.linalg.norm(rays, axis=1, keepdims=True)
+        with np.errstate(invalid="ignore"):
+            want = _reference_intersect_capsule(origin, rays[None], a, a + axis, radius)[0]
+        assert np.isfinite(want).sum() > 50  # the near half of the band
+        other = (a + vec(20.0, 0, 0), a + vec(30.0, 5.0, 0), 4.0)
+        rows = np.concatenate([rays, rays[:7]])
+        ends = [np.array([a, other[0]]), np.array([a + axis, other[1]]), np.array([radius, other[2]])]
+        got = _strict(lambda: render._intersect_capsules(rows, *render._capsule_constants(origin, *ends), [200, 7]))
+        _assert_same_bytes(got[:200], want)
+
+
+def _arm_recording(kind, resolution, gesture="swipe_right"):
+    """A camera of ``kind`` at ``resolution`` and the scenes of every fourth
+    frame of a recording of the arm it sees."""
+    from handsynth.gesture import WarningCounters, builtin_scripts, evaluate_frame
+    from handsynth.pipeline import _setup_recording
+    from handsynth.scene import dynamic_scene
+    from handsynth.skeleton import pose_hand
+    from handsynth.variation import VariantParams
+
+    rig = default_rig()
+    cam = preset_camera("wheel", "k", kind, gesture_anchor(rig), resolution=resolution, fps=10)
+    setup = _setup_recording(builtin_scripts()[gesture], cam, VariantParams.neutral(), False, True)
+    scenes = [
+        dynamic_scene(pose_hand(setup.rig, *evaluate_frame(setup.timeline, i, WarningCounters())))
+        for i in range(0, setup.timeline.total_frames, 4)
+    ]
+    return cam, scenes
+
+
+@pytest.mark.parametrize("kind", [CameraKind.DEPTH, CameraKind.RGB, CameraKind.INFRARED])
+@pytest.mark.parametrize("chunk", [31, 200, 1 << 15])
+def test_batched_arm_traces_match_the_frozen_trace(monkeypatch, kind, chunk):
+    """Arm frames on the static base, whose fingers' ray sets are traced
+    in batches, give the frozen trace's bytes, with batches cut at
+    RENDER_CHUNK_PIXELS of 31 and 200 rays as well.  Some kernel calls take
+    several capsules, and none more than RENDER_CHUNK_PIXELS rays unless it
+    takes one block of rays (three rays at the least)."""
+    cam, scenes = _arm_recording(kind, (96, 72))
+    base = render.trace_depth(static_scene(default_rig()), cam)
+    monkeypatch.setattr(render, "RENDER_CHUNK_PIXELS", chunk)
+    calls = []
+    intersect = render._intersect_capsules
+    monkeypatch.setattr(render, "_intersect_capsules", lambda rows, *c: calls.append(c[-1]) or intersect(rows, *c))
+    for scene in scenes:
+        _check_trace(scene, cam, base)
+    assert any(len(counts) > 1 for counts in calls)
+    assert all(sum(counts) <= chunk or len(counts) == 1 and counts[0] <= max(chunk, 3) for counts in calls)
+
+
+def _joint_chains(rng, cam):
+    """Chains of capsules that share their end spheres, of one radius per
+    chain, as a finger's phalanges do: bent at each joint, with long links
+    (traced alone at 320x240) between short ones (traced in batches)."""
+    chains = []
+    for _ in range(5):
+        point = cam.camera_to_world(vec(rng.uniform(-15, 15), rng.uniform(-10, 10), -rng.uniform(45, 80)))
+        radius = float(rng.uniform(1.5, 4.0))
+        heading = rng.normal(size=3)
+        capsules = []
+        for k in range(6):
+            heading = heading / np.linalg.norm(heading) + rng.uniform(0.3, 0.9) * rng.normal(size=3)
+            step = heading / np.linalg.norm(heading) * (rng.uniform(18, 30) if k % 3 == 2 else rng.uniform(3, 8))
+            capsules.append((point, point + step, radius))
+            point = point + step
+        chains.append(capsules)
+    return chains
+
+
+@pytest.mark.parametrize("kind", [CameraKind.RGB, CameraKind.INFRARED])
+def test_tied_joint_spheres_keep_the_frozen_winner(rng, kind):
+    """Where two linked capsules of a chain share an end sphere, a ray that
+    hits the sphere outside both capsules' axis spans gets the same t from
+    both: the tie goes to the lower index, the frozen trace's ``won_by``,
+    whether the two are batched together, batched apart or traced alone,
+    without a base and on a plane's base.  The frozen kernel shows ties on
+    the chains."""
+    cam = replace(_camera(resolution=(320, 240)), kind=kind)
+    origin, dirs = camera_rays(cam)
+    plane = (vec(0, 0, -150.0), vec(0.1, 0.2, 1.0) / np.linalg.norm([0.1, 0.2, 1.0]))
+    base = render.trace_depth(scene_from_primitives(planes=[plane]), cam)
+    ties = alone = 0
+    for capsules in _joint_chains(rng, cam):
+        scene = scene_from_primitives(capsules=capsules)
+        _check_trace(scene, cam)
+        _check_trace(scene, cam, base)
+        sets = list(render._capsule_ray_sets(cam, scene, render._capsule_screen_bounds(cam, scene), (0, 320, 0, 240)))
+        alone += sum(count >= render._BATCH_MAX_RAYS for _, _, count in sets)
+        with np.errstate(invalid="ignore"):
+            t = [_reference_intersect_capsule(origin, dirs, a, b, r) for a, b, r in capsules]
+        ties += sum(int(np.sum(np.isfinite(t0) & (t0 == t1))) for t0, t1 in zip(t, t[1:]))
+    assert ties > 0 and alone > 0
 
 
 def test_span_rays_index_the_frame_and_the_window():
@@ -469,7 +712,7 @@ def test_blocked_capsule_calls_match_reference(monkeypatch, rng, chunk):
         whole = _reference_intersect_capsule(origin, dirs, a, b, radius)
         for block in [*_BLOCK_SHAPES, np.s_[:, :]]:
             want = whole[block]  # not the reference over one column: see _ray_blocks in this file
-            _assert_same_bytes(_strict(_blocked, render._intersect_capsule, origin, dirs[block], a, b, radius), want)
+            _assert_same_bytes(_strict(_blocked, _intersect, origin, dirs[block], a, b, radius), want)
 
 
 def test_ray_blocks_leave_no_single_ray():
@@ -915,7 +1158,7 @@ def test_wedge_spans_hold_every_hit(rng):
                 assert u0 <= lo and hi <= u1
                 inside[v, lo:hi] = True
             hits = np.zeros((h, w), dtype=bool)
-            hits[v0:v1, u0:u1] = np.isfinite(render._intersect_capsule(origin, dirs[v0:v1, u0:u1], a, b, radius))
+            hits[v0:v1, u0:u1] = np.isfinite(_intersect(origin, dirs[v0:v1, u0:u1], a, b, radius))
             assert not (hits & ~inside).any(), (case, rect)
             cases.add(case)
             culled += int((~inside[v0:v1, u0:u1]).sum())
@@ -950,8 +1193,8 @@ def test_culled_traces_match_the_frozen_rectangle_trace(monkeypatch, rng, kind):
 
 def test_one_ray_of_a_larger_rectangle_takes_the_rectangle(monkeypatch, rng):
     """Wedge spans that hold a single ray of a capsule's larger rectangle
-    are not traced as a one-ray call: the rectangle's blocks are, and the
-    trace is the frozen one's."""
+    are not traced as a one-ray set, alone or in a batch: the rectangle's
+    blocks are, and the trace is the frozen one's."""
     monkeypatch.setattr(render, "_WEDGE_MIN_RAYS", 0)
 
     def one_ray(cam, a, b, radius, rect):
@@ -962,13 +1205,16 @@ def test_one_ray_of_a_larger_rectangle_takes_the_rectangle(monkeypatch, rng):
         return lo, hi
 
     monkeypatch.setattr(render, "_wedge_spans", one_ray)
-    calls = []
-    intersect = render._intersect_capsule
-    monkeypatch.setattr(render, "_intersect_capsule", lambda o, d, *c: calls.append(d.shape) or intersect(o, d, *c))
+    counts = []  # the rays of each capsule in each kernel call
+    intersect = render._intersect_capsules
+    monkeypatch.setattr(render, "_intersect_capsules", lambda rows, *c: counts.extend(c[-1]) or intersect(rows, *c))
     cam = _camera(resolution=(160, 120))
     capsules = [(cam.camera_to_world(a), cam.camera_to_world(b), r) for a, b, r, _ in _wedge_capsules(rng, cam)[:12]]
-    buf = _check_trace(scene_from_primitives(capsules=capsules), cam)
-    assert buf.changed.any() and calls and all(len(shape) == 3 for shape in calls)  # rectangles, none gathered
+    scene = scene_from_primitives(capsules=capsules)
+    buf = _check_trace(scene, cam)
+    rects = [rect or (0, 160, 0, 120) for rect in render._capsule_screen_bounds(cam, scene) if rect != (0, 0, 0, 0)]
+    assert buf.changed.any()
+    assert sorted(counts) == sorted((u1 - u0) * (v1 - v0) for u0, u1, v0, v1 in rects)  # the rectangles, none gathered
 
 
 @pytest.mark.parametrize("preset, kind", [("top", CameraKind.RGB), ("wheel", CameraKind.INFRARED), ("infotainment", CameraKind.DEPTH)])
