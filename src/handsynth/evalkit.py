@@ -111,9 +111,15 @@ def _chunk_centroids(
     per_frame = np.bincount(frame_of[hand], minlength=frames)
     good = per_frame >= MIN_FOREGROUND_PIXELS
     hand &= good[frame_of]
-    pts = backproject_pixels(cam, pixels[hand], depth[hand])
+    coords = backproject_pixels(cam, pixels[hand], depth[hand]).T  # (3, hand pixels)
     ends = np.cumsum(np.where(good, per_frame, 0))
-    return [pts[end - n : end].mean(axis=0) if ok else None for end, n, ok in zip(ends, per_frame, good)]
+    # a frame's centroid is mean(axis=0) of its rows: per coordinate, one
+    # sequential sum over the rows, divided by their count.  A cumulative
+    # sum is sequential by definition; its last element is that sum.
+    return [
+        np.cumsum(coords[:, end - n : end], axis=1)[:, -1] / n if ok else None
+        for end, n, ok in zip(ends, per_frame, good)
+    ]
 
 
 def extract_trajectory(

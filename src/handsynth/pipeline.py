@@ -19,13 +19,23 @@ sampled parameter of a recording.  Depth frames of the base change with
 the recording's sensor and noise, so each recording makes its own, one per
 flipbook tile, in ``_setup_recording``.
 
-A recording is rendered one frame at a time (``_frames``), and generation
-writes each frame before the next is rendered, so a worker holds one frame
-of a recording, not the whole of it.  The ablation (``render_trajectory_set``)
-feeds the same stream to ``extract_trajectory`` and stops after the label
-span's last frame.  ``render_recording`` collects the stream into a list for
-callers that index frames or read them twice: the tests, and
-``gesturebench``'s tracer, which wraps it.
+A recording is rendered one frame at a time (``_frames``, the one frame
+loop), and generation writes each frame before the next is rendered, so a
+worker holds one frame of a recording, not the whole of it.  The loop holds
+the frame before, its traced buffer and the bits of its pose (wrist
+target, aim and hand pose).  A frame whose pose repeats them bit for bit,
+as in a held static gesture, is not posed or traced again: its buffer is
+the held one, and so are its pixels where the sensor reads nothing else
+that changed (``render.senses_alike``): always for RGB, for depth at the
+same flipbook tile or without noise, never for infrared, whose blur pans
+with the frame.  The held buffer is dropped before the next trace.
+``evaluate_frame`` and the IK clamp test run on every frame, so the
+warning counters and the manifest do not depend on the reuse.  Generation
+(``_record_one``) writes the stream, the ablation
+(``render_trajectory_set``) feeds it to ``extract_trajectory`` and stops
+after the label span's last frame, and ``render_recording`` collects it
+into a list for callers that index frames or read them twice: the tests,
+and ``gesturebench``'s tracer, which wraps it.
 
 With ``jobs`` above one, the recordings run on a ``ProcessPoolExecutor`` of
 forked workers that ignore SIGINT.  A failure or an interrupt kills no
@@ -45,6 +55,8 @@ import signal
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from . import gesture, render
 from .config import ConfigError, ParsedConfig, VariationConfig, config_digest
@@ -79,7 +91,7 @@ from .scene import (
     rest_position,
     static_scene,
 )
-from .skeleton import ArmRig, default_rig, pose_hand, target_clamped
+from .skeleton import ArmRig, HandPose, default_rig, pose_hand, target_clamped
 from .variation import VariantParams, derive_seed, sample_variant
 
 _STATIC_BUFFER_CACHE: dict = {}  # (camera, left hand) -> _Static
@@ -175,24 +187,68 @@ def _setup_recording(
     )
 
 
-def _render_frame(setup: _RecordingSetup, cam: CameraSpec, frame_index: int, counters: WarningCounters) -> Frame:
-    """One frame of a recording; depends on the frame index only."""
+@dataclass
+class _Held:
+    """The frame before the one being rendered, in the frame loop
+    (``_frames``): the bits of what its trace was made from
+    (``_pose_bits``), its traced buffer and its frame.  Empty before the
+    first frame."""
+
+    pose_bits: tuple | None = None
+    buf: DepthBuffer | None = None
+    frame: Frame | None = None
+
+
+def _pose_bits(wrist_target, aim_dir, pose: HandPose) -> tuple:
+    """``pose_hand``'s arguments after the rig, by their bits: the frame's
+    trace is a function of them.  Compared with ``==``, -0.0 would equal
+    0.0, which the trace need not treat alike."""
+    angles = np.array(pose.curl + pose.abduction + pose.wrist_rotation, dtype=np.float64)
+    return wrist_target.tobytes(), aim_dir.tobytes(), angles.tobytes(), pose.preset_name
+
+
+def _render_frame(
+    setup: _RecordingSetup, cam: CameraSpec, frame_index: int, counters: WarningCounters, held: _Held | None = None
+) -> Frame:
+    """One frame of a recording; depends on the frame index only.
+
+    ``held`` is the frame before, in the frame loop, and then holds this
+    one.  When this frame's pose repeats the held one bit for bit, it is not
+    posed or traced again: the held buffer is sensed at this frame, or,
+    where the sensor's other inputs repeat too (``render.senses_alike``),
+    the held pixels are this frame's.  ``evaluate_frame`` and the IK clamp
+    test run on every frame, so the warning counters are those of rendering
+    each frame alone."""
     wrist_target, aim_dir, pose = evaluate_frame(setup.timeline, frame_index, counters)
     if target_clamped(setup.rig, wrist_target):
         counters.ik_clamps += 1
-    posed = pose_hand(setup.rig, wrist_target, aim_dir, pose)
-    buf = trace_depth(dynamic_scene(posed), cam, base=setup.static.base)
-    background = setup.backgrounds[setup.noise.tile_index(frame_index)]
-    return sensor_frame(
-        buf, cam, setup.sensor, setup.noise, frame_index, noise_enabled=setup.noise_enabled, background=background
-    )
+    bits, frame = _pose_bits(wrist_target, aim_dir, pose), None
+    if held is not None and held.pose_bits == bits:
+        buf = held.buf
+        if render.senses_alike(cam, setup.noise, setup.noise_enabled, held.frame.frame_index, frame_index):
+            frame = replace(held.frame, frame_index=frame_index)
+    else:
+        if held is not None:
+            held.buf = held.frame = None  # not held through the new trace
+        posed = pose_hand(setup.rig, wrist_target, aim_dir, pose)
+        buf = trace_depth(dynamic_scene(posed), cam, base=setup.static.base)
+    if frame is None:
+        background = setup.backgrounds[setup.noise.tile_index(frame_index)]
+        frame = sensor_frame(
+            buf, cam, setup.sensor, setup.noise, frame_index, noise_enabled=setup.noise_enabled, background=background
+        )
+    if held is not None:
+        held.pose_bits, held.buf, held.frame = bits, buf, frame
+    return frame
 
 
 def _frames(setup: _RecordingSetup, cam: CameraSpec, counters: WarningCounters) -> Iterator[Frame]:
     """The frames of one recording in order, each rendered when it is asked
-    for; ``counters`` gathers the warnings of the frames rendered so far."""
+    for, with the frame before held (``_render_frame``); ``counters``
+    gathers the warnings of the frames rendered so far."""
+    held = _Held()
     for frame_index in range(setup.timeline.total_frames):
-        yield _render_frame(setup, cam, frame_index, counters)
+        yield _render_frame(setup, cam, frame_index, counters, held)
 
 
 def render_recording(
@@ -220,9 +276,10 @@ def _record_one(parsed: ParsedConfig, out_dir: str, job: Job) -> RecordingEntry:
         variant = _variant(parsed.settings.master_seed, parsed.variation, *job)
         setup = _setup_recording(parsed.scripts[gesture_name], cam, variant, parsed.settings.default_left_hand, True)
         counters = WarningCounters()
+        frames = _frames(setup, cam, counters)
         for frame_index in range(setup.timeline.total_frames):
             where = f"recording {rel_dir}, frame {frame_index}"
-            frame = _render_frame(setup, cam, frame_index, counters)
+            frame = next(frames)
             write_frame(frame, os.path.join(out_dir, frame_path(rel_dir, frame_index, frame.kind)))
     except Exception as exc:
         exc.add_note(where)
@@ -373,11 +430,12 @@ def _pooled(pool, record, jobs_list: list[Job], workers: int):
     """``record`` of each job, run on ``pool``, in job order.
 
     When a worker dies, the ``BrokenProcessPool`` raised gets a note: how
-    many recordings were written, and the first ``workers`` recordings in
-    job order that were not, one of which the dead worker held.  The pool
-    hands jobs out in order, so every job handed out before the dead
-    worker's either finished or runs on one of the other workers: at most
-    ``workers - 1`` unfinished jobs come before it."""
+    many recordings were written, how each worker that the pool did not
+    stop itself ended (``_worker_ends``), and the first ``workers``
+    recordings in job order that were not written, one of which the dead
+    worker held.  The pool hands jobs out in order, so every job handed out
+    before the dead worker's either finished or runs on one of the other
+    workers: at most ``workers - 1`` unfinished jobs come before it."""
     from concurrent.futures.process import BrokenProcessPool
 
     futures = [pool.submit(record, job) for job in jobs_list]
@@ -387,11 +445,38 @@ def _pooled(pool, record, jobs_list: list[Job], workers: int):
     except BrokenProcessPool as exc:
         written = [f.done() and not f.cancelled() and f.exception() is None for f in futures]
         in_flight = [recording_dir(cam.camera_id, g, v) for (cam, g, v), ok in zip(jobs_list, written) if not ok]
-        exc.add_note(
-            f"{sum(written)} of {len(jobs_list)} recordings written; in flight when a worker died, "
-            f"one of them in that worker: {', '.join(in_flight[:workers])}"
-        )
+        notes = [f"{sum(written)} of {len(jobs_list)} recordings written", *_worker_ends(pool)]
+        notes.append(f"in flight when a worker died, one of them in that worker: {', '.join(in_flight[:workers])}")
+        exc.add_note("; ".join(notes))
         raise
+
+
+# seconds a broken pool's worker is waited for, to read its exit code: the
+# pool terminates the live ones as it breaks
+_WORKER_EXIT_WAIT_S = 2.0
+
+
+def _worker_ends(pool) -> list[str]:
+    """How each worker of the broken ``pool`` ended, such as "worker 812
+    killed by SIGKILL" or "worker 812 exited with code 1", less those the
+    pool ended itself with SIGTERM as it broke, and those still running.
+    Read from each worker's exit code, in the executor's map of its worker
+    processes (``_processes``)."""
+    ends = []
+    for process in list(pool._processes.values()):
+        process.join(_WORKER_EXIT_WAIT_S)
+        code = process.exitcode
+        if code is None or code == -signal.SIGTERM:
+            continue
+        if code >= 0:
+            how = f"exited with code {code}"
+        else:
+            try:
+                how = f"killed by {signal.Signals(-code).name}"
+            except ValueError:
+                how = f"killed by signal {-code}"
+        ends.append(f"worker {process.pid} {how}")
+    return ends
 
 
 def preview_frame(

@@ -21,7 +21,9 @@ keeps each such pixel's primitive and ray parameter, what its normal is
 computed from with the camera's cached rays.  The sensor writes a
 buffer's window into a background, what the sensor makes of the base at
 the frame's flipbook tile (``sensor_backgrounds``, one per tile): depth is
-sensed over the window, RGB and infrared shade only the changed pixels,
+sensed over the window in one fused pass of the depth model, whose
+arithmetic is written once (``_intensity``, ``_noisy_depth``,
+``_code_values``), RGB and infrared shade only the changed pixels,
 gathering their rays and tags and writing their 8-bit colours by flat
 pixel index.  Infrared then blurs its rim pixels, the base's less those
 the arm changed plus the arm's own, by copying 8-bit pixels.  The output
@@ -416,10 +418,14 @@ _NOISE_REACH = 1
 # px by which the dirty window grows around the capsules' rectangles, per
 # camera kind.  Depth: a changed depth changes the output _NOISE_REACH px
 # around it, and sensing a window edge-pads it, so the window's outer
-# _NOISE_REACH ring is wrong and dropped (``_patch``).  RGB and infrared
+# _NOISE_REACH ring is wrong and dropped (``_sense_depth``).  RGB and infrared
 # shade per pixel; the infrared blur, which moves pixels, runs over the rim
 # pixels of the whole frame after the arm's pixels are written in.
 _WINDOW_MARGIN = {CameraKind.DEPTH: 2 * _NOISE_REACH, CameraKind.RGB: 0, CameraKind.INFRARED: 0}
+
+# sign of the square-root term of a sphere's projected extent, per corner of
+# a capsule's screen rectangle (low, high) and image axis (x, y)
+_CORNER_SIGNS = np.array([[-1.0, 1.0], [1.0, -1.0]])[:, None, None, :]
 
 
 def _capsule_screen_bounds(cam: CameraSpec, scene: Scene) -> list:
@@ -432,7 +438,12 @@ def _capsule_screen_bounds(cam: CameraSpec, scene: Scene) -> list:
     extents bounds it.  A sphere at camera (x, y) and depth z > r spans
     x/z in (x*z -+ r*sqrt(x^2 + z^2 - r^2)) / (z^2 - r^2): the two planes
     through the eye that touch it, and likewise in y.  All capsules are
-    bounded in one pass; axis 1 of the arrays below is the end sphere.
+    bounded in one pass, x and y side by side.  The rectangle's low corner
+    (u0, v0) comes from each sphere's (x_lo, y_hi), as v grows downward,
+    and its high corner from (x_hi, y_lo): one array of both corners, with
+    the sign of the square-root term per corner and axis (``_CORNER_SIGNS``;
+    adding the negated term is subtracting it).  Its axes are corner,
+    capsule, end sphere and image axis.
     """
     w, h = cam.resolution
     n = len(scene.capsule_tag)
@@ -440,37 +451,40 @@ def _capsule_screen_bounds(cam: CameraSpec, scene: Scene) -> list:
     tan_v = tan_half * h / w
     ends = np.stack([scene.capsule_a, scene.capsule_b], axis=1).reshape(-1, 3)
     pts = cam.world_to_camera(ends).reshape(n, 2, 3)
-    x, y, z = pts[..., 0], pts[..., 1], -pts[..., 2]
-    radius = np.asarray(scene.capsule_r, dtype=np.float64)[:, None]
+    z = -pts[..., 2:]  # (n, 2, 1)
+    radius = np.asarray(scene.capsule_r, dtype=np.float64)[:, None, None]
     r2 = radius * radius
-    reaches = np.any(z - radius <= 1e-6, axis=1)  # no safe bound
+    reaches = np.any(z - radius <= 1e-6, axis=(1, 2))  # no safe bound
     with np.errstate(divide="ignore", invalid="ignore"):  # the spheres that reach the plane
-        denom = z * z - r2
-        sx = radius * np.sqrt(x * x + z * z - r2)
-        sy = radius * np.sqrt(y * y + z * z - r2)
-        x_lo = (x * z - sx) / denom
-        x_hi = (x * z + sx) / denom
-        y_lo = (y * z - sy) / denom
-        y_hi = (y * z + sy) / denom
-        u_lo = np.min((x_lo / tan_half + 1.0) / 2.0 * w, axis=1)
-        u_hi = np.max((x_hi / tan_half + 1.0) / 2.0 * w, axis=1)
-        v_lo = np.min((1.0 - (y_hi / tan_v + 1.0) / 2.0) * h, axis=1)
-        v_hi = np.max((1.0 - (y_lo / tan_v + 1.0) / 2.0) * h, axis=1)
+        zz = z * z
+        xy = pts[..., :2]
+        root = xy * xy
+        root += zz
+        root -= r2
+        np.sqrt(root, out=root)
+        root *= radius
+        corners = root * _CORNER_SIGNS
+        corners += xy * z
+        corners /= zz - r2
+        corners /= (tan_half, tan_v)
+        corners += 1.0
+        corners /= 2.0
+        np.subtract(1.0, corners[..., 1], out=corners[..., 1])
+        corners *= (w, h)
+    rects = np.empty((n, 2, 2))  # (capsule, low/high, u/v)
+    np.floor(np.minimum(corners[0, :, 0], corners[0, :, 1]), out=rects[:, 0])
+    rects[:, 0] -= 1
+    np.ceil(np.maximum(corners[1, :, 0], corners[1, :, 1]), out=rects[:, 1])
+    rects[:, 1] += 2
     # clipped to the frame before the integer cast, which a far-off bound
     # could overflow; a rectangle empty before the clip stays empty
-    rects = np.stack(
-        [
-            np.clip(np.floor(u_lo) - 1, 0, w),
-            np.clip(np.ceil(u_hi) + 2, 0, w),
-            np.clip(np.floor(v_lo) - 1, 0, h),
-            np.clip(np.ceil(v_hi) + 2, 0, h),
-        ],
-        axis=1,
-    )
+    np.clip(rects, 0, (w, h), out=rects)
     rects[reaches] = 0.0  # NaN or meaningless where a sphere reaches the plane
     rects = rects.astype(np.int64)
-    rects[(rects[:, 0] >= rects[:, 1]) | (rects[:, 2] >= rects[:, 3])] = 0  # fully off screen
-    return [None if r else tuple(rect) for r, rect in zip(reaches.tolist(), rects.tolist())]
+    rects[np.any(rects[:, 0] >= rects[:, 1], axis=1)] = 0  # fully off screen
+    return [
+        None if r else (u0, u1, v0, v1) for r, ((u0, v0), (u1, v1)) in zip(reaches.tolist(), rects.tolist())
+    ]
 
 
 def _dirty_window(bounds, margin: int, w: int, h: int):
@@ -874,11 +888,10 @@ class FlipbookNoise:
 
     def field(self, frame_index: int, h: int, w: int, top: int = 0, left: int = 0) -> np.ndarray:
         """Noise value per pixel at a frame: the active tile, wrapped, over
-        rows top:top+h and columns left:left+w of the frame."""
-        tile = self.tiles[self.tile_index(frame_index)]
-        us = np.arange(left, left + w) % self.tile_px
-        vs = np.arange(top, top + h) % self.tile_px
-        return tile[np.ix_(vs, us)]
+        rows top:top+h and columns left:left+w of the frame, gathered by
+        ``np.take`` with wrapped indices, the columns and then the rows."""
+        columns = np.take(self.tiles[self.tile_index(frame_index)], np.arange(left, left + w), axis=1, mode="wrap")
+        return np.take(columns, np.arange(top, top + h), axis=0, mode="wrap")
 
 
 _VALUE_NOISE_LATTICE_STEP = 8  # px between random lattice values
@@ -911,6 +924,16 @@ def make_flipbook(sp: SensorParams, seed: int) -> FlipbookNoise:
 # ---------------------------------------------------------------------------
 # depth sensor model
 # ---------------------------------------------------------------------------
+#
+# The model's arithmetic is written once, in three steps over a window's
+# depth ``d``, with 0 at its invalid (no hit) pixels, and their mask
+# ``valid`` (``_zeroed``): the noise intensity (``_intensity``), dropout and
+# jitter at a flipbook tile (``_noisy_depth``) and the 16-bit codes
+# (``_code_values``).  The fused sensor of ``sensor_frame`` and
+# ``sensor_backgrounds`` runs them on arrays alone; ``noise_intensity``,
+# ``apply_depth_noise`` and ``encode_depth16`` run them on a DepthBuffer.
+# What an invalid pixel holds in ``d`` never reaches a valid pixel's value:
+# its own code is 0, and its neighbours' intensity saturates at it.
 
 
 def depth_to_chromaticity(depth, sp: SensorParams):
@@ -919,12 +942,93 @@ def depth_to_chromaticity(depth, sp: SensorParams):
     return np.clip(g, 0.0, 1.0)
 
 
+def _zeroed(depth: np.ndarray):
+    """``depth`` with 0 at its invalid pixels (inf: no hit), and the mask of
+    its valid ones, both C-contiguous, as ``_row_stencil`` needs."""
+    depth = np.ascontiguousarray(depth)
+    valid = np.isfinite(depth)
+    return np.where(valid, depth, 0.0), valid
+
+
+def _code_values(d: np.ndarray, valid: np.ndarray, sp: SensorParams) -> np.ndarray:
+    """The 16-bit codes of depths ``d``, as float64: 0 where not ``valid``,
+    else 1 + rint(gray * 65534)."""
+    g = depth_to_chromaticity(d, sp)
+    g *= DEPTH_CODE_MAX - 1
+    np.rint(g, out=g)
+    g += 1.0
+    g *= valid
+    return g
+
+
+def _row_stencil(op, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out[:, j] = op(x[:, j + 1], x[:, j - 1])`` for the C-contiguous 2-D
+    ``x`` and ``out``, each index clamped to the row: the central stencil of
+    ``x`` padded by one edge column.  It runs over the flat arrays, in one
+    contiguous pass, and then takes the first and last columns again, where
+    the flat pass straddles two rows."""
+    if x.shape[1] == 1:
+        return op(x, x, out=out)
+    flat = x.reshape(-1)
+    op(flat[2:], flat[:-2], out=out.reshape(-1)[1:-1])
+    op(x[:, 1], x[:, 0], out=out[:, 0])
+    op(x[:, -1], x[:, -2], out=out[:, -1])
+    return out
+
+
+def _column_stencil(op, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out[i] = op(x[i + 1], x[i - 1])``, each index clamped to the column:
+    the central stencil of ``x`` padded by one edge row, by slices."""
+    if x.shape[0] == 1:
+        return op(x, x, out=out)
+    op(x[2:], x[:-2], out=out[1:-1])
+    op(x[1], x[0], out=out[0])
+    op(x[-1], x[-2], out=out[-1])
+    return out
+
+
+def _intensity(d: np.ndarray, valid: np.ndarray, sp: SensorParams) -> np.ndarray:
+    """Noise intensity I = clamp(k_d * z + k_e * e) of a window (see
+    ``noise_intensity``), from ``_zeroed``'s depth and mask.  The window is
+    padded by its edge pixels."""
+    z = d - sp.depth_min
+    z /= sp.depth_max - sp.depth_min
+    np.clip(z, 0.0, 1.0, out=z)
+    gx = _row_stencil(np.subtract, d, np.empty_like(d))
+    gy = _column_stencil(np.subtract, d, np.empty_like(d))
+    gx *= 0.5
+    gy *= 0.5
+    e = np.hypot(gx, gy, out=gx)
+    e /= sp.edge_scale
+    np.minimum(e, 1.0, out=e)
+    ok = _row_stencil(np.logical_and, valid, np.empty_like(valid))  # both neighbours in the row valid
+    ok &= _column_stencil(np.logical_and, valid, np.empty_like(valid))
+    np.logical_not(ok, out=ok)
+    np.copyto(e, 1.0, where=ok)  # next to an invalid sample: a full edge
+    z *= sp.noise_dist_weight
+    e *= sp.noise_edge_weight
+    z += e
+    return np.clip(z, 0.0, 1.0, out=z)
+
+
+def _noisy_depth(d: np.ndarray, valid: np.ndarray, intensity: np.ndarray, n: np.ndarray, sp: SensorParams):
+    """Dropout and jitter of ``_zeroed``'s depth and mask under noise values
+    ``n``: the jittered depth, a new array, and the mask of the valid
+    pixels that did not drop out."""
+    kept = intensity * n > sp.dropout_threshold  # dropped, so far
+    np.logical_not(kept, out=kept)
+    kept &= valid
+    jitter = sp.depth_jitter * intensity
+    spread = 2.0 * n
+    spread -= 1.0
+    jitter *= spread
+    jitter += d
+    return jitter, kept
+
+
 def encode_depth16(buf: DepthBuffer, sp: SensorParams) -> np.ndarray:
     """16-bit depth image: code 0 = no data, valid grays span [1, 65535]."""
-    valid = buf.valid
-    g = depth_to_chromaticity(np.where(valid, buf.depth, sp.depth_min), sp)
-    codes = 1 + np.rint(g * (DEPTH_CODE_MAX - 1)).astype(np.uint16)
-    return np.where(valid, codes, INVALID_DEPTH_CODE).astype(np.uint16)
+    return _code_values(*_zeroed(buf.depth), sp).astype(np.uint16)
 
 
 def decode_depth16(codes: np.ndarray, sp: SensorParams) -> np.ndarray:
@@ -941,20 +1045,7 @@ def noise_intensity(buf: DepthBuffer, sp: SensorParams) -> np.ndarray:
     central-difference depth gradient reaches edge_scale.  Pixels next to
     an invalid sample count as full edges.
     """
-    valid = buf.valid
-    depth = np.where(valid, buf.depth, 0.0)
-    z = np.clip((depth - sp.depth_min) / (sp.depth_max - sp.depth_min), 0.0, 1.0)
-
-    padded = np.pad(depth, 1, mode="edge")
-    pad_valid = np.pad(valid, 1, mode="edge")
-    gx = 0.5 * (padded[1:-1, 2:] - padded[1:-1, :-2])
-    gy = 0.5 * (padded[2:, 1:-1] - padded[:-2, 1:-1])
-    grad = np.hypot(gx, gy)
-    neighbor_invalid = ~(
-        pad_valid[1:-1, 2:] & pad_valid[1:-1, :-2] & pad_valid[2:, 1:-1] & pad_valid[:-2, 1:-1]
-    )
-    e = np.where(neighbor_invalid, 1.0, np.minimum(grad / sp.edge_scale, 1.0))
-    return np.clip(sp.noise_dist_weight * z + sp.noise_edge_weight * e, 0.0, 1.0)
+    return _intensity(*_zeroed(buf.depth), sp)
 
 
 def apply_depth_noise(
@@ -975,17 +1066,13 @@ def apply_depth_noise(
     """
     h, w = buf.depth.shape
     u0, _, v0, _ = buf.window
-    n = noise.field(frame_index, h, w, top=v0, left=u0)
+    d, valid = _zeroed(buf.depth)
     if intensity is None:
-        intensity = noise_intensity(buf, sp)
-    valid = buf.valid
-    drop = valid & (intensity * n > sp.dropout_threshold)
-    jitter = sp.depth_jitter * intensity * (2.0 * n - 1.0)
-    depth = np.where(valid, buf.depth + jitter, np.inf)
-    depth[drop] = np.inf
+        intensity = _intensity(d, valid, sp)
+    d, kept = _noisy_depth(d, valid, intensity, noise.field(frame_index, h, w, top=v0, left=u0), sp)
     tag = buf.tag.copy()
-    tag[drop] = TAG_NONE
-    return replace(buf, depth=depth, tag=tag)
+    tag[valid & ~kept] = TAG_NONE
+    return replace(buf, depth=np.where(kept, d, np.inf), tag=tag)
 
 
 # ---------------------------------------------------------------------------
@@ -1071,17 +1158,27 @@ def _rgb_pixels(normal, tag, sp: SensorParams):
     return pixels
 
 
-def _patch(background: np.ndarray, pixels: np.ndarray, window, trim: int) -> np.ndarray:
-    """A copy of the whole frame ``background`` with ``pixels``, sensed over
-    ``window``, written in, less a ``trim``-px ring on each side of the
-    window that is not a frame border."""
-    u0, u1, v0, v1 = window
-    h, w = background.shape[:2]
+def _sense_depth(buf: DepthBuffer, sp: SensorParams, noise: FlipbookNoise | None, frame_index: int, background):
+    """A copy of the whole 16-bit frame ``background`` with the codes of
+    ``buf``'s window written in, less the _NOISE_REACH-px ring on each side
+    of the window that is not a frame border: the window is edge-padded, so
+    its noise intensity there is not the frame's.  One pass of the depth
+    model over the window (``_zeroed``, ``_intensity``, ``_noisy_depth``
+    with ``noise`` at the frame's tile, ``_code_values``), with no buffer or
+    tag copy: no depth frame reads tags.  No ``noise``: the clean codes."""
+    d, valid = _zeroed(buf.depth)
+    u0, u1, v0, v1 = buf.window
+    if noise is not None:
+        n = noise.field(frame_index, *d.shape, top=v0, left=u0)
+        d, valid = _noisy_depth(d, valid, _intensity(d, valid, sp), n, sp)
+    codes = _code_values(d, valid, sp)
+    h, w = background.shape
+    trim = _NOISE_REACH
     top, bottom = (trim if v0 > 0 else 0), (trim if v1 < h else 0)
     left, right = (trim if u0 > 0 else 0), (trim if u1 < w else 0)
     out = background.copy()
-    out[v0 + top : v1 - bottom, u0 + left : u1 - right] = pixels[
-        top : pixels.shape[0] - bottom, left : pixels.shape[1] - right
+    out[v0 + top : v1 - bottom, u0 + left : u1 - right] = codes[
+        top : codes.shape[0] - bottom, left : codes.shape[1] - right
     ]
     return out
 
@@ -1134,21 +1231,40 @@ def sensor_backgrounds(base: DepthBuffer, cam: CameraSpec, sp: SensorParams, noi
     traced on the whole-frame static ``base``: what the sensor makes of
     ``base``, as a tuple with one entry per tile of ``sp``'s flipbook,
     indexed by ``FlipbookNoise.tile_index``.  Depth: the frame sensed with
-    ``noise`` at the tile; the base's noise intensity, which no tile
-    changes, is computed once.  Without ``noise``, the clean frame,
-    repeated.  RGB: the frame, and infrared: the ``InfraredLayers`` before
-    the blur (the 8-bit frame and its rim), one object repeated: they read
-    only ``sp.ambient`` and ``sp.fresnel_exponent``, and no noise."""
+    ``noise`` at the tile.  The base's valid mask and noise intensity, which
+    no tile changes, are computed once, and each tile runs only the noise
+    and code steps of the depth model (``_noisy_depth``, ``_code_values``).
+    Without ``noise``, the clean frame, repeated.  RGB: the frame, and
+    infrared: the ``InfraredLayers`` before the blur (the 8-bit frame and
+    its rim), one object repeated: they read only ``sp.ambient`` and
+    ``sp.fresnel_exponent``, and no noise."""
     tiles = sp.flipbook_tile_count
     if cam.kind != CameraKind.DEPTH:
         return (_sense_window(base, cam, sp, _empty_background(cam)),) * tiles
+    d, valid = _zeroed(base.depth)
     if noise is None:
-        return (encode_depth16(base, sp),) * tiles
-    intensity = noise_intensity(base, sp)
-    return tuple(
-        encode_depth16(apply_depth_noise(base, noise, sp, t * noise.frames_per_tile, intensity), sp)
-        for t in range(tiles)
-    )
+        return (_code_values(d, valid, sp).astype(np.uint16),) * tiles
+    intensity = _intensity(d, valid, sp)
+    h, w = d.shape
+    backgrounds = []
+    for t in range(tiles):
+        n = noise.field(t * noise.frames_per_tile, h, w)
+        backgrounds.append(_code_values(*_noisy_depth(d, valid, intensity, n, sp), sp).astype(np.uint16))
+    return tuple(backgrounds)
+
+
+def senses_alike(cam: CameraSpec, noise: FlipbookNoise, noise_enabled: bool, frame_a: int, frame_b: int) -> bool:
+    """Whether ``sensor_frame`` makes the same pixels of one buffer at frames
+    ``frame_a`` and ``frame_b``, each over its tile's entry of
+    ``sensor_backgrounds``.  RGB reads no frame index.  Depth reads it only
+    through the flipbook tile, and not at all without noise, where every
+    tile's background is the clean frame.  The infrared blur pans with the
+    frame index, so infrared is never alike."""
+    if cam.kind == CameraKind.RGB:
+        return True
+    if cam.kind == CameraKind.DEPTH:
+        return not noise_enabled or noise.tile_index(frame_a) == noise.tile_index(frame_b)
+    return False
 
 
 def sensor_frame(
@@ -1164,8 +1280,9 @@ def sensor_frame(
 
     The buffer's window is written into ``background``, the entry of
     ``sensor_backgrounds`` of the base it was traced on at this frame's
-    flipbook tile: depth is sensed over the window, less the ring ``_patch``
-    trims, RGB and infrared shade only the buffer's changed pixels
+    flipbook tile: depth is sensed over the window in one fused pass of the
+    depth model, less the ring that edge padding spoils (``_sense_depth``),
+    RGB and infrared shade only the buffer's changed pixels
     (``_sense_window``), and infrared then blurs the rim pixels of the whole
     frame.  Without a background the buffer is sensed over an empty one,
     which is allowed only where no base can show through: the window is the
@@ -1187,7 +1304,5 @@ def sensor_frame(
     elif not buf.depth.size:
         pixels = background.copy()  # no capsule on screen
     else:
-        if noise_enabled:
-            buf = apply_depth_noise(buf, noise, sp, frame_index)
-        pixels = _patch(background, encode_depth16(buf, sp), buf.window, _NOISE_REACH)
+        pixels = _sense_depth(buf, sp, noise if noise_enabled else None, frame_index, background)
     return Frame(kind=FRAME_KIND[cam.kind], pixels=pixels, frame_index=frame_index, camera_id=cam.camera_id)

@@ -633,7 +633,8 @@ def test_killed_worker_ends_the_run(tmp_path):
     """A worker that dies ends ``generate --jobs 2`` with exit 4 and one
     line naming the broken pool, instead of a run that waits for it.  The
     line says how many recordings were written and names the two in
-    flight, one of them the recording the dead worker held."""
+    flight, one of them the recording the dead worker held, and how the
+    dead worker ended: killed by SIGKILL."""
     path = _small_config(tmp_path, variants=5)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     proc = subprocess.Popen(
@@ -652,12 +653,42 @@ def test_killed_worker_ends_the_run(tmp_path):
     assert proc.returncode == EXIT_INTERNAL, err
     line = err.splitlines()[-1]
     assert line.startswith("internal error: BrokenProcessPool"), err
-    note = re.fullmatch(r".* \((\d+) of 10 recordings written; in flight when a worker died, one of them in that worker: (.*)\)", line)
+    note = re.fullmatch(
+        r".* \((\d+) of 10 recordings written; worker \d+ killed by SIGKILL; "
+        r"in flight when a worker died, one of them in that worker: (.*)\)",
+        line,
+    )
     assert note, line
     in_flight = note[2].split(", ")
     assert len(in_flight) == 2 and "depth0/swipe_right/1" in in_flight, line
     assert int(note[1]) <= 10 - 2
     assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+def test_worker_that_exits_is_named_with_its_exit_code(tmp_path):
+    """A worker that exits on its own, not by a signal, is named in the
+    broken pool's line with its exit code."""
+    run = _KILLED_WORKER_RUN.replace("os.kill(os.getpid(), signal.SIGKILL)", "os._exit(3)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    path = _small_config(tmp_path, variants=5)
+    proc = subprocess.Popen(
+        [sys.executable, "-c", run, "generate", "--config", path, "--jobs", "2"],
+        env=env,
+        stderr=subprocess.PIPE,
+        text=True,
+        start_new_session=True,
+    )
+    try:
+        _, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("generate --jobs 2 did not end in 60 s after a worker exited")
+    assert proc.returncode == EXIT_INTERNAL, err
+    line = err.splitlines()[-1]
+    assert line.startswith("internal error: BrokenProcessPool"), err
+    assert re.search(r"; worker \d+ exited with code 3; in flight when a worker died", line), line
+    assert "killed by" not in line, line
 
 
 def test_eval_loo_runs_on_generated_dataset(tmp_path, capsys):

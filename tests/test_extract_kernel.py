@@ -12,6 +12,7 @@ foreground pixels and on spans split over many chunks, with every warning
 turned into an error.
 """
 
+import json
 import math
 import warnings
 from dataclasses import replace
@@ -367,3 +368,78 @@ def test_empty_span_is_refused():
     background = np.full((24, 32), 50000, dtype=np.uint16)
     with pytest.raises(ValueError, match="no labeled frames"):
         extract_trajectory(background, iter([]), _cam(), SensorParams())
+
+
+# --- centroid means ----------------------------------------------------------
+
+
+def _reference_chunk_centroids(chunk, floor, cam, sensor):
+    """Frozen copy of ``evalkit._chunk_centroids`` as it was when each
+    centroid was its frame's ``mean(axis=0)``."""
+    frames = len(chunk)
+    pixels = np.concatenate([p for _, p in chunk])
+    depth = decode_depth16(np.concatenate([c for c, _ in chunk]), sensor)
+    fg = depth < floor[pixels]
+    depth, pixels = depth[fg], pixels[fg]
+    if not len(depth):
+        return [None] * frames
+    frame_of = np.repeat(np.arange(frames), [len(p) for _, p in chunk])[fg]
+    per_frame = np.bincount(frame_of, minlength=frames)
+    present = per_frame > 0
+    starts = (np.cumsum(per_frame) - per_frame)[present]
+    nearest = np.minimum.reduceat(depth, starts)
+    hand = depth < np.repeat(nearest + evalkit.HAND_EXTENT_CM, per_frame[present])
+    per_frame = np.bincount(frame_of[hand], minlength=frames)
+    good = per_frame >= evalkit.MIN_FOREGROUND_PIXELS
+    hand &= good[frame_of]
+    pts = evalkit.backproject_pixels(cam, pixels[hand], depth[hand])
+    ends = np.cumsum(np.where(good, per_frame, 0))
+    return [pts[end - n : end].mean(axis=0) if ok else None for end, n, ok in zip(ends, per_frame, good)]
+
+
+def _assert_same_centroids(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g is None) == (w is None)
+        if w is not None:
+            assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+def test_centroids_are_the_per_frame_means_of_random_segments(monkeypatch):
+    """Each centroid has the bytes of ``mean(axis=0)`` over its frame's
+    points: segments of 1 to 3,000 rows whose coordinates range over
+    magnitudes 1e-3 to 1e3, row by row.  The points stand in for the
+    back-projection; every candidate pixel is a hand pixel."""
+    rng = np.random.default_rng(31)
+    counts = np.concatenate([[1, 2, 3, 3000], rng.integers(1, 3001, size=60)])
+    pts = rng.uniform(-1.0, 1.0, (counts.sum(), 3)) * 10.0 ** rng.uniform(-3.0, 3.0, (counts.sum(), 1))
+    monkeypatch.setattr(evalkit, "MIN_FOREGROUND_PIXELS", 1)
+    monkeypatch.setattr(evalkit, "backproject_pixels", lambda cam, pixels, depth: pts)
+    chunk = [(np.full(n, 1000, dtype=np.uint16), np.zeros(n, dtype=np.intp)) for n in counts]
+    floor, cam, sensor = np.full(1, np.inf), _cam(), SensorParams()
+    got = evalkit._chunk_centroids(chunk, floor, cam, sensor)
+    assert all(c is not None for c in got)
+    _assert_same_centroids(got, _reference_chunk_centroids(chunk, floor, cam, sensor))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_centroids_of_written_datasets_are_the_per_frame_means(tmp_path, monkeypatch, seed):
+    """The trajectories of a written 160x120 depth dataset of every gesture,
+    five variants each, equal those with the frozen per-frame means."""
+    from handsynth.config import parse_config_full
+
+    doc = {
+        "output_path": str(tmp_path / "out"),
+        "recordings_per_gesture": 5,
+        "fps": 30.0,
+        "master_seed": seed,
+        "cameras": [{"camera_id": "depth0", "kind": "depth", "preset": "infotainment", "resolution": [160, 120]}],
+    }
+    manifest, _ = pipeline.generate_dataset(parse_config_full(json.dumps(doc)))
+    got = pipeline.trajectories_from_manifest(manifest, doc["output_path"])
+    monkeypatch.setattr(evalkit, "_chunk_centroids", _reference_chunk_centroids)
+    want = pipeline.trajectories_from_manifest(manifest, doc["output_path"])
+    assert len(got) == len(want) == 30
+    for g, w in zip(got, want):
+        assert g.trajectory.points.tobytes() == w.trajectory.points.tobytes()
+        assert g.trajectory.confidence == w.trajectory.confidence

@@ -553,10 +553,29 @@ def test_windowed_frames_equal_full_frame_render(monkeypatch, case):
         assert len(windowed) == len(windows)
 
 
+def _pose_runs(setup):
+    """Per frame of a recording, whether its pose (wrist target, aim and
+    hand pose) repeats the frame before's bit for bit."""
+    from handsynth.gesture import WarningCounters, evaluate_frame
+
+    def bits(i):
+        wrist, aim, pose = evaluate_frame(setup.timeline, i, WarningCounters())
+        angles = np.array(pose.curl + pose.abduction + pose.wrist_rotation, dtype=np.float64)
+        return wrist.tobytes(), aim.tobytes(), angles.tobytes(), pose.preset_name
+
+    poses = [bits(i) for i in range(setup.timeline.total_frames)]
+    return [i > 0 and poses[i] == poses[i - 1] for i in range(len(poses))]
+
+
 @pytest.mark.parametrize("kind", [CameraKind.DEPTH, CameraKind.RGB, CameraKind.INFRARED])
 def test_one_trace_and_one_sensor_call_per_frame(monkeypatch, kind):
     """The static frames outside the window are not frames of the recording:
-    each frame makes one windowed trace and one sensor call, no more."""
+    each frame makes at most one windowed trace and one sensor call, and a
+    recording one trace per run of frames with one pose.  ``swipe_up``
+    moves on every frame; ``peace_sign`` holds its pose for 1 s.  A held
+    frame is not traced: RGB does not sense it again, depth (noise on) only
+    at a new flipbook tile, and infrared, whose blur pans with the frame,
+    always."""
     from collections import Counter
     from dataclasses import replace
 
@@ -565,24 +584,63 @@ def test_one_trace_and_one_sensor_call_per_frame(monkeypatch, kind):
     from handsynth.variation import VariantParams
 
     cam = replace(_window_camera("depth_noise_on"), kind=kind)
-    calls = Counter()
     traced, sensed = pipeline.trace_depth, pipeline.sensor_frame
+    for gesture in ("swipe_up", "peace_sign"):
+        calls = Counter()
 
-    def count_trace(scene, cam, base=None):
-        calls["trace_static" if base is None else "trace_dynamic"] += 1
-        return traced(scene, cam, base=base)
+        def count_trace(scene, cam, base=None):
+            calls["trace_static" if base is None else "trace_dynamic"] += 1
+            return traced(scene, cam, base=base)
 
-    def count_sensor(buf, cam, *args, **kwargs):
-        calls["sensor"] += 1
-        return sensed(buf, cam, *args, **kwargs)
+        def count_sensor(buf, cam, *args, **kwargs):
+            calls["sensor"] += 1
+            return sensed(buf, cam, *args, **kwargs)
 
+        monkeypatch.setattr(pipeline, "_STATIC_BUFFER_CACHE", {})
+        monkeypatch.setattr(pipeline, "trace_depth", count_trace)
+        monkeypatch.setattr(pipeline, "sensor_frame", count_sensor)
+        script = builtin_scripts()[gesture]
+        rec = pipeline.render_recording(script, cam, VariantParams.neutral())
+        frames = rec.timeline.total_frames
+        assert frames > 2 * cam.sensor.flipbook_frames_per_tile  # more than one flipbook tile
+        monkeypatch.undo()
+        setup = pipeline._setup_recording(script, cam, VariantParams.neutral(), False, True)
+        held = _pose_runs(setup)
+        assert (sum(held) > cam.fps // 2) == (gesture == "peace_sign")
+        tiles = [setup.noise.tile_index(i) for i in range(frames)]
+        reused = {  # held frames whose pixels are the frame before's
+            CameraKind.DEPTH: sum(held[i] and tiles[i] == tiles[i - 1] for i in range(frames)),
+            CameraKind.RGB: sum(held),
+            CameraKind.INFRARED: 0,
+        }[kind]
+        assert calls == Counter(trace_static=1, trace_dynamic=frames - sum(held), sensor=frames - reused)
+
+
+@pytest.mark.parametrize("case", ["depth_noise_on", "depth_noise_off", "rgb", "infrared"])
+def test_held_poses_render_as_frames_rendered_alone(monkeypatch, case):
+    """Every frame of a ``peace_sign`` recording, whose held frames reuse
+    the trace (and, but for infrared and a new depth noise tile, the pixels)
+    of the frame before, has the bytes of the frame rendered alone, and the
+    recording's warning counters are those of its frames rendered alone."""
+    from handsynth import pipeline
+    from handsynth.gesture import WarningCounters, builtin_scripts
+    from handsynth.variation import VariantParams
+
+    cam = _window_camera(case)
     monkeypatch.setattr(pipeline, "_STATIC_BUFFER_CACHE", {})
-    monkeypatch.setattr(pipeline, "trace_depth", count_trace)
-    monkeypatch.setattr(pipeline, "sensor_frame", count_sensor)
-    rec = pipeline.render_recording(builtin_scripts()["swipe_up"], cam, VariantParams.neutral())
-    frames = rec.timeline.total_frames
-    assert frames > 2 * cam.sensor.flipbook_frames_per_tile  # more than one flipbook tile
-    assert calls == Counter(trace_static=1, trace_dynamic=frames, sensor=frames)
+    setup = pipeline._setup_recording(
+        builtin_scripts()["peace_sign"], cam, VariantParams.neutral(), False, case != "depth_noise_off"
+    )
+    held = _pose_runs(setup)
+    assert sum(held) >= cam.fps - 1
+    counters, alone_counters = WarningCounters(), WarningCounters()
+    frames = list(pipeline._frames(setup, cam, counters))
+    assert len(frames) == setup.timeline.total_frames
+    for i, frame in enumerate(frames):
+        alone = pipeline._render_frame(setup, cam, i, alone_counters)
+        assert frame.frame_index == i and frame.kind == alone.kind and frame.camera_id == alone.camera_id
+        assert frame.pixels.dtype == alone.pixels.dtype and frame.pixels.tobytes() == alone.pixels.tobytes(), i
+    assert counters.as_dict() == alone_counters.as_dict()
 
 
 @pytest.mark.parametrize("kind", [CameraKind.DEPTH, CameraKind.RGB, CameraKind.INFRARED])

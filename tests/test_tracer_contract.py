@@ -24,6 +24,9 @@ SPANS = (
     "render.sensor_rgb",
     "render.sensor_infrared",
     "scene.static_scene",
+    "gesture.evaluate_frame",
+    "skeleton.pose_hand",
+    "scene.dynamic_scene",
     "pipeline.record",
     "output.write_frame",
     "output.read_frame",
